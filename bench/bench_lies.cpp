@@ -50,7 +50,9 @@ Instance make_instance(std::size_t n) {
     if (ingress == dest) ingress = (ingress + 1) % static_cast<topo::NodeId>(n);
     demands.push_back(te::Demand{ingress, rng.uniform(60.0, 220.0)});
   }
-  const auto opt = te::solve_min_max(inst.topo, dest, demands, {}, 1e-4, 2.5);
+  te::MinMaxConfig config;
+  config.max_stretch = 2.5;
+  const auto opt = te::solve_min_max(inst.topo, dest, demands, {}, config);
   if (opt.ok()) {
     inst.req = core::requirement_from_splits(prefix, opt.value().splits, 8);
   }

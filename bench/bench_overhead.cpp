@@ -84,7 +84,9 @@ struct C1Outcome {
 
 C1Outcome run_c1(const Scenario& s) {
   C1Outcome out;
-  const auto solution = te::solve_min_max(s.topo, s.dest, s.demands, {}, 1e-4, 2.0);
+  te::MinMaxConfig config;
+  config.max_stretch = 2.0;
+  const auto solution = te::solve_min_max(s.topo, s.dest, s.demands, {}, config);
   if (!solution.ok()) return out;
   const core::DestRequirement req =
       core::requirement_from_splits(s.prefix, solution.value().splits, 8);

@@ -30,12 +30,14 @@ struct Instance {
   topo::NodeId dest;
   net::Prefix prefix;
   std::vector<te::Demand> demands;
+  te::MinMaxConfig solve;
 };
 
 Instance make_instance(std::size_t n) {
   util::Rng rng(1000 + n);
   topo::Topology base = topo::make_waxman(n, rng, 0.35, 0.4, 6, 80.0, 250.0);
   Instance inst;
+  inst.solve.max_stretch = 2.5;
   for (topo::NodeId v = 0; v < base.node_count(); ++v) {
     inst.topo.add_node(base.node(v).name);
   }
@@ -82,14 +84,14 @@ void BM_MinMaxSolve(benchmark::State& state) {
   const Instance inst = make_instance(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        te::solve_min_max(inst.topo, inst.dest, inst.demands, {}, 1e-4, 2.5));
+        te::solve_min_max(inst.topo, inst.dest, inst.demands, {}, inst.solve));
   }
 }
 BENCHMARK(BM_MinMaxSolve)->Arg(25)->Arg(50)->Arg(100)->Arg(200);
 
 void BM_CompileLies(benchmark::State& state) {
   const Instance inst = make_instance(static_cast<std::size_t>(state.range(0)));
-  const auto opt = te::solve_min_max(inst.topo, inst.dest, inst.demands, {}, 1e-4, 2.5);
+  const auto opt = te::solve_min_max(inst.topo, inst.dest, inst.demands, {}, inst.solve);
   if (!opt.ok()) {
     state.SkipWithError("optimizer failed");
     return;
@@ -110,7 +112,7 @@ void BM_ControllerReaction(benchmark::State& state) {
   cfg.reduce = false;
   for (auto _ : state) {
     const auto opt =
-        te::solve_min_max(inst.topo, inst.dest, inst.demands, {}, 1e-4, 2.5);
+        te::solve_min_max(inst.topo, inst.dest, inst.demands, {}, inst.solve);
     if (!opt.ok()) continue;
     const auto req = core::requirement_from_splits(inst.prefix, opt.value().splits, 8);
     benchmark::DoNotOptimize(core::compile_lies(inst.topo, req, cfg));

@@ -44,8 +44,9 @@ int main(int argc, char** argv) {
   std::printf("plain IGP shortest paths : max link utilization %.2f%s\n",
               spf_theta, spf_theta > 1.0 ? "  ** CONGESTED **" : "");
 
-  const auto optimal = te::solve_min_max(wan, cache, demands, {}, 1e-4,
-                                         /*max_stretch=*/2.0);
+  te::MinMaxConfig config;
+  config.max_stretch = 2.0;
+  const auto optimal = te::solve_min_max(wan, cache, demands, {}, config);
   if (!optimal.ok()) {
     std::fprintf(stderr, "optimizer failed: %s\n", optimal.error().c_str());
     return 1;

@@ -37,8 +37,7 @@ line directly above; the reason is mandatory):
                   registry: annotate the declaration (same line or the line
                   above) with `// obs:registered(<key>)` where <key> is a
                   prefix of a metric name registered somewhere in the tree
-                  (registry.counter/gauge/histogram("...") or
-                  register_callback("...", ...)), or waive with a written
+                  (register_callback("...", ...)), or waive with a written
                   reason. Keeps FibbingService::telemetry_json the one
                   complete snapshot instead of re-scattering ad-hoc counters.
 
@@ -102,7 +101,6 @@ OBS_MEMBER_RE = re.compile(
 OBS_ANNOTATION_RE = re.compile(r"obs:registered\(([^)]*)\)")
 REGISTER_METRIC_RES = [
     re.compile(r'register_callback\(\s*"([^"]+)"'),
-    re.compile(r'\b(?:counter|gauge|histogram)\(\s*"([^"]+)"'),
 ]
 
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -181,8 +179,8 @@ def collect_registered_metrics(files):
     """Metric names registered into obs::Registry anywhere in the scanned
     tree. Parsed from RAW lines on purpose: the names live inside string
     literals, which strip_code blanks. Concatenated names
-    (`histogram("prefix." + key)`) contribute their literal prefix, which is
-    exactly what the prefix-matched annotations need."""
+    (`register_callback("prefix." + key, ...)`) contribute their literal
+    prefix, which is exactly what the prefix-matched annotations need."""
     names = set()
     for _, _, lines in files:
         for line in lines:
@@ -276,8 +274,8 @@ def check_line(rel, code, symbols, metrics, obs_key):
             elif not any(name.startswith(obs_key) for name in metrics):
                 yield ("obs-registered",
                        f"`obs:registered({obs_key})` on `{member}` matches no "
-                       "registered metric name: register it (counter/gauge/"
-                       "histogram or register_callback) or fix the prefix")
+                       "registered metric name: register it "
+                       "(register_callback) or fix the prefix")
 
 
 def lint_files(files, symbols, metrics):

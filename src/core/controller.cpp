@@ -365,10 +365,10 @@ void Controller::mitigate_() {
   // Every batch member's solve -> ladder -> compile runs against the same
   // read-only batch-start snapshot: the background it would see as the
   // batch's first (demand-heaviest) member -- other batch members excluded
-  // when joint placement is on (they are about to move), everything else at
-  // its current routes. Workers share the thread-safe cache_ and write only
-  // their own member slot, so every candidate is independent of worker
-  // count and scheduling order.
+  // (they are about to move), everything else at its current routes.
+  // Workers share the thread-safe cache_ and write only their own member
+  // slot, so every candidate is independent of worker count and scheduling
+  // order.
   struct Member {
     net::Prefix prefix;
     topo::NodeId dest = topo::kInvalidNode;
@@ -396,8 +396,7 @@ void Controller::mitigate_() {
       m.background.assign(topo_.link_count(), 0.0);
       for (const auto& [q, ingresses] : ledger_) {
         if (q == m.prefix ||
-            (config_.joint_batch_placement && in_batch.contains(q) &&
-             !placement_failed_.contains(q))) {
+            (in_batch.contains(q) && !placement_failed_.contains(q))) {
           continue;
         }
         const std::vector<double>& q_load = prefix_loads_(q, snapshot);
@@ -409,8 +408,9 @@ void Controller::mitigate_() {
     const std::function<void(std::size_t)> job = [&](std::size_t i) {
       Member& m = members[i];
       if (!m.has_dest) return;  // fails deterministically at commit
-      m.outcome =
-          place_prefix_(m.prefix, m.dest, m.demands, m.background, m.base_lie_id);
+      m.outcome = place_prefix(topo_, config_, domain_.link_state(), cache_,
+                               m.prefix, m.dest, m.demands, m.background,
+                               m.base_lie_id);
     };
     pool_.run(members.size(), job);
   }
@@ -447,8 +447,7 @@ void Controller::mitigate_() {
     std::vector<double> background(topo_.link_count(), 0.0);
     for (const auto& [q, ingresses] : ledger_) {
       if (q == m.prefix ||
-          (config_.joint_batch_placement && unattempted.contains(q) &&
-           !placement_failed_.contains(q))) {
+          (unattempted.contains(q) && !placement_failed_.contains(q))) {
         continue;
       }
       const std::vector<double>& q_load = prefix_loads_(q, current_tables);
@@ -480,8 +479,9 @@ void Controller::mitigate_() {
       }
     }
     if (!accept) {
-      m.outcome = place_prefix_(m.prefix, m.dest, m.demands, background,
-                                m.base_lie_id);
+      m.outcome = place_prefix(topo_, config_, domain_.link_state(), cache_,
+                               m.prefix, m.dest, m.demands, background,
+                               m.base_lie_id);
       placement_solves_ += m.outcome.solves;
     }
 
@@ -565,17 +565,18 @@ void Controller::mitigate_() {
   current_trace_ = 0;
 }
 
-Controller::PlacementOutcome Controller::place_prefix_(
-    const net::Prefix& prefix, topo::NodeId dest,
-    const std::vector<te::Demand>& demands, const std::vector<double>& background,
-    std::uint64_t first_lie_id) {
-  const topo::LinkStateMask& mask = domain_.link_state();
+PlacementOutcome place_prefix(const topo::Topology& topo, const ControllerConfig& config,
+                              const topo::LinkStateMask& mask, igp::RouteCache& cache,
+                              const net::Prefix& prefix, topo::NodeId dest,
+                              const std::vector<te::Demand>& demands,
+                              const std::vector<double>& background,
+                              std::uint64_t first_lie_id) {
   PlacementOutcome out;
 
   te::MinMaxConfig mm;
-  mm.max_stretch = config_.max_stretch;
+  mm.max_stretch = config.max_stretch;
   mm.link_state = &mask;
-  mm.granularity_floor = 1.0 / std::max<std::uint32_t>(config_.max_replicas, 2);
+  mm.granularity_floor = 1.0 / std::max<std::uint32_t>(config.max_replicas, 2);
   // One search serves the whole attempt: the initial solve seeds its
   // reverse Dijkstra; the fallback ladder's support DAG and every rung
   // reuse it (reset_bound() keeps the Dijkstra while the support-pruned
@@ -583,7 +584,7 @@ Controller::PlacementOutcome Controller::place_prefix_(
   te::MinMaxSearch search;
   ++out.solves;
   const auto solution =
-      te::solve_min_max(topo_, dest, demands, background, mm, &search);
+      te::solve_min_max(topo, dest, demands, background, mm, &search);
   if (!solution.ok()) {
     out.solver_error = solution.error();
     return out;
@@ -591,12 +592,12 @@ Controller::PlacementOutcome Controller::place_prefix_(
 
   const auto attempt = [&](const te::MinMaxResult& sol) {
     const DestRequirement req =
-        requirement_from_splits(prefix, sol.splits, config_.max_replicas);
+        requirement_from_splits(prefix, sol.splits, config.max_replicas);
     AugmentConfig aug_config;
     aug_config.first_lie_id = first_lie_id;
     aug_config.link_state = &mask;
-    aug_config.route_cache = &cache_;
-    return compile_lies(topo_, req, aug_config);
+    aug_config.route_cache = &cache;
+    return compile_lies(topo, req, aug_config);
   };
   out.compiled = attempt(solution.value());
 
@@ -609,23 +610,23 @@ Controller::PlacementOutcome Controller::place_prefix_(
   // headroom cannot fix an unreachable subnet or a broken requirement.
   if (!out.compiled->ok() &&
       out.compiled->error_kind() == CompileErrorKind::kGranularity &&
-      !config_.theta_relax_schedule.empty()) {
+      !config.theta_relax_schedule.empty()) {
     search.reset_bound();  // support changes the pruning; the Dijkstra stays
-    mm.support = te::shortest_path_dag(topo_, dest, &mask, &search);
+    mm.support = te::shortest_path_dag(topo, dest, &mask, &search);
     double total_demand = 0.0;
     for (const te::Demand& d : demands) total_demand += d.rate_bps;
     const double flow_eps = std::max(total_demand, 1.0) * 1e-7;
-    for (topo::LinkId l = 0; l < topo_.link_count(); ++l) {
+    for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
       if (solution.value().link_flow[l] > flow_eps) mm.support[l] = true;
     }
     // The binary-search bound is identical per rung (only the refinement
     // headroom differs), so after the first rung each re-solve costs a
     // single feasibility max-flow plus the refinement.
-    for (const double relax : config_.theta_relax_schedule) {
+    for (const double relax : config.theta_relax_schedule) {
       mm.theta_relax = relax;
       ++out.solves;
       const auto relaxed =
-          te::solve_min_max(topo_, dest, demands, background, mm, &search);
+          te::solve_min_max(topo, dest, demands, background, mm, &search);
       if (!relaxed.ok()) break;
       CompileResult retry = attempt(relaxed.value());
       const bool granular =

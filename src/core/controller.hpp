@@ -46,14 +46,6 @@ struct ControllerConfig {
   /// for each eps in turn; only when the schedule is exhausted is the
   /// prefix declared unmitigable. Empty disables the ladder.
   std::vector<double> theta_relax_schedule{0.02, 0.05, 0.10, 0.25};
-  /// Plan coalesced same-batch dirty prefixes jointly (each successful
-  /// placement joins the background of the ones after it) instead of
-  /// planning every prefix around the others' stale shortest-path load.
-  /// Kept on for placement quality and churn; compilability no longer
-  /// depends on it -- with it off, degenerate all-or-nothing optima are
-  /// compiled via the tie-preserving refinement and the fallback ladder
-  /// (the regression suite runs that configuration to prove it).
-  bool joint_batch_placement = true;
   /// Worker threads for the mitigation pipeline: a multi-prefix batch's
   /// solve -> compile candidates are computed concurrently against a shared
   /// batch-start snapshot, then validated and committed on the driving
@@ -62,6 +54,29 @@ struct ControllerConfig {
   /// threads and runs the pipeline inline.
   std::size_t mitigation_workers = 1;
 };
+
+/// One prefix's placement attempt, as returned by place_prefix().
+struct PlacementOutcome {
+  /// Engaged once the optimizer succeeded; holds the compile verdict.
+  std::optional<CompileResult> compiled;
+  std::string solver_error;  ///< set when the min-max solve itself failed
+  int solves = 0;            ///< optimizer invocations (initial + rungs)
+  int relaxed = 0;           ///< 1 when the fallback ladder placed it
+  [[nodiscard]] bool ok() const { return compiled.has_value() && compiled->ok(); }
+};
+
+/// One prefix's full solve -> fallback-ladder -> compile attempt against a
+/// given background (per-link load the placement must leave room for), on
+/// the links `mask` leaves up, planning on `cache`. Pure apart from the
+/// thread-safe cache, so the controller's mitigation workers run it
+/// concurrently; the outcome's counters are folded in on the driving
+/// thread in commit order.
+[[nodiscard]] PlacementOutcome place_prefix(
+    const topo::Topology& topo, const ControllerConfig& config,
+    const topo::LinkStateMask& mask, igp::RouteCache& cache,
+    const net::Prefix& prefix, topo::NodeId dest,
+    const std::vector<te::Demand>& demands, const std::vector<double>& background,
+    std::uint64_t first_lie_id);
 
 /// The Fibbing controller of the demo: learns demand from server notices,
 /// watches SNMP link loads, and when a link is (about to be) congested,
@@ -161,25 +176,6 @@ class Controller {
   /// predicted overload) becomes the trace's t=0; mitigate_() adopts it.
   void trace_root_(obs::Stage stage, std::uint64_t detail);
 
-  /// One prefix's full solve -> fallback-ladder -> compile attempt against
-  /// a given background. Pure with respect to controller state (reads
-  /// topo_/config_/ledger_ and queries the thread-safe cache_; mutates
-  /// nothing), so mitigation workers run it concurrently; counters are
-  /// returned and folded in on the driving thread in commit order.
-  struct PlacementOutcome {
-    /// Engaged once the optimizer succeeded; holds the compile verdict.
-    std::optional<CompileResult> compiled;
-    std::string solver_error;  ///< set when the min-max solve itself failed
-    int solves = 0;            ///< optimizer invocations (initial + rungs)
-    int relaxed = 0;           ///< 1 when the fallback ladder placed it
-    [[nodiscard]] bool ok() const { return compiled.has_value() && compiled->ok(); }
-  };
-  [[nodiscard]] PlacementOutcome place_prefix_(const net::Prefix& prefix,
-                                               topo::NodeId dest,
-                                               const std::vector<te::Demand>& demands,
-                                               const std::vector<double>& background,
-                                               std::uint64_t first_lie_id);
-
   /// Per-link load of `prefix`'s ledger demand on its routes in `tables`,
   /// memoized on (tables identity, demand fingerprint). A prefix's routes
   /// depend only on its *own* externals, so the loads computed on any table
@@ -220,7 +216,7 @@ class Controller {
   bool eval_pending_ = false;
   std::map<net::Prefix, std::vector<Lie>> active_;
   /// The mitigation pipeline's worker pool (mitigation_workers wide; one
-  /// worker spawns no threads). Workers only run place_prefix_ over
+  /// worker spawns no threads). Workers only run place_prefix over
   /// read-only inputs; every commit happens on the driving thread.
   util::WorkerPool pool_;
   /// prefix_loads_'s memo. Holding the TablesPtr pins the table set so the

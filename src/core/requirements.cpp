@@ -26,6 +26,16 @@ DestRequirement requirement_from_splits(const net::Prefix& prefix,
       }
     }
     FIB_ASSERT(!kept.empty(), "requirement_from_splits: node with empty split");
+    if (kept.size() > max_replicas) {
+      // Every kept share needs a FIB slot: keep the largest max_replicas
+      // (ties to the lower node id) and renormalize over them.
+      std::sort(kept.begin(), kept.end(), [](const auto& a, const auto& b) {
+        return a.second != b.second ? a.second > b.second : a.first < b.first;
+      });
+      kept.resize(max_replicas);
+      total = 0.0;
+      for (const auto& [via, frac] : kept) total += frac;
+    }
     std::vector<double> fractions;
     fractions.reserve(kept.size());
     for (auto& [via, frac] : kept) fractions.push_back(frac / total);

@@ -1,5 +1,6 @@
 #include "core/service.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <set>
 #include <string>
@@ -7,6 +8,7 @@
 
 #include "dataplane/fib.hpp"
 #include "util/assert.hpp"
+#include "util/stats.hpp"
 
 namespace fibbing::core {
 
@@ -121,22 +123,22 @@ void FibbingService::register_metrics_() {
       [this] { return double(domain_.shard_stats().cross_shard_messages); });
 }
 
-void FibbingService::refresh_trace_histograms_() {
-  for (const auto& [key, samples] : tracer_.stage_offsets()) {
-    const obs::HistogramHandle h = registry_.histogram("trace.reaction." + key);
-    registry_.reset_histogram(h);
-    for (const double s : samples) registry_.record(h, s);
-  }
-}
-
 std::map<std::string, double> FibbingService::telemetry_snapshot() {
-  refresh_trace_histograms_();
-  return registry_.snapshot();
+  std::map<std::string, double> out = registry_.snapshot();
+  // The tracer is the one sample store: each stage's offsets (never an
+  // empty list) expand into _count/_p50/_p99/_max keys (type-7 percentiles).
+  for (const auto& [key, samples] : tracer_.stage_offsets()) {
+    const std::string name = "trace.reaction." + key;
+    out[name + "_count"] = static_cast<double>(samples.size());
+    out[name + "_p50"] = util::percentile(samples, 50.0);
+    out[name + "_p99"] = util::percentile(samples, 99.0);
+    out[name + "_max"] = *std::max_element(samples.begin(), samples.end());
+  }
+  return out;
 }
 
 std::string FibbingService::telemetry_json() {
-  refresh_trace_histograms_();
-  return registry_.json();
+  return obs::to_json(telemetry_snapshot());
 }
 
 util::Result<topo::LinkId> FibbingService::change_link_(topo::NodeId a,

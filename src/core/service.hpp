@@ -110,9 +110,6 @@ class FibbingService {
                                                         topo::NodeId b,
                                                         LinkEvent event);
   void register_metrics_();
-  /// Re-derive the trace.reaction.* histograms from the recorder's current
-  /// stream (reset + refill, so repeated snapshots don't double-count).
-  void refresh_trace_histograms_();
 
   const topo::Topology& topo_;
   /// The one live up/down mask every layer consumes (declared before the

@@ -25,6 +25,7 @@ IgpDomain::IgpDomain(const topo::Topology& topo, util::EventQueue& events,
       loss_seq_(topo.link_count(), 0),
       extra_delay_(topo.link_count(), 0.0),
       pending_liveness_(pool_.shard_count()),
+      pending_session_packets_(pool_.shard_count()),
       pending_tables_(pool_.shard_count()) {
   FIB_ASSERT(timing_.flood_delay_s > 0.0,
              "IgpDomain: flood delay must be positive (channel lookahead)");
@@ -46,27 +47,26 @@ IgpDomain::IgpDomain(const topo::Topology& topo, util::EventQueue& events,
         [this](topo::NodeId from, topo::NodeId to, const proto::BufferPtr& buffer) {
           deliver_packet_(from, to, buffer);
         });
-    router.set_controller_send([this, n](const proto::BufferPtr& buffer) {
+    const std::size_t shard = pool_.shard_of(n);
+    router.set_controller_send([this, n, shard](const proto::BufferPtr& buffer) {
       // Acks ride back over the controller adjacency with the same channel
-      // delay as any packet; convergence waits for them. The session object
-      // is only ever touched by its router's shard (mid-round) or the
-      // driving thread (between rounds), so delivery stays on this actor.
-      const auto it = controller_sessions_.find(n);
-      if (it == controller_sessions_.end()) return;
+      // delay as any packet; convergence waits for them. The packet arrives
+      // as an event on this router's shard, but the session is driving-thread
+      // state: the arrival is queued and handed to the session at the round
+      // barrier, where a reply (a re-issued tombstone) may enter the domain.
+      if (!controller_sessions_.contains(n)) return;
       if (alive_[n] == 0) return;  // a crashed router sends nothing
-      proto::ControllerSession* session = it->second.get();
       in_flight_.fetch_add(1, std::memory_order_relaxed);
       pool_.schedule(n, n, pool_.now() + timing_.flood_delay_s,
-                     [this, session, buffer] {
+                     [this, n, shard, buffer] {
                        in_flight_.fetch_sub(1, std::memory_order_relaxed);
-                       session->receive(buffer);
+                       pending_session_packets_[shard].emplace_back(n, buffer);
                      });
     });
     router.set_on_adjacency(
         [this](topo::NodeId self, topo::NodeId peer, bool up) {
           on_adjacency_(self, peer, up);
         });
-    const std::size_t shard = pool_.shard_of(n);
     router.set_on_table([this, shard](topo::NodeId self, const RoutingTable&) {
       // Deferred: user callbacks must not run on shard workers. Flushed in
       // ascending node order at the round barrier (the order a 1-shard run
@@ -364,6 +364,7 @@ void IgpDomain::run_pump_() {
   pump_ = {};
   sync_clock_();  // the pump fires at pool_.next_time() == events_.now()
   pool_.run_round();
+  flush_session_packets_();
   // Lane flush precedes the table flush: a trace's LSA-install/SPF stamps
   // must land in the stream before its same-instant table flip.
   if (tracer_ != nullptr) tracer_->flush_lanes();
@@ -378,6 +379,22 @@ void IgpDomain::set_tracer(obs::TraceRecorder* tracer) {
   tracer_->configure_lanes(pool_.shard_count());
   for (topo::NodeId n = 0; n < routers_.size(); ++n) {
     routers_[n]->set_tracer(tracer_, pool_.shard_of(n));
+  }
+}
+
+void IgpDomain::flush_session_packets_() {
+  std::vector<std::pair<topo::NodeId, proto::BufferPtr>> arrived;
+  for (auto& per_shard : pending_session_packets_) {
+    arrived.insert(arrived.end(), per_shard.begin(), per_shard.end());
+    per_shard.clear();
+  }
+  // A 1-shard round runs one router's events in key order, routers
+  // ascending: a stable sort by router restores that order for any shard
+  // count, so the session's replies take the same driver sequence numbers.
+  std::stable_sort(arrived.begin(), arrived.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [at, buffer] : arrived) {
+    controller_sessions_.at(at)->receive(buffer);
   }
 }
 

@@ -191,6 +191,9 @@ class IgpDomain {
   /// Deterministic drop decision for the next packet on directed link `id`.
   [[nodiscard]] bool lose_packet_(topo::LinkId id);
   void flush_liveness_();
+  /// Hand the round's controller-session arrivals to their sessions
+  /// (driving thread, at the barrier, in the 1-shard arrival order).
+  void flush_session_packets_();
   // Driving-thread plumbing between the master clock and the shard pool.
   void sync_clock_();  ///< raise the pool clock to the master clock
   void arm_pump_();    ///< keep one pump event armed at pool_.next_time()
@@ -225,6 +228,10 @@ class IgpDomain {
   LivenessFn on_liveness_change_;
   std::map<topo::NodeId, std::unique_ptr<proto::ControllerSession>>
       controller_sessions_;
+  /// Packets for a controller session that arrived this round, per shard
+  /// (each worker appends only to its own slot); flushed at the barrier.
+  std::vector<std::vector<std::pair<topo::NodeId, proto::BufferPtr>>>
+      pending_session_packets_;
   /// Packets (and controller updates) scheduled but not yet delivered.
   /// Atomic: incremented/decremented from shard workers mid-round, read by
   /// converged() on the driving thread between rounds.

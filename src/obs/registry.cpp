@@ -1,10 +1,7 @@
 #include "obs/registry.hpp"
 
-#include <algorithm>
 #include <cstdio>
-
-#include "util/assert.hpp"
-#include "util/stats.hpp"
+#include <utility>
 
 namespace fibbing::obs {
 
@@ -27,116 +24,29 @@ std::string format_value(double v) {
 
 }  // namespace
 
-std::size_t Registry::slot_(const std::string& name, Kind kind) {
-  const auto it = index_.find(name);
-  if (it != index_.end()) {
-    FIB_ASSERT(slots_[it->second].kind == kind,
-               "obs::Registry: name re-registered as a different kind");
-    return it->second;
-  }
-  Slot slot;
-  slot.name = name;
-  slot.kind = kind;
-  slots_.push_back(std::move(slot));
-  const std::size_t index = slots_.size() - 1;
-  index_.emplace(name, index);
-  return index;
-}
-
-CounterHandle Registry::counter(const std::string& name) {
-  util::MutexLock lock(mu_);
-  return CounterHandle{slot_(name, Kind::kCounter)};
-}
-
-GaugeHandle Registry::gauge(const std::string& name) {
-  util::MutexLock lock(mu_);
-  return GaugeHandle{slot_(name, Kind::kGauge)};
-}
-
-HistogramHandle Registry::histogram(const std::string& name) {
-  util::MutexLock lock(mu_);
-  return HistogramHandle{slot_(name, Kind::kHistogram)};
-}
-
-void Registry::add(CounterHandle h, std::uint64_t delta) {
-  util::MutexLock lock(mu_);
-  FIB_ASSERT(h.valid() && h.index < slots_.size(), "obs: bad counter handle");
-  slots_[h.index].count += delta;
-}
-
-void Registry::set(GaugeHandle h, double value) {
-  util::MutexLock lock(mu_);
-  FIB_ASSERT(h.valid() && h.index < slots_.size(), "obs: bad gauge handle");
-  slots_[h.index].gauge = value;
-}
-
-void Registry::record(HistogramHandle h, double sample) {
-  util::MutexLock lock(mu_);
-  FIB_ASSERT(h.valid() && h.index < slots_.size(), "obs: bad histogram handle");
-  slots_[h.index].samples.push_back(sample);
-}
-
-void Registry::reset_histogram(HistogramHandle h) {
-  util::MutexLock lock(mu_);
-  FIB_ASSERT(h.valid() && h.index < slots_.size(), "obs: bad histogram handle");
-  slots_[h.index].samples.clear();
-}
-
 void Registry::register_callback(const std::string& name,
                                  std::function<double()> fn) {
   util::MutexLock lock(mu_);
-  const std::size_t index = slot_(name, Kind::kCallback);
-  slots_[index].callback = std::move(fn);
+  callbacks_[name] = std::move(fn);
 }
 
 std::map<std::string, double> Registry::snapshot() const {
-  // Copy the slot table under the lock, evaluate callbacks outside it: a
-  // callback may read a component that takes its own lock (RouteCache) or
+  // Copy the callback table under the lock, evaluate callbacks outside it:
+  // a callback may read a component that takes its own lock (RouteCache) or
   // re-enter the registry.
-  std::vector<Slot> slots;
+  std::map<std::string, std::function<double()>> callbacks;
   {
     util::MutexLock lock(mu_);
-    slots = slots_;
+    callbacks = callbacks_;
   }
   std::map<std::string, double> out;
-  for (const Slot& slot : slots) {
-    switch (slot.kind) {
-      case Kind::kCounter:
-        out[slot.name] = static_cast<double>(slot.count);
-        break;
-      case Kind::kGauge:
-        out[slot.name] = slot.gauge;
-        break;
-      case Kind::kCallback:
-        out[slot.name] = slot.callback ? slot.callback() : 0.0;
-        break;
-      case Kind::kHistogram: {
-        out[slot.name + "_count"] = static_cast<double>(slot.samples.size());
-        if (!slot.samples.empty()) {
-          out[slot.name + "_p50"] = util::percentile(slot.samples, 50.0);
-          out[slot.name + "_p99"] = util::percentile(slot.samples, 99.0);
-          out[slot.name + "_max"] =
-              *std::max_element(slot.samples.begin(), slot.samples.end());
-        }
-        break;
-      }
-    }
+  for (const auto& [name, callback] : callbacks) {
+    out[name] = callback ? callback() : 0.0;
   }
   return out;
 }
 
-std::string Registry::json() const {
-  const std::map<std::string, double> snap = snapshot();
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : snap) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + key + "\":" + format_value(value);
-  }
-  out += "}";
-  return out;
-}
+std::string Registry::json() const { return to_json(snapshot()); }
 
 double Registry::value(const std::string& name) const {
   const std::map<std::string, double> snap = snapshot();
@@ -146,7 +56,19 @@ double Registry::value(const std::string& name) const {
 
 std::size_t Registry::size() const {
   util::MutexLock lock(mu_);
-  return slots_.size();
+  return callbacks_.size();
+}
+
+std::string to_json(const std::map<std::string, double>& values) {
+  std::string out = "{";
+  bool first = true;
+  for (const auto& [key, value] : values) {
+    if (!first) out += ",";
+    first = false;
+    out += "\"" + key + "\":" + format_value(value);
+  }
+  out += "}";
+  return out;
 }
 
 }  // namespace fibbing::obs

@@ -1,85 +1,46 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "util/annotations.hpp"
 #include "util/mutex.hpp"
 
 namespace fibbing::obs {
 
-/// O(1) handles into the registry. A handle stays valid for the registry's
-/// lifetime; re-registering the same name returns the same handle.
-struct CounterHandle {
-  std::size_t index = static_cast<std::size_t>(-1);
-  [[nodiscard]] bool valid() const { return index != static_cast<std::size_t>(-1); }
-};
-struct GaugeHandle {
-  std::size_t index = static_cast<std::size_t>(-1);
-  [[nodiscard]] bool valid() const { return index != static_cast<std::size_t>(-1); }
-};
-struct HistogramHandle {
-  std::size_t index = static_cast<std::size_t>(-1);
-  [[nodiscard]] bool valid() const { return index != static_cast<std::size_t>(-1); }
-};
-
 /// Unified metrics registry: every layer's counters meet here under one
 /// namespaced key space, snapshotted as deterministic sorted-key JSON
 /// (FibbingService::telemetry_json is the consumer the benches read).
 ///
-/// Two registration styles:
-///   * owned instruments -- counter()/gauge()/histogram() hand out O(1)
-///     handles; add()/set()/record() mutate the owned slot. Histograms keep
-///     their raw samples and snapshot as _count/_p50/_p99/_max keys
-///     (util::percentile, type-7), so reaction-latency distributions ride
-///     the same JSON as plain counters.
-///   * callbacks -- register_callback(name, fn) adopts an existing ad-hoc
-///     component counter (Controller::mitigations(), RouterProcess SPF
-///     totals, proto session counters, ...) as a thin read. The component
-///     keeps its struct and accessors untouched -- no test churn -- and the
-///     registry evaluates the callback at snapshot time.
+/// The registry is a read-through view, not a second counter store: each
+/// key is a callback (register_callback) adopting an existing component
+/// counter (Controller::mitigations(), RouterProcess SPF totals, proto
+/// session counters, ...). The component keeps its struct and accessors,
+/// and the registry evaluates the callback at snapshot time.
 ///
-/// Thread safety: all methods lock the internal mutex, so shard workers may
-/// bump owned counters mid-round while the driving thread snapshots between
-/// rounds. Callbacks are evaluated on the snapshotting thread only; the
-/// existing component counters they read follow the components' own
-/// threading contracts (all of them are driving-thread or barrier-flushed
-/// state). Snapshot order is the sorted key order, independent of
-/// registration order -- the determinism property tests pin that.
+/// Thread safety: all methods lock the internal mutex. Callbacks are
+/// evaluated on the snapshotting thread only; the component counters they
+/// read follow the components' own threading contracts (all of them are
+/// driving-thread or barrier-flushed state). Snapshot order is the sorted
+/// key order, independent of registration order -- the determinism
+/// property tests pin that.
 class Registry {
  public:
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Create-or-lookup. Asserts if `name` is already registered as a
-  /// different instrument kind.
-  [[nodiscard]] CounterHandle counter(const std::string& name) FIB_EXCLUDES(mu_);
-  [[nodiscard]] GaugeHandle gauge(const std::string& name) FIB_EXCLUDES(mu_);
-  [[nodiscard]] HistogramHandle histogram(const std::string& name) FIB_EXCLUDES(mu_);
-
-  void add(CounterHandle h, std::uint64_t delta = 1) FIB_EXCLUDES(mu_);
-  void set(GaugeHandle h, double value) FIB_EXCLUDES(mu_);
-  void record(HistogramHandle h, double sample) FIB_EXCLUDES(mu_);
-  /// Drop a histogram's samples (telemetry_json refills trace-derived
-  /// histograms from the recorder on every call).
-  void reset_histogram(HistogramHandle h) FIB_EXCLUDES(mu_);
-
   /// Adopt an existing component counter as a read-through. Re-registering
   /// a name replaces its callback (components re-wire across reboots).
   void register_callback(const std::string& name, std::function<double()> fn)
       FIB_EXCLUDES(mu_);
 
-  /// Every key's current value, callbacks evaluated, histograms expanded
-  /// into their _count/_p50/_p99/_max keys. Sorted by key.
+  /// Every key's current value, callbacks evaluated. Sorted by key.
   [[nodiscard]] std::map<std::string, double> snapshot() const FIB_EXCLUDES(mu_);
 
-  /// snapshot() rendered as one JSON object, keys sorted -- bit-identical
-  /// for identical values regardless of registration order.
+  /// snapshot() rendered by to_json().
   [[nodiscard]] std::string json() const FIB_EXCLUDES(mu_);
 
   /// Convenience single-key read (tests); 0.0 when the key is absent.
@@ -88,21 +49,12 @@ class Registry {
   [[nodiscard]] std::size_t size() const FIB_EXCLUDES(mu_);
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kCallback };
-  struct Slot {
-    std::string name;
-    Kind kind = Kind::kCounter;
-    std::uint64_t count = 0;             // kCounter
-    double gauge = 0.0;                  // kGauge
-    std::vector<double> samples;         // kHistogram (raw, percentiled lazily)
-    std::function<double()> callback;    // kCallback
-  };
-  [[nodiscard]] std::size_t slot_(const std::string& name, Kind kind)
-      FIB_REQUIRES(mu_);
-
   mutable util::Mutex mu_;
-  std::vector<Slot> slots_ FIB_GUARDED_BY(mu_);
-  std::map<std::string, std::size_t> index_ FIB_GUARDED_BY(mu_);
+  std::map<std::string, std::function<double()>> callbacks_ FIB_GUARDED_BY(mu_);
 };
+
+/// `values` rendered as one JSON object, keys sorted -- bit-identical for
+/// identical values regardless of how the map was filled.
+[[nodiscard]] std::string to_json(const std::map<std::string, double>& values);
 
 }  // namespace fibbing::obs

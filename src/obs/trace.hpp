@@ -126,7 +126,8 @@ class TraceRecorder {
   /// Per-trace reaction-latency breakdown: for every trace, each present
   /// stage's first timestamp as an offset from the trace root, keyed
   /// "<stage>_s", plus "end_to_end_s" (root to last event). Returned as
-  /// key -> samples-across-traces, ready to fold into Registry histograms.
+  /// key -> samples-across-traces; FibbingService::telemetry_snapshot()
+  /// expands them into percentile keys.
   [[nodiscard]] std::map<std::string, std::vector<double>> stage_offsets() const;
 
   void clear();

@@ -294,29 +294,17 @@ std::vector<bool> dag_from_dist(const topo::Topology& topo,
 }  // namespace
 
 std::vector<bool> shortest_path_dag(const topo::Topology& topo, topo::NodeId dest,
-                                    const topo::LinkStateMask* link_state) {
-  FIB_ASSERT(dest < topo.node_count(), "shortest_path_dag: bad destination");
-  return dag_from_dist(topo, dist_to_node(topo, dest, link_state), link_state);
-}
-
-std::vector<bool> shortest_path_dag(const topo::Topology& topo, topo::NodeId dest,
                                     const topo::LinkStateMask* link_state,
                                     MinMaxSearch* search) {
   FIB_ASSERT(dest < topo.node_count(), "shortest_path_dag: bad destination");
-  if (search == nullptr) return shortest_path_dag(topo, dest, link_state);
+  if (search == nullptr) {
+    return dag_from_dist(topo, dist_to_node(topo, dest, link_state), link_state);
+  }
   if (!search->dist_valid_) {
     search->dist_ = dist_to_node(topo, dest, link_state);
     search->dist_valid_ = true;
   }
   return dag_from_dist(topo, search->dist_, link_state);
-}
-
-util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
-                                         topo::NodeId dest,
-                                         const std::vector<Demand>& demands,
-                                         const std::vector<double>& background_bps,
-                                         const MinMaxConfig& config) {
-  return solve_min_max(topo, dest, demands, background_bps, config, nullptr);
 }
 
 util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
@@ -530,19 +518,6 @@ util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
   result.theta = theta;
   if (!config.refine) result.theta_opt = result.theta;
   return result;
-}
-
-util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
-                                         topo::NodeId dest,
-                                         const std::vector<Demand>& demands,
-                                         const std::vector<double>& background_bps,
-                                         double precision, double max_stretch,
-                                         const topo::LinkStateMask* link_state) {
-  MinMaxConfig config;
-  config.precision = precision;
-  config.max_stretch = max_stretch;
-  config.link_state = link_state;
-  return solve_min_max(topo, dest, demands, background_bps, config);
 }
 
 std::vector<double> shortest_path_loads(const topo::Topology& topo, topo::NodeId dest,

@@ -62,6 +62,8 @@ struct MinMaxConfig {
   std::vector<bool> support;
 };
 
+class MinMaxSearch;
+
 /// Output of the exact min-max link-utilization solver.
 struct MinMaxResult {
   /// Realized maximum link utilization of the returned flow (may exceed 1
@@ -112,10 +114,15 @@ struct MinMaxResult {
 /// up: down links carry zero capacity and are excluded from the detour
 /// distances, so the optimum is solved on the degraded topology that
 /// actually exists -- no returned split ever crosses a down link.
+///
+/// `search` (optional) reuses a MinMaxSearch: when it is already solved the
+/// binary search is skipped and its bound re-used; when it is fresh (or
+/// null) the full solve runs and (if non-null) populates it.
 [[nodiscard]] util::Result<MinMaxResult> solve_min_max(
     const topo::Topology& topo, topo::NodeId dest,
     const std::vector<Demand>& demands,
-    const std::vector<double>& background_bps, const MinMaxConfig& config);
+    const std::vector<double>& background_bps = {}, const MinMaxConfig& config = {},
+    MinMaxSearch* search = nullptr);
 
 /// Cached binary-search state of one min-max instance: the pruned usable
 /// link set, the shared reverse Dijkstra and the solved feasibility bound.
@@ -170,40 +177,16 @@ class MinMaxSearch {
   bool dist_valid_ = false;
 };
 
-/// solve_min_max with search reuse: when `search` is already solved the
-/// binary search is skipped and its bound re-used; when it is fresh (or
-/// null) the full solve runs and (if non-null) populates it.
-[[nodiscard]] util::Result<MinMaxResult> solve_min_max(
-    const topo::Topology& topo, topo::NodeId dest,
-    const std::vector<Demand>& demands,
-    const std::vector<double>& background_bps, const MinMaxConfig& config,
-    MinMaxSearch* search);
-
-/// Positional-knob convenience overload (precision / stretch / mask only;
-/// refinement at its defaults).
-[[nodiscard]] util::Result<MinMaxResult> solve_min_max(
-    const topo::Topology& topo, topo::NodeId dest,
-    const std::vector<Demand>& demands,
-    const std::vector<double>& background_bps = {}, double precision = 1e-4,
-    double max_stretch = 0.0,
-    const topo::LinkStateMask* link_state = nullptr);
-
 /// Per-directed-link membership in the shortest-path DAG toward `dest`
 /// (ECMP siblings included), over the links `link_state` leaves up. The
 /// refinement treats these as the tie-compilable links; the controller adds
-/// them to the fallback ladder's support restriction.
+/// them to the fallback ladder's support restriction. A non-null `search`
+/// shares its cached reverse Dijkstra: when it already holds the distance
+/// vector for this (topo, dest, link-state) the Dijkstra is skipped;
+/// otherwise it runs once and is stored for the solves that follow.
 [[nodiscard]] std::vector<bool> shortest_path_dag(
     const topo::Topology& topo, topo::NodeId dest,
-    const topo::LinkStateMask* link_state = nullptr);
-
-/// shortest_path_dag sharing a MinMaxSearch's cached reverse Dijkstra: when
-/// `search` already holds the distance vector for this (topo, dest,
-/// link-state) the Dijkstra is skipped; otherwise it runs once and is
-/// stored for the solves that follow. Null search falls back to the plain
-/// overload.
-[[nodiscard]] std::vector<bool> shortest_path_dag(
-    const topo::Topology& topo, topo::NodeId dest,
-    const topo::LinkStateMask* link_state, MinMaxSearch* search);
+    const topo::LinkStateMask* link_state = nullptr, MinMaxSearch* search = nullptr);
 
 /// Maximum link utilization if the same demands follow plain IGP shortest
 /// paths with even ECMP splitting (the no-Fibbing baseline of Fig. 1b).

@@ -39,8 +39,14 @@ bool EventQueue::step() { return fire_next_(); }
 void EventQueue::run_until(SimTime horizon) {
   FIB_ASSERT(horizon >= now_, "run_until: horizon in the past");
   while (!heap_.empty()) {
+    // Skip cancelled items first: the horizon check must see the next live
+    // event, or fire_next_ would step over a stale top to one past it.
+    if (!live_.contains(heap_.top().id)) {
+      heap_.pop();
+      continue;
+    }
     if (heap_.top().at > horizon) break;
-    if (!fire_next_()) break;
+    fire_next_();
   }
   now_ = std::max(now_, horizon);
 }

@@ -14,35 +14,18 @@ constexpr std::uint64_t kSeqBits = 40;
 
 ShardPool::ShardPool(std::size_t shard_count, std::size_t actor_count)
     : actor_count_(actor_count),
-      origin_seq_(actor_count + 1, 0) {
+      origin_seq_(actor_count + 1, 0),
+      workers_(std::max<std::size_t>(1, std::min(shard_count, actor_count))) {
   FIB_ASSERT(actor_count > 0, "ShardPool: no actors");
   FIB_ASSERT(actor_count < (1ull << (64 - kSeqBits)),
              "ShardPool: too many actors for id packing");
-  const std::size_t shards = std::clamp<std::size_t>(shard_count, 1, actor_count);
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
+  shards_.reserve(workers_.worker_count());
+  for (std::size_t s = 0; s < workers_.worker_count(); ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
   actor_schedulers_.reserve(actor_count);
   for (std::uint32_t a = 0; a < actor_count; ++a) {
     actor_schedulers_.push_back(std::make_unique<ActorScheduler>(*this, a));
-  }
-  if (shards > 1) {
-    workers_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      workers_.emplace_back([this, s] { worker_loop_(s); });
-    }
-  }
-}
-
-ShardPool::~ShardPool() {
-  if (!workers_.empty()) {
-    {
-      MutexLock lock(mu_);
-      stopping_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread& worker : workers_) worker.join();
   }
 }
 
@@ -88,12 +71,12 @@ EventHandle ShardPool::schedule(std::uint32_t origin, std::uint32_t target,
     shard.heap.push(std::move(item));
     return EventHandle{id};
   }
-  // Worker context. Same-actor (and same-shard) pushes go straight into the
-  // worker's own heap; anything crossing a shard boundary is queued into the
-  // destination's lock-guarded inbox and merged at the barrier. Either way a
-  // cross-actor event must sit strictly in the future -- that positive
-  // channel delay is what makes same-instant actors independent, and thereby
-  // the execution shard-count-invariant.
+  // Round context. Same-actor (and same-shard) pushes go straight into the
+  // running shard's own heap; anything crossing a shard boundary is queued
+  // into the destination's lock-guarded inbox and merged at the barrier.
+  // Either way a cross-actor event must sit strictly in the future -- that
+  // positive channel delay is what makes same-instant actors independent,
+  // and thereby the execution shard-count-invariant.
   if (origin == target) {
     FIB_ASSERT(at >= now_, "schedule: time in the past");
   } else {
@@ -174,24 +157,10 @@ std::size_t ShardPool::run_round() {
   ++rounds_;
   std::uint64_t before = 0;
   for (const auto& shard : shards_) before += shard->executed;
-  if (workers_.empty()) {
-    run_shard_round_(*shards_.front(), t);
-  } else {
-    {
-      MutexLock lock(mu_);
-      round_time_ = t;
-      workers_running_ = workers_.size();
-      ++round_gen_;
-      in_round_.store(true, std::memory_order_relaxed);
-    }
-    cv_work_.notify_all();
-    // Explicit wait loop (not the predicate overload): the guarded read of
-    // workers_running_ must sit in this scope for -Wthread-safety to see the
-    // capability is held.
-    UniqueMutexLock lock(mu_);
-    while (workers_running_ != 0) cv_done_.wait(lock.native());
-    in_round_.store(false, std::memory_order_relaxed);
-  }
+  in_round_.store(true, std::memory_order_relaxed);
+  workers_.run(shards_.size(),
+               [this, t](std::size_t s) { run_shard_round_(*shards_[s], t); });
+  in_round_.store(false, std::memory_order_relaxed);
   // Barrier passed: every send of the round is visible. Merge the inboxes
   // into the heaps (driving thread, race-free); the keyed comparator puts
   // each message in its deterministic place regardless of arrival order.
@@ -220,27 +189,6 @@ ShardPool::Stats ShardPool::stats() {
     s.cross_shard_messages += shard->inbox_total;
   }
   return s;
-}
-
-void ShardPool::worker_loop_(std::size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  std::uint64_t seen_gen = 0;
-  for (;;) {
-    SimTime t = 0.0;
-    {
-      // Explicit wait loop for the same -Wthread-safety reason as run_round.
-      UniqueMutexLock lock(mu_);
-      while (!stopping_ && round_gen_ == seen_gen) cv_work_.wait(lock.native());
-      if (stopping_) return;
-      seen_gen = round_gen_;
-      t = round_time_;
-    }
-    run_shard_round_(shard, t);
-    {
-      MutexLock lock(mu_);
-      if (--workers_running_ == 0) cv_done_.notify_one();
-    }
-  }
 }
 
 }  // namespace fibbing::util

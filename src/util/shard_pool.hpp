@@ -1,30 +1,28 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <queue>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "util/annotations.hpp"
 #include "util/event_queue.hpp"
 #include "util/mutex.hpp"
+#include "util/worker_pool.hpp"
 
 namespace fibbing::util {
 
 /// Deterministic sharded discrete-event engine.
 ///
 /// Actors (the IGP's routers) are partitioned across shards; each shard owns
-/// a heap of pending events (its virtual clock) and, when more than one
-/// shard is configured, a worker thread plus a lock-guarded inbox for events
-/// scheduled into it from other shards mid-round. The driving thread runs
-/// the simulation as a sequence of *rounds*: each round executes every
-/// pending event at the globally earliest timestamp, all shards in parallel,
-/// then meets at a barrier and merges the inboxes.
+/// a heap of pending events (its virtual clock) and a lock-guarded inbox for
+/// events scheduled into it from other shards mid-round. The driving thread
+/// runs the simulation as a sequence of *rounds*: each round executes every
+/// pending event at the globally earliest timestamp, all shards in parallel
+/// through a util::WorkerPool (one shard per index, the driving thread
+/// participating), then merges the inboxes once the pool's run() returns.
 ///
 /// Determinism contract (the reason a sharded run is bit-identical to a
 /// single-threaded one): events are ordered by the key
@@ -40,12 +38,13 @@ namespace fibbing::util {
 ///
 /// Threading contract:
 ///  - schedule() may be called from the driving thread while no round is
-///    running, or from a shard worker mid-round on behalf of an actor that
-///    worker owns;
+///    running, or mid-round by the thread running a shard, on behalf of an
+///    actor that shard owns;
 ///  - everything else (run_round, next_time, has_pending, advance_to,
 ///    stats) is driving-thread-only, between rounds;
-///  - the round barrier (mutex + condvars) orders all cross-thread access
-///    to shard heaps, actor state and sequence counters.
+///  - the worker pool's batch barrier (run() returns only after every
+///    shard finished) orders all cross-thread access to shard heaps, actor
+///    state and sequence counters.
 class ShardPool {
  public:
   using Callback = Scheduler::Callback;
@@ -58,7 +57,6 @@ class ShardPool {
   /// thread is spawned: rounds run inline on the driving thread, so the
   /// single-threaded configuration really is single-threaded.
   ShardPool(std::size_t shard_count, std::size_t actor_count);
-  ~ShardPool();
   ShardPool(const ShardPool&) = delete;
   ShardPool& operator=(const ShardPool&) = delete;
 
@@ -124,8 +122,8 @@ class ShardPool {
   };
   struct Shard {
     // heap/live/executed are *barrier*-protected, not mutex-protected: the
-    // owning worker touches them mid-round, the driving thread between
-    // rounds, and the round barrier (mu_ + condvars) provides the
+    // thread running the shard touches them mid-round, the driving thread
+    // between rounds, and the worker pool's batch barrier provides the
     // happens-before edge. Clang's analysis cannot express that ownership
     // hand-off, so only the inbox -- the one genuinely concurrent surface,
     // pushed by any worker while the owner drains its heap -- is annotated.
@@ -155,7 +153,6 @@ class ShardPool {
   std::uint64_t next_oseq_(std::uint32_t origin);
   void run_shard_round_(Shard& shard, SimTime t);
   void prune_cancelled_(Shard& shard);
-  void worker_loop_(std::size_t shard_index);
 
   // lint:obs-registered-ok(structural actor-table size, not a metric)
   std::size_t actor_count_;
@@ -168,22 +165,14 @@ class ShardPool {
   SimTime now_ = 0.0;
   std::uint64_t rounds_ = 0;
 
-  /// True exactly while workers may be executing a round; schedule() uses
-  /// it to distinguish driver-context (direct heap push is race-free) from
-  /// worker-context (cross-shard pushes go through the inbox).
+  /// True exactly while a round is executing; schedule() uses it to
+  /// distinguish driver-context (direct heap push is race-free) from
+  /// round-context (cross-shard pushes go through the inbox).
   std::atomic<bool> in_round_{false};
 
-  // Round barrier (multi-shard only). The four fields below are the shared
-  // handshake state between the driving thread and the workers; every access
-  // holds mu_ (enforced by -Wthread-safety under Clang).
-  Mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t round_gen_ FIB_GUARDED_BY(mu_) = 0;
-  SimTime round_time_ FIB_GUARDED_BY(mu_) = 0.0;
-  std::size_t workers_running_ FIB_GUARDED_BY(mu_) = 0;
-  bool stopping_ FIB_GUARDED_BY(mu_) = false;
-  std::vector<std::thread> workers_;
+  /// Runs each round's shards in parallel (shard_count wide; one shard
+  /// spawns no thread).
+  WorkerPool workers_;
 };
 
 }  // namespace fibbing::util

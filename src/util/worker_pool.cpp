@@ -8,7 +8,7 @@ WorkerPool::WorkerPool(std::size_t workers) {
   if (workers <= 1) return;
   threads_.reserve(workers - 1);
   for (std::size_t t = 0; t + 1 < workers; ++t) {
-    threads_.emplace_back([this] { worker_loop_(); });
+    threads_.emplace_back([this] { wait_and_drain_(); });
   }
 }
 
@@ -73,7 +73,7 @@ void WorkerPool::drain_() {
   }
 }
 
-void WorkerPool::worker_loop_() {
+void WorkerPool::wait_and_drain_() {
   std::uint64_t seen_gen = 0;
   for (;;) {
     {

@@ -13,10 +13,10 @@ namespace fibbing::util {
 
 /// Fixed pool of persistent worker threads running parallel-for batches:
 /// `run(count, fn)` executes fn(0) .. fn(count-1) across the pool and
-/// returns when every index has completed. The controller's mitigation
-/// pipeline fans its per-prefix solve -> compile -> verify work through one
-/// of these; anything else with independent index-addressable work can share
-/// the pattern.
+/// returns when every index has completed. It is the tree's one thread
+/// barrier: the controller's mitigation pipeline fans its per-prefix
+/// solve -> compile -> verify work through one, and util::ShardPool runs
+/// each round's shards through another (one shard per index).
 ///
 /// Determinism contract: the pool makes no ordering promises between
 /// indices -- callers must make each fn(i) independent of the others (read
@@ -48,7 +48,7 @@ class WorkerPool {
   void run(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:
-  void worker_loop_();
+  void wait_and_drain_();
   /// Claim-and-execute loop shared by workers and the caller: grabs the
   /// next unclaimed index until the published batch is drained. Acquires
   /// mu_ internally per claim; runs fn unlocked.

@@ -32,6 +32,14 @@ void VideoClient::on_rate_change(double rate_bps) {
   transition_();
 }
 
+void VideoClient::stop() {
+  catch_up_();
+  if (state_ == State::kDone) return;
+  state_ = State::kStopped;
+  events_.cancel(pending_);
+  pending_ = util::EventHandle{};
+}
+
 Qoe VideoClient::qoe() {
   catch_up_();
   return qoe_;
@@ -72,6 +80,7 @@ void VideoClient::catch_up_() {
       qoe_.stall_time_s += dt;
       break;
     case State::kDone:
+    case State::kStopped:
       return;
   }
   buffer_s_ = std::max(buffer_s_, 0.0);
@@ -117,6 +126,7 @@ void VideoClient::transition_() {
       }
       break;
     case State::kDone:
+    case State::kStopped:
       return;
   }
   reschedule_();
@@ -161,6 +171,7 @@ void VideoClient::reschedule_() {
       break;
     }
     case State::kDone:
+    case State::kStopped:
       return;
   }
   if (next == std::numeric_limits<double>::infinity()) return;  // wait for rates

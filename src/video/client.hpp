@@ -52,6 +52,10 @@ class VideoClient {
   /// Notify the client that its flow's delivery rate changed.
   void on_rate_change(double rate_bps);
 
+  /// The viewer left: QoE freezes at the current instant and no transition
+  /// fires any more. finished stays false. A no-op once playback is done.
+  void stop();
+
   /// Invoked once when playback completes (the session owner removes the
   /// flow from the data plane).
   void set_on_finished(std::function<void()> fn) { on_finished_ = std::move(fn); }
@@ -62,7 +66,7 @@ class VideoClient {
   [[nodiscard]] double buffer_seconds();
 
  private:
-  enum class State { kStartup, kPlaying, kStalled, kDone };
+  enum class State { kStartup, kPlaying, kStalled, kDone, kStopped };
 
   void catch_up_();      // integrate buffer/counters since last update
   void reschedule_();    // plan the next state transition event

@@ -64,6 +64,7 @@ SessionId VideoSystem::start_session(ServerId server, const net::Prefix& client_
 
 void VideoSystem::stop_session(SessionId id) {
   finish_session_(id);
+  sessions_.at(id).client->stop();
 }
 
 VideoClient& VideoSystem::client(SessionId id) {

@@ -42,7 +42,8 @@ class VideoSystem {
   SessionId start_session(ServerId server, const net::Prefix& client_prefix,
                           net::Ipv4 client_addr, VideoAsset asset);
 
-  /// Abort a session early (client leaves): removes the flow, publishes -1.
+  /// Abort a session early (client leaves): removes the flow, publishes -1
+  /// and stops the client, freezing its QoE at this instant.
   void stop_session(SessionId id);
 
   [[nodiscard]] VideoClient& client(SessionId id);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "core/loads.hpp"
 #include "core/service.hpp"
+#include "core/verify.hpp"
 #include "support/probes.hpp"
 #include "support/scenario.hpp"
 #include "topo/generators.hpp"
@@ -140,47 +142,67 @@ TEST(Controller, IdempotentUnderRepeatedCongestionSignals) {
   EXPECT_EQ(run.service.controller().mitigations(), mitigations);
 }
 
-/// Regression for the PR-1 degenerate optimum. With joint batch placement
-/// off, each coalesced prefix is planned around the other's stale
-/// shortest-path load; the min-max optimum for the first then excludes B's
-/// real next hop entirely ("all via R3 at B"), which strict lies cannot
-/// express at the demo metric scale. The seed controller looped on
-/// "insufficient metric granularity" forever (0 mitigations); PR 1 dodged
-/// the input by excluding same-batch prefixes from the background. The
-/// principled fix must compile it anyway: tie-preserving refinement plus
-/// the theta fallback ladder, with the realized theta inside the ladder's
-/// (1 + eps) bound.
+/// Regression for the PR-1 degenerate optimum, on the input a batch member
+/// sees when it is planned around its peer's stale shortest-path load: P1's
+/// 31 Mb/s from B, with P2's 31 Mb/s from A on its IGP route as background.
+/// The min-max optimum then excludes B's real next hop entirely ("all via
+/// R3 at B"), which strict lies cannot express at the demo metric scale.
+/// The seed controller looped on "insufficient metric granularity" forever.
+/// The tie-preserving refinement plus the theta fallback ladder must compile
+/// it anyway, with the realized theta inside the ladder's (1 + eps) bound.
 TEST(Controller, DegenerateOptimumCompilesViaFallbackLadder) {
-  core::ServiceConfig config = demo_config();
-  config.controller.joint_batch_placement = false;
-  PaperScenario run(config);
-  run.schedule(support::double_surge_schedule(run.s1, run.s2, run.p.p1, run.p.p2));
-  run.run_until(20.0);
+  const topo::PaperTopology p = topo::make_paper_topology();
+  const ControllerConfig config = demo_config().controller;
+  const topo::LinkStateMask mask(p.topo);
+  igp::RouteCache cache(p.topo, mask);
+  const std::vector<te::Demand> demands{{p.b, 31e6}};
+  const std::vector<double> background =
+      te::shortest_path_loads(p.topo, p.c, {{p.a, 31e6}}, &mask);
 
-  // Both prefixes placed; at least one needed the granularity ladder.
-  const auto& active = run.service.controller().active_lies();
-  EXPECT_GE(run.service.controller().mitigations(), 2);
-  EXPECT_GE(run.service.controller().relaxed_placements(), 1);
-  ASSERT_TRUE(active.contains(run.p.p1));
-  ASSERT_TRUE(active.contains(run.p.p2));
+  const PlacementOutcome out = place_prefix(p.topo, config, mask, cache, p.p1, p.c,
+                                            demands, background, /*first_lie_id=*/1);
+  ASSERT_TRUE(out.ok()) << (out.compiled.has_value() ? out.compiled->error()
+                                                     : out.solver_error);
+  // theta* fails on granularity, and so do the 2, 5 and 10 % rungs; the
+  // 25 % rung places it: 1 + 4 solves.
+  EXPECT_EQ(out.relaxed, 1);
+  EXPECT_EQ(out.solves, 5);
 
-  // The ladder's contract: realized utilization stays within theta* times
-  // (1 + max scheduled eps). theta* for the first placement is 31/40 with
-  // the peer's 31 Mb/s as background; the schedule tops out at 0.25.
-  const double worst_allowed = (31e6 / 40e6) * 1.25 * 40e6;
-  for (topo::LinkId l = 0; l < run.p.topo.link_count(); ++l) {
-    EXPECT_LE(run.service.sim().link_rate(l), worst_allowed + 1e4)
-        << run.p.topo.link_name(l);
+  // Replay the placing rung through the public solver: the same support
+  // restriction (the optimum's flow links plus the shortest-path DAG) at
+  // theta* * 1.25. theta* is 31/40 on the B-R2 / B-R3 bottleneck.
+  te::MinMaxConfig mm;
+  mm.max_stretch = config.max_stretch;
+  mm.link_state = &mask;
+  mm.granularity_floor = 1.0 / config.max_replicas;
+  const auto exact = te::solve_min_max(p.topo, p.c, demands, background, mm);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_NEAR(exact.value().theta_opt, 31.0 / 40.0, 1e-3);
+  mm.support = te::shortest_path_dag(p.topo, p.c, &mask);
+  for (topo::LinkId l = 0; l < p.topo.link_count(); ++l) {
+    if (exact.value().link_flow[l] > 1.0) mm.support[l] = true;
   }
+  mm.theta_relax = config.theta_relax_schedule.back();
+  const auto relaxed = te::solve_min_max(p.topo, p.c, demands, background, mm);
+  ASSERT_TRUE(relaxed.ok());
+  const double bound = relaxed.value().theta_opt * (1.0 + mm.theta_relax);
+  EXPECT_GT(relaxed.value().theta, relaxed.value().theta_opt);
+  EXPECT_LE(relaxed.value().theta, bound);
 
-  // No endless granularity loop: once placed, continued polling against
-  // steady demand leaves the lie sets alone.
-  const int placed = run.service.controller().mitigations();
-  const std::size_t lies = run.service.controller().active_lie_count();
-  run.run_until(35.0);
-  EXPECT_EQ(run.service.controller().mitigations(), placed);
-  EXPECT_EQ(run.service.controller().active_lie_count(), lies);
-  EXPECT_EQ(run.stalled_sessions(), 0);
+  // The lies realize exactly that rung's requirement (no pollution, no
+  // isolation breach, no loop), and the traffic they steer keeps every link
+  // within the ladder's bound.
+  const std::vector<Lie>& lies = out.compiled->value().lies;
+  const DestRequirement req =
+      requirement_from_splits(p.p1, relaxed.value().splits, config.max_replicas);
+  const VerifyReport report = verify_augmentation(p.topo, req, lies, &mask, &cache);
+  EXPECT_TRUE(report.ok()) << report.to_string(p.topo);
+  const igp::RouteCache::TablesPtr tables = cache.tables(to_externals(lies));
+  const std::vector<double> mine = loads_from_routes(p.topo, *tables, p.p1, demands);
+  for (topo::LinkId l = 0; l < p.topo.link_count(); ++l) {
+    EXPECT_LE((mine[l] + background[l]) / p.topo.link(l).capacity_bps, bound + 1e-3)
+        << p.topo.link_name(l);
+  }
 }
 
 TEST(Controller, DoubleSurgePlacesBothPrefixesWithoutChurn) {

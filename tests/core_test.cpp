@@ -45,6 +45,22 @@ TEST(Requirements, FromSplitsRoundsFractions) {
   EXPECT_EQ(req.nodes.at(p.b), (std::vector<NextHopReq>{{p.r2, 1}, {p.r3, 1}}));
 }
 
+TEST(Requirements, FromSplitsKeepsAtMostMaxReplicasShares) {
+  // Ten even 10 % shares all clear the half-slot cutoff, but only eight FIB
+  // slots exist: the eight lowest node ids keep one copy each.
+  te::SplitMap splits;
+  for (NodeId v = 1; v <= 10; ++v) splits[0].push_back({v, 0.1});
+  const DestRequirement req =
+      requirement_from_splits(net::Prefix(net::Ipv4(203, 0, 113, 0), 24), splits, 8);
+  const std::vector<NextHopReq>& hops = req.nodes.at(0);
+  EXPECT_LE(hops.size(), 8u);
+  std::uint32_t copies = 0;
+  for (const NextHopReq& hop : hops) copies += hop.copies;
+  EXPECT_LE(copies, 8u);
+  EXPECT_EQ(hops.front().via, 1u);
+  EXPECT_EQ(hops.back().via, 8u);
+}
+
 TEST(Requirements, ValidateRejectsNonAdjacent) {
   const PaperTopology p = make_paper_topology();
   DestRequirement req;
@@ -466,7 +482,9 @@ TEST(Augment, RealizesMinMaxDagOnRandomGraphs) {
       if (ingress == dest) ingress = (ingress + 1) % scaled.node_count();
       demands.push_back(te::Demand{ingress, rng.uniform(80.0, 250.0)});
     }
-    const auto solution = te::solve_min_max(scaled, dest, demands, {}, 1e-4, 2.0);
+    te::MinMaxConfig config;
+    config.max_stretch = 2.0;
+    const auto solution = te::solve_min_max(scaled, dest, demands, {}, config);
     if (!solution.ok()) continue;
     const DestRequirement req =
         requirement_from_splits(prefix, solution.value().splits, 8);

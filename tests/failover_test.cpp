@@ -281,8 +281,10 @@ TEST(DegradedGolden, Fig1PlacementWithCoreLinkDown) {
   EXPECT_DOUBLE_EQ(background[p.topo.link_between(p.b, p.r2)], 0.0);
 
   const std::vector<te::Demand> p2_demand{{p.a, 31e6}};
-  const auto solution = te::solve_min_max(p.topo, p.c, p2_demand, background,
-                                          1e-4, 1.5, &mask);
+  te::MinMaxConfig solve;
+  solve.max_stretch = 1.5;
+  solve.link_state = &mask;
+  const auto solution = te::solve_min_max(p.topo, p.c, p2_demand, background, solve);
   ASSERT_TRUE(solution.ok()) << solution.error();
   // Nothing placed on a down link, ever (acceptance criterion at solve time).
   for (topo::LinkId l = 0; l < p.topo.link_count(); ++l) {

@@ -1,5 +1,5 @@
-// The observability layer: the unified metrics registry (handle reuse,
-// registration-order-independent snapshots, callback adoption, histogram
+// The observability layer: the unified metrics registry (registration-
+// order-independent snapshots, callback adoption, trace histogram
 // expansion), the control-loop trace recorder (span nesting, lie-id
 // threading, lane merge ordering, disabled no-op), the per-component log
 // level overrides, and -- through the full service -- the end-to-end
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -26,46 +27,14 @@ namespace {
 
 // ------------------------------------------------------------ the registry
 
-TEST(MetricsRegistry, HandlesAreReusedForTheSameName) {
-  obs::Registry reg;
-  const obs::CounterHandle a = reg.counter("igp.floods");
-  const obs::CounterHandle b = reg.counter("igp.floods");
-  EXPECT_TRUE(a.valid());
-  EXPECT_EQ(a.index, b.index);
-  reg.add(a, 2);
-  reg.add(b);
-  EXPECT_DOUBLE_EQ(reg.value("igp.floods"), 3.0);
-  EXPECT_EQ(reg.size(), 1u);
-}
-
 TEST(MetricsRegistry, GaugeAndAbsentKeyReads) {
   obs::Registry reg;
-  const obs::GaugeHandle g = reg.gauge("controller.active_lies");
-  reg.set(g, 5.0);
+  double active_lies = 5.0;
+  reg.register_callback("controller.active_lies", [&active_lies] { return active_lies; });
   EXPECT_DOUBLE_EQ(reg.value("controller.active_lies"), 5.0);
-  reg.set(g, 2.0);  // gauges overwrite, not accumulate
+  active_lies = 2.0;  // gauges overwrite, not accumulate
   EXPECT_DOUBLE_EQ(reg.value("controller.active_lies"), 2.0);
   EXPECT_DOUBLE_EQ(reg.value("no.such.key"), 0.0);
-}
-
-TEST(MetricsRegistry, HistogramExpandsToPercentileKeys) {
-  obs::Registry reg;
-  const obs::HistogramHandle h = reg.histogram("trace.reaction.end_to_end_s");
-  std::vector<double> samples;
-  for (int i = 1; i <= 100; ++i) {
-    samples.push_back(static_cast<double>(i));
-    reg.record(h, static_cast<double>(i));
-  }
-  const auto snap = reg.snapshot();
-  EXPECT_DOUBLE_EQ(snap.at("trace.reaction.end_to_end_s_count"), 100.0);
-  EXPECT_DOUBLE_EQ(snap.at("trace.reaction.end_to_end_s_p50"),
-                   util::percentile(samples, 50.0));
-  EXPECT_DOUBLE_EQ(snap.at("trace.reaction.end_to_end_s_p99"),
-                   util::percentile(samples, 99.0));
-  EXPECT_DOUBLE_EQ(snap.at("trace.reaction.end_to_end_s_max"), 100.0);
-
-  reg.reset_histogram(h);
-  EXPECT_DOUBLE_EQ(reg.snapshot().at("trace.reaction.end_to_end_s_count"), 0.0);
 }
 
 TEST(MetricsRegistry, CallbackAdoptionAndReplacement) {
@@ -219,6 +188,28 @@ core::ServiceConfig traced_config(std::size_t shards, std::size_t workers) {
   config.igp_shards = shards;
   config.controller.mitigation_workers = workers;
   return config;
+}
+
+/// The tracer is the one sample store: telemetry expands each stage's
+/// offsets into _count/_p50/_p99/_max keys, and the registry holds none.
+TEST(MetricsRegistry, HistogramExpandsToPercentileKeys) {
+  support::PaperScenario scenario(traced_config(1, 1));
+  scenario.schedule_fig2();
+  scenario.run_until(45.0);
+  const auto offsets = scenario.service.tracer().stage_offsets();
+  ASSERT_TRUE(offsets.contains("end_to_end_s"));
+  const auto telemetry = scenario.service.telemetry_snapshot();
+  for (const auto& [key, samples] : offsets) {
+    const std::string name = "trace.reaction." + key;
+    EXPECT_DOUBLE_EQ(telemetry.at(name + "_count"), double(samples.size())) << key;
+    EXPECT_DOUBLE_EQ(telemetry.at(name + "_p50"), util::percentile(samples, 50.0));
+    EXPECT_DOUBLE_EQ(telemetry.at(name + "_p99"), util::percentile(samples, 99.0));
+    EXPECT_DOUBLE_EQ(telemetry.at(name + "_max"),
+                     *std::max_element(samples.begin(), samples.end()));
+  }
+  for (const auto& [key, value] : scenario.service.metrics().snapshot()) {
+    EXPECT_NE(key.rfind("trace.", 0), 0u) << key;
+  }
 }
 
 TEST(TraceChain, Fig2SurgeCoversEveryStage) {

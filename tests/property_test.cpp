@@ -20,7 +20,6 @@
 #include "net/lpm_trie.hpp"
 #include "support/probes.hpp"
 #include "support/scenario.hpp"
-#include "te/kshortest.hpp"
 #include "te/maxflow.hpp"
 #include "te/minmax.hpp"
 #include "te/ratio.hpp"
@@ -154,11 +153,18 @@ TEST_P(RateSolverProperty, CapacityEfficiencyAndFairness) {
     const auto src = static_cast<topo::NodeId>(rng.pick_index(t.node_count()));
     auto dst = static_cast<topo::NodeId>(rng.pick_index(t.node_count()));
     if (dst == src) dst = (dst + 1) % static_cast<topo::NodeId>(t.node_count());
-    const te::Path sp = te::shortest_path(t, src, dst);
-    if (sp.empty()) continue;
+    // Walk the shortest route hop by hop (lowest first hop on ECMP ties).
     dataplane::FlowPath path;
+    topo::NodeId u = src;
+    while (u != dst) {
+      const igp::SpfResult spf = igp::run_spf(view, u);
+      if (!spf.reaches(dst)) break;
+      const topo::NodeId next = spf.first_hops[dst].front();
+      path.links.push_back(t.link_between(u, next));
+      u = next;
+    }
+    if (u != dst) continue;
     path.outcome = dataplane::FlowPath::Outcome::kDelivered;
-    path.links = sp.links;
     path.egress = dst;
     paths.push_back(std::move(path));
     demands.push_back(rng.uniform(5.0, 80.0));
@@ -577,17 +583,6 @@ TEST_P(ChurnProperty, InterleavedChurnPreservesInvariantsAndReconverges) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChurnProperty, ::testing::Range<std::uint64_t>(1, 4));
 
-/// The PR-1 batch-background workaround (joint same-batch placement) is no
-/// longer load-bearing for compilability: with it disabled, the same churn
-/// must hold every invariant -- degenerate all-or-nothing optima compile
-/// through the tie-preserving refinement and the theta fallback ladder
-/// instead of looping on granularity failures.
-TEST(ChurnWithoutJointBatchPlacement, InvariantsHoldViaFallbackLadder) {
-  core::ServiceConfig config = support::demo_config();
-  config.controller.joint_batch_placement = false;
-  run_churn_scenario(1, config);
-}
-
 // ------------------------------------------- SRLG churn: grouped fail/restore
 
 /// Shared-risk-group churn: every topology event takes 2-4 adjacencies down
@@ -866,45 +861,6 @@ TEST_P(RouteCacheSrlgProperty, GroupedDeltasMatchFreshViaBatchedRepairs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouteCacheSrlgProperty,
                          ::testing::Range<std::uint64_t>(1, 4));
-
-// ------------------------------------------- k-shortest paths: order & validity
-
-class KShortestProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(KShortestProperty, PathsAreSimpleOrderedAndDistinct) {
-  util::Rng rng(GetParam());
-  const topo::Topology t = topo::make_waxman(14, rng, 0.5, 0.5, 6);
-  const auto src = static_cast<topo::NodeId>(rng.pick_index(t.node_count()));
-  auto dst = static_cast<topo::NodeId>(rng.pick_index(t.node_count()));
-  if (dst == src) dst = (dst + 1) % static_cast<topo::NodeId>(t.node_count());
-  const auto paths = te::k_shortest_paths(t, src, dst, 6);
-  ASSERT_FALSE(paths.empty());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    // Valid contiguous path from src to dst.
-    topo::NodeId at = src;
-    std::vector<bool> seen(t.node_count(), false);
-    seen[at] = true;
-    topo::Metric cost = 0;
-    for (const topo::LinkId l : paths[i].links) {
-      EXPECT_EQ(t.link(l).from, at);
-      at = t.link(l).to;
-      EXPECT_FALSE(seen[at]) << "loop in path " << i;  // simple path
-      seen[at] = true;
-      cost += t.link(l).metric;
-    }
-    EXPECT_EQ(at, dst);
-    EXPECT_EQ(cost, paths[i].cost);
-    if (i > 0) {
-      EXPECT_GE(paths[i].cost, paths[i - 1].cost);
-    }
-    for (std::size_t j = 0; j < i; ++j) EXPECT_NE(paths[i].links, paths[j].links);
-  }
-  // First path is the true shortest.
-  EXPECT_EQ(paths[0].cost, te::shortest_path(t, src, dst).cost);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, KShortestProperty,
-                         ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace fibbing

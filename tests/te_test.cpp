@@ -2,12 +2,10 @@
 
 #include <numeric>
 
-#include "te/kshortest.hpp"
 #include "te/maxflow.hpp"
 #include "te/minmax.hpp"
 #include "te/mpls.hpp"
 #include "te/ratio.hpp"
-#include "te/weightopt.hpp"
 #include "topo/generators.hpp"
 #include "util/rng.hpp"
 
@@ -446,46 +444,6 @@ TEST(Ratio, ErrorBoundProperty) {
   }
 }
 
-// ----------------------------------------------------------------- kshortest
-
-TEST(KShortest, FirstPathIsShortest) {
-  const PaperTopology p = make_paper_topology();
-  const auto paths = k_shortest_paths(p.topo, p.a, p.c, 3);
-  ASSERT_GE(paths.size(), 2u);
-  EXPECT_EQ(paths[0].cost, 6u);           // A-B-R2-C
-  EXPECT_EQ(paths[0].links.size(), 3u);
-  EXPECT_LE(paths[0].cost, paths[1].cost);  // nondecreasing
-}
-
-TEST(KShortest, EnumeratesAllSimplePaths) {
-  const PaperTopology p = make_paper_topology();
-  // A->C has exactly 4 simple paths in this graph... via B-R2, via B-R3,
-  // via R1-R4, and the long A-B...R1 detours are blocked (A-R1 only from A).
-  const auto paths = k_shortest_paths(p.topo, p.a, p.c, 10);
-  ASSERT_GE(paths.size(), 3u);
-  // Costs: 6 (A-B-R2-C), 8 (A-B-R3-C and A-R1-R4-C).
-  EXPECT_EQ(paths[0].cost, 6u);
-  EXPECT_EQ(paths[1].cost, 8u);
-  EXPECT_EQ(paths[2].cost, 8u);
-  // All loopless and genuinely distinct.
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    for (std::size_t j = i + 1; j < paths.size(); ++j) {
-      EXPECT_NE(paths[i].links, paths[j].links);
-    }
-  }
-}
-
-TEST(KShortest, RespectsBans) {
-  const PaperTopology p = make_paper_topology();
-  std::vector<bool> banned_links(p.topo.link_count(), false);
-  const topo::LinkId br2 = p.topo.link_between(p.b, p.r2);
-  banned_links[br2] = true;
-  banned_links[p.topo.link(br2).reverse] = true;
-  const Path path = shortest_path(p.topo, p.b, p.c, {}, banned_links);
-  ASSERT_FALSE(path.empty());
-  EXPECT_EQ(path.cost, 6u);  // B-R3-C
-}
-
 // ---------------------------------------------------------------------- MPLS
 
 TEST(Mpls, TunnelsCoverDemandAndRespectFlows) {
@@ -532,59 +490,6 @@ TEST(Mpls, OverheadAccountingCountsStateAndMessages) {
   EXPECT_EQ(overhead.setup_messages, 2 * hops);
   EXPECT_EQ(overhead.state_entries, hops + tunnels.size());
   EXPECT_GT(overhead.encap_overhead_ratio(), 0.0);
-}
-
-// ----------------------------------------------------------------- weightopt
-
-TEST(WeightOpt, PhiIsConvexIncreasing) {
-  EXPECT_DOUBLE_EQ(fortz_thorup_phi(0.0), 0.0);
-  double prev = 0.0;
-  double prev_slope = 0.0;
-  for (double u = 0.05; u < 1.5; u += 0.05) {
-    const double phi = fortz_thorup_phi(u);
-    const double slope = (phi - prev) / 0.05;
-    EXPECT_GT(phi, prev);
-    EXPECT_GE(slope, prev_slope - 1e-9);
-    prev = phi;
-    prev_slope = slope;
-  }
-}
-
-TEST(WeightOpt, LoadsMatchShortestPathHelper) {
-  const PaperTopology p = make_paper_topology(100.0);
-  std::vector<topo::Metric> weights(p.topo.link_count());
-  for (topo::LinkId l = 0; l < p.topo.link_count(); ++l) {
-    weights[l] = p.topo.link(l).metric;
-  }
-  const std::vector<TrafficDemand> demands{{p.a, p.c, 100.0}, {p.b, p.c, 100.0}};
-  const auto loads = loads_for_weights(p.topo, weights, demands);
-  const auto spf_loads =
-      shortest_path_loads(p.topo, p.c, {{p.a, 100.0}, {p.b, 100.0}});
-  for (topo::LinkId l = 0; l < p.topo.link_count(); ++l) {
-    EXPECT_NEAR(loads[l], spf_loads[l], 1e-9) << p.topo.link_name(l);
-  }
-}
-
-TEST(WeightOpt, ImprovesCongestionOnPaperSurge) {
-  const PaperTopology p = make_paper_topology(100.0);
-  const std::vector<TrafficDemand> demands{{p.a, p.c, 100.0}, {p.b, p.c, 100.0}};
-  WeightOptConfig config;
-  config.max_iterations = 1500;
-  config.seed = 3;
-  const WeightOptResult result = optimize_weights(p.topo, demands, config);
-  EXPECT_NEAR(result.initial_max_util, 2.0, 1e-9);  // everything on B-R2-C
-  EXPECT_LT(result.final_max_util, result.initial_max_util);
-  EXPECT_GT(result.weight_changes, 0);
-  // The paper's operational argument: reaching the new optimum required
-  // touching devices and moved other forwarding decisions.
-  EXPECT_GT(result.disturbed_pairs, 0u);
-}
-
-TEST(WeightOpt, NoDemandMeansNoChange) {
-  const PaperTopology p = make_paper_topology();
-  const WeightOptResult result = optimize_weights(p.topo, {}, {});
-  EXPECT_EQ(result.weight_changes, 0);
-  EXPECT_DOUBLE_EQ(result.final_objective, 0.0);
 }
 
 }  // namespace

@@ -78,6 +78,23 @@ TEST(EventQueue, RunUntilStopsAtHorizon) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(EventQueue, RunUntilSkipsCancelledTopWithoutPassingHorizon) {
+  // A cancelled item at the top of the heap must not let run_until step
+  // over it to a live event past the horizon.
+  EventQueue q;
+  int fired = 0;
+  const EventHandle h = q.schedule_at(1.0, [&] { ++fired; });
+  q.schedule_at(5.0, [&] { ++fired; });
+  q.cancel(h);
+  q.run_until(2.0);
+  EXPECT_EQ(fired, 0);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
+  EXPECT_EQ(q.pending(), 1u);
+  q.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_DOUBLE_EQ(q.now(), 5.0);
+}
+
 TEST(EventQueue, PendingCountsLiveEvents) {
   EventQueue q;
   const EventHandle h = q.schedule_at(1.0, [] {});

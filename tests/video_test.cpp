@@ -142,6 +142,32 @@ TEST(VideoSystem, StopSessionAborts) {
   EXPECT_EQ(fx.system.active_count(), 0u);
 }
 
+TEST(VideoSystem, StoppedSessionQoeFreezesAtStop) {
+  // The viewer leaves 1 ms after its flow's link fails, with seconds of
+  // content still buffered: the stopped client must not go on integrating
+  // the dead rate into a stall.
+  support::PaperScenario run(core::ServiceConfig{});
+  VideoSystem& system = run.service.video();
+  util::EventQueue& events = run.service.events();
+  SessionId id = 0;
+  Qoe at_stop;
+  events.schedule_at(1.0, [&] {
+    id = system.start_session(run.s1, run.p.p1, run.p.p1.host(1), VideoAsset{});
+  });
+  events.schedule_at(5.0, [&] { (void)run.service.fail_link(run.p.b, run.p.r2); });
+  events.schedule_at(5.001, [&] {
+    system.stop_session(id);
+    at_stop = system.client(id).qoe();
+  });
+  run.run_until(20.0);
+  const Qoe q = system.client(id).qoe();
+  EXPECT_EQ(q.stall_count, 0);
+  EXPECT_DOUBLE_EQ(q.stall_time_s, 0.0);
+  EXPECT_FALSE(q.finished);
+  EXPECT_GT(q.played_s, 0.0);
+  EXPECT_DOUBLE_EQ(q.played_s, at_stop.played_s);
+}
+
 TEST(VideoSystem, CongestionStallsClientsWithoutController) {
   PaperVideoHarness fx;
   // 50 concurrent 1 Mb/s sessions through the 40 Mb/s B-R2 bottleneck:

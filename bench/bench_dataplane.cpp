@@ -1,0 +1,159 @@
+// Data-plane layer cost: the max-min rate solver on its own, and the two
+// NetworkSim mutations the Fig. 2 loop drives most -- a video session
+// starting and stopping, and a router's table flip after an SPF run.
+//
+// Counters, per iteration: flow_walks and rate_solves, NetworkSim's own
+// work counters. A session start walks one flow and solves once, a stop
+// only solves; a table flip walks only the flows whose path visits the
+// router and whose entry there changed, and solves only if a path moved.
+
+#include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "dataplane/fib.hpp"
+#include "dataplane/forwarding.hpp"
+#include "dataplane/network_sim.hpp"
+#include "dataplane/rate_solver.hpp"
+#include "igp/spf.hpp"
+#include "igp/view.hpp"
+#include "topo/generators.hpp"
+#include "topo/link_state.hpp"
+#include "util/event_queue.hpp"
+#include "util/rng.hpp"
+
+using namespace fibbing;
+
+namespace {
+
+/// A Waxman graph with 12 client /24s, `flows` 25 Mb/s video-shaped flows
+/// from random ingress routers, and the graph's plain-IGP routing tables.
+struct Scenario {
+  topo::Topology topo;
+  std::vector<dataplane::Flow> flows;
+  std::vector<igp::RoutingTable> tables;
+};
+
+Scenario make_scenario(std::size_t routers, std::size_t flows) {
+  util::Rng rng(7100 + routers);
+  Scenario s;
+  s.topo = topo::make_waxman(routers, rng, 0.5, 0.5, 8, 1e9, 10e9);
+  std::vector<net::Prefix> prefixes;
+  for (std::uint8_t i = 0; i < 12; ++i) {
+    prefixes.emplace_back(net::Ipv4(203, 0, i, 0), 24);
+    s.topo.attach_prefix(static_cast<topo::NodeId>(rng.pick_index(routers)),
+                         prefixes.back());
+  }
+  for (std::size_t i = 0; i < flows; ++i) {
+    dataplane::Flow f;
+    f.src = net::Ipv4(198, 18, 0, 1);
+    f.dst = prefixes[rng.pick_index(prefixes.size())].host(
+        static_cast<std::uint32_t>(rng.uniform_int(1, 250)));
+    f.src_port = static_cast<std::uint16_t>(20000 + i);
+    f.dst_port = 8554;
+    f.ingress = static_cast<topo::NodeId>(rng.pick_index(routers));
+    f.demand_bps = 25e6;
+    s.flows.push_back(f);
+  }
+  s.tables = igp::compute_all_routes(igp::NetworkView::from_topology(s.topo));
+  return s;
+}
+
+benchmark::Counter per_iteration(std::uint64_t total) {
+  return benchmark::Counter(static_cast<double>(total),
+                            benchmark::Counter::kAvgIterations);
+}
+
+/// NetworkSim's work counters over the timed loop, per iteration.
+class WorkCounters {
+ public:
+  explicit WorkCounters(const dataplane::NetworkSim& sim)
+      : sim_(sim), walks_(sim.flow_walks()), solves_(sim.rate_solves()) {}
+  void report(benchmark::State& state) const {
+    state.counters["flow_walks"] = per_iteration(sim_.flow_walks() - walks_);
+    state.counters["rate_solves"] = per_iteration(sim_.rate_solves() - solves_);
+  }
+
+ private:
+  const dataplane::NetworkSim& sim_;
+  std::uint64_t walks_;
+  std::uint64_t solves_;
+};
+
+/// One max-min solve over the walked paths of range(0) flows on 120 routers.
+void BM_MaxMinRates(benchmark::State& state) {
+  const Scenario s = make_scenario(120, static_cast<std::size_t>(state.range(0)));
+  std::vector<dataplane::Fib> fibs;
+  for (topo::NodeId n = 0; n < s.topo.node_count(); ++n) {
+    fibs.push_back(dataplane::Fib::from_routing_table(s.topo, n, s.tables[n]));
+  }
+  std::vector<dataplane::FlowPath> paths;
+  paths.reserve(s.flows.size());
+  std::vector<dataplane::RatedFlow> rated;
+  for (std::size_t i = 0; i < s.flows.size(); ++i) {
+    paths.push_back(dataplane::walk_flow(s.topo, fibs, s.flows[i]));
+    rated.push_back(dataplane::RatedFlow{i + 1, s.flows[i].demand_bps, &paths.back()});
+  }
+  for (auto _ : state) {
+    std::vector<double> rates = dataplane::max_min_rates(s.topo, rated);
+    benchmark::DoNotOptimize(rates.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+/// One session starting and stopping on a 40-router sim holding 1000 flows.
+void BM_SessionChurn(benchmark::State& state) {
+  const Scenario s = make_scenario(40, 1001);
+  util::EventQueue events;
+  dataplane::NetworkSim sim(s.topo, events);
+  sim.install_tables(s.tables);
+  for (std::size_t i = 0; i + 1 < s.flows.size(); ++i) sim.add_flow(s.flows[i]);
+  const WorkCounters work(sim);
+  for (auto _ : state) {
+    const dataplane::FlowId id = sim.add_flow(s.flows.back());
+    benchmark::DoNotOptimize(id);
+    sim.remove_flow(id);
+  }
+  work.report(state);
+}
+
+/// Every router of a 120-router graph carrying 120 flows compiles and
+/// installs a new FIB, alternating between the tables from before and after
+/// the failure of the link most flows cross (as after an SPF run; the sim's
+/// own mask stays up).
+void BM_TableFlip(benchmark::State& state) {
+  const Scenario s = make_scenario(120, 120);
+  util::EventQueue events;
+  dataplane::NetworkSim sim(s.topo, events);
+  sim.install_tables(s.tables);
+  std::vector<std::size_t> crossing(s.topo.link_count(), 0);
+  for (const dataplane::Flow& flow : s.flows) {
+    for (const topo::LinkId l : sim.flow_path(sim.add_flow(flow)).links) ++crossing[l];
+  }
+  topo::LinkStateMask mask(s.topo);
+  mask.fail(static_cast<topo::LinkId>(
+      std::max_element(crossing.begin(), crossing.end()) - crossing.begin()));
+  const std::vector<igp::RoutingTable> failed =
+      igp::compute_all_routes(igp::NetworkView::from_topology(s.topo, {}, &mask));
+  const std::vector<igp::RoutingTable>* phases[2] = {&failed, &s.tables};
+
+  const WorkCounters work(sim);
+  std::size_t flip = 0;
+  for (auto _ : state) {
+    const std::vector<igp::RoutingTable>& tables = *phases[flip++ % 2];
+    for (topo::NodeId n = 0; n < s.topo.node_count(); ++n) {
+      sim.set_fib(n, dataplane::Fib::from_routing_table(s.topo, n, tables[n]));
+    }
+  }
+  work.report(state);
+}
+
+}  // namespace
+
+BENCHMARK(BM_MaxMinRates)->Arg(100)->Arg(1000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SessionChurn)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TableFlip)->Unit(benchmark::kMicrosecond);
+
+BENCHMARK_MAIN();

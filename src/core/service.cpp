@@ -112,10 +112,13 @@ void FibbingService::register_metrics_() {
   register_callback("cache.spf_incremental", [cache] { return double(cache().spf_incremental); });
   register_callback("cache.spf_batched", [cache] { return double(cache().spf_batched); });
   register_callback("poller.polls", [this] { return double(poller_.polls_completed()); });
+  register_callback("dataplane.flow_walks", [this] { return double(sim_.flow_walks()); });
   register_callback("dataplane.flows", [this] { return double(sim_.flow_count()); });
   register_callback("dataplane.looping_flows", [this] { return double(sim_.looping_flows()); });
   register_callback("dataplane.blackholed_flows",
       [this] { return double(sim_.blackholed_flows()); });
+  register_callback("dataplane.rate_solves",
+      [this] { return double(sim_.rate_solves()); });
   register_callback("shard.rounds", [this] { return double(domain_.shard_stats().rounds); });
   register_callback("shard.events_run",
       [this] { return double(domain_.shard_stats().events_run); });

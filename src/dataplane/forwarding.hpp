@@ -16,6 +16,7 @@ struct FlowPath {
   topo::NodeId egress = topo::kInvalidNode;
 
   [[nodiscard]] bool delivered() const { return outcome == Outcome::kDelivered; }
+  friend bool operator==(const FlowPath&, const FlowPath&) = default;
 };
 
 /// Walk a flow from its ingress through per-router FIB lookups and ECMP

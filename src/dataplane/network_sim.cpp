@@ -1,5 +1,8 @@
 #include "dataplane/network_sim.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "dataplane/rate_solver.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -16,13 +19,45 @@ NetworkSim::NetworkSim(const topo::Topology& topo, util::EventQueue& events,
                       : std::make_shared<topo::LinkStateMask>(topo)),
       link_rates_(topo.link_count(), 0.0),
       link_bytes_(topo.link_count(), 0.0) {
-  link_state_->subscribe([this](topo::LinkId, bool) { reallocate_(); });
+  // A walk reads the down bit of every link it picks: re-walk everything.
+  link_state_->subscribe([this](topo::LinkId, bool) { rewalk_all_(); });
 }
+
+namespace {
+
+/// The routers whose FIB a walk read: the ingress and each link's far end.
+bool visits(const topo::Topology& topo, const Flow& flow, const FlowPath& path,
+            topo::NodeId node) {
+  return flow.ingress == node ||
+         std::any_of(path.links.begin(), path.links.end(),
+                     [&](topo::LinkId l) { return topo.link(l).to == node; });
+}
+
+bool same_entry(const FibEntry* a, const FibEntry* b) {
+  return a == nullptr || b == nullptr ? a == b : *a == *b;
+}
+
+}  // namespace
 
 void NetworkSim::set_fib(topo::NodeId node, Fib fib) {
   FIB_ASSERT(node < fibs_.size(), "set_fib: node out of range");
-  fibs_[node] = std::move(fib);
-  reallocate_();
+  settle_();
+  const Fib old = std::exchange(fibs_[node], std::move(fib));
+  // At each router it visits, a walk reads only that router's entry for the
+  // flow's destination: a path through `node` can move only if that entry
+  // changed.
+  bool moved = false;
+  for (auto& [id, state] : flows_) {
+    if (!visits(topo_, state.flow, state.path, node) ||
+        same_entry(old.lookup(state.flow.dst), fibs_[node].lookup(state.flow.dst))) {
+      continue;
+    }
+    FlowPath path = walk_(state.flow);
+    if (path == state.path) continue;
+    state.path = std::move(path);
+    moved = true;
+  }
+  if (moved) solve_rates_();
 }
 
 void NetworkSim::install_tables(const std::vector<igp::RoutingTable>& tables) {
@@ -30,7 +65,7 @@ void NetworkSim::install_tables(const std::vector<igp::RoutingTable>& tables) {
   for (topo::NodeId n = 0; n < tables.size(); ++n) {
     fibs_[n] = Fib::from_routing_table(topo_, n, tables[n]);
   }
-  reallocate_();
+  rewalk_all_();
 }
 
 const Fib& NetworkSim::fib(topo::NodeId node) const {
@@ -54,19 +89,23 @@ bool NetworkSim::link_is_down(topo::LinkId id) const {
 }
 
 FlowId NetworkSim::add_flow(Flow flow) {
-  if (flow.id == 0) flow.id = next_flow_id_++;
-  FIB_ASSERT(flows_.find(flow.id) == flows_.end(), "add_flow: duplicate id");
+  if (flow.id == 0) flow.id = next_flow_id_;
+  FIB_ASSERT(!flows_.contains(flow.id), "add_flow: duplicate id");
   FIB_ASSERT(flow.ingress < topo_.node_count(), "add_flow: bad ingress");
+  next_flow_id_ = std::max(next_flow_id_, flow.id + 1);
+  settle_();
   const FlowId id = flow.id;
-  flows_.emplace(id, FlowState{flow, FlowPath{}, 0.0});
-  reallocate_();
+  FlowPath path = walk_(flow);
+  flows_.emplace(id, FlowState{std::move(flow), std::move(path), 0.0});
+  solve_rates_();
   return id;
 }
 
 void NetworkSim::remove_flow(FlowId id) {
   const auto erased = flows_.erase(id);
   FIB_ASSERT(erased == 1, "remove_flow: unknown flow");
-  reallocate_();
+  settle_();
+  solve_rates_();
 }
 
 double NetworkSim::flow_rate(FlowId id) const {
@@ -122,34 +161,45 @@ void NetworkSim::settle_() {
   settled_at_ = now;
 }
 
-void NetworkSim::reallocate_() {
-  settle_();  // close the books on the old rates first
+FlowPath NetworkSim::walk_(const Flow& flow) {
+  ++flow_walks_;
+  return walk_flow(topo_, fibs_, flow, link_state_->bits());
+}
 
-  // Recompute paths (hash decisions may move when FIB weights change).
+void NetworkSim::rewalk_all_() {
+  settle_();
+  for (auto& [id, state] : flows_) state.path = walk_(state.flow);
+  solve_rates_();
+}
+
+void NetworkSim::solve_rates_() {
+  ++rate_solves_;
   std::vector<RatedFlow> rated;
-  std::vector<FlowState*> order;
   rated.reserve(flows_.size());
-  for (auto& [id, state] : flows_) {
-    state.path = walk_flow(topo_, fibs_, state.flow, link_state_->bits());
-    order.push_back(&state);
-  }
-  for (FlowState* state : order) {
-    rated.push_back(RatedFlow{state->flow.id, state->flow.demand_bps, &state->path});
+  for (const auto& [id, state] : flows_) {
+    rated.push_back(RatedFlow{id, state.flow.demand_bps, &state.path});
   }
   const std::vector<double> rates = max_min_rates(topo_, rated);
 
   std::fill(link_rates_.begin(), link_rates_.end(), 0.0);
   std::vector<std::pair<FlowId, double>> changed;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    FlowState& state = *order[i];
-    if (state.rate_bps != rates[i]) changed.emplace_back(state.flow.id, rates[i]);
-    state.rate_bps = rates[i];
+  std::size_t i = 0;
+  for (auto& [id, state] : flows_) {
+    const double rate = rates[i++];
+    if (state.rate_bps != rate) changed.emplace_back(id, rate);
+    state.rate_bps = rate;
     if (state.path.delivered()) {
-      for (const topo::LinkId l : state.path.links) link_rates_[l] += rates[i];
+      for (const topo::LinkId l : state.path.links) link_rates_[l] += rate;
     }
   }
   for (const auto& [id, rate] : changed) {
-    for (const auto& listener : listeners_) listener(id, rate);
+    for (const auto& listener : listeners_) {
+      // A listener may change the flow set (a finished video stops its
+      // session): the nested solve has then delivered the newer rate.
+      const auto it = flows_.find(id);
+      if (it == flows_.end() || it->second.rate_bps != rate) break;
+      listener(id, rate);
+    }
   }
 }
 

@@ -25,6 +25,14 @@ namespace fibbing::dataplane {
 /// Rates are piecewise constant: they change only when the flow set or a
 /// FIB changes, at which point counters are settled and every affected
 /// listener is notified.
+///
+/// Invariant: every stored FlowPath equals walk_flow over the current FIBs
+/// and link mask, and every rate equals max_min_rates over all flows in id
+/// order. Each mutation does only the work that can break it:
+///  - add_flow walks the new flow and solves rates; remove_flow only solves;
+///  - set_fib re-walks the flows whose path visits the router and whose
+///    FIB entry there changed, and solves only if one of those paths moved;
+///  - install_tables and link fail/restore re-walk every flow and solve.
 class NetworkSim {
  public:
   /// `link_state` is the live up/down mask consulted on every flow walk;
@@ -53,7 +61,8 @@ class NetworkSim {
   [[nodiscard]] const topo::LinkStateMask& link_state() const { return *link_state_; }
 
   // -- flows -----------------------------------------------------------------
-  /// Register a flow; if flow.id is 0 a fresh id is assigned. Returns the id.
+  /// Register a flow; if flow.id is 0 a fresh id is assigned (one above
+  /// every id accepted so far). Returns the id.
   FlowId add_flow(Flow flow);
   void remove_flow(FlowId id);
   [[nodiscard]] std::size_t flow_count() const { return flows_.size(); }
@@ -70,10 +79,15 @@ class NetworkSim {
   /// never survive a correct augmentation).
   [[nodiscard]] std::size_t looping_flows() const;
   [[nodiscard]] std::size_t blackholed_flows() const;
+  /// Work done so far: walk_flow calls and max_min_rates solves.
+  [[nodiscard]] std::uint64_t flow_walks() const { return flow_walks_; }
+  [[nodiscard]] std::uint64_t rate_solves() const { return rate_solves_; }
 
   /// Rate-change notification: fired with (flow id, new rate) whenever the
   /// allocation changes a flow's rate (video clients track their buffers
-  /// with this).
+  /// with this). A listener may add or remove flows; a notice that such a
+  /// nested change made stale is dropped, since the nested solve already
+  /// delivered the current rate.
   using RateListener = std::function<void(FlowId, double)>;
   void subscribe_rates(RateListener listener) {
     listeners_.push_back(std::move(listener));
@@ -81,7 +95,12 @@ class NetworkSim {
 
  private:
   void settle_();
-  void reallocate_();
+  [[nodiscard]] FlowPath walk_(const Flow& flow);
+  /// Re-walk every flow, then solve rates.
+  void rewalk_all_();
+  /// Max-min rates over all flows in id order; refreshes the link rates and
+  /// notifies listeners of every rate that changed.
+  void solve_rates_();
 
   const topo::Topology& topo_;
   util::EventQueue& events_;
@@ -95,6 +114,8 @@ class NetworkSim {
   };
   std::map<FlowId, FlowState> flows_;  // ordered: deterministic iteration
   FlowId next_flow_id_ = 1;
+  std::uint64_t flow_walks_ = 0;   // obs:registered(dataplane.flow_walks)
+  std::uint64_t rate_solves_ = 0;  // obs:registered(dataplane.rate_solves)
 
   std::vector<double> link_rates_;
   std::vector<double> link_bytes_;  // double to avoid quantization drift

@@ -463,5 +463,138 @@ TEST(NetworkSim, LoopAccountingIsolatesBrokenState) {
   EXPECT_DOUBLE_EQ(sim.flow_rate(f), 0.0);
 }
 
+/// A listener that changes the flow set mid-notification (VideoSystem does
+/// when a client finishes) triggers a nested solve that delivers newer
+/// rates; the outer solve must not then overwrite them with its own.
+TEST(NetworkSim, NestedFlowChangeLeavesNoStaleRateNotice) {
+  support::PaperSimHarness fx;
+  const FlowId a = fx.sim.add_flow(make_flow(fx.p.b, fx.p.p1.host(1), 4001, 30e6));
+  const FlowId b = fx.sim.add_flow(make_flow(fx.p.b, fx.p.p1.host(2), 4002, 30e6));
+  const FlowId x = fx.sim.add_flow(make_flow(fx.p.b, fx.p.p1.host(3), 4003, 30e6));
+  std::map<FlowId, double> last;
+  bool removed = false;
+  fx.sim.subscribe_rates([&](FlowId id, double rate) {
+    last[id] = rate;
+    if (id == a && !removed) {
+      removed = true;
+      fx.sim.remove_flow(x);
+    }
+  });
+  const FlowId d = fx.sim.add_flow(make_flow(fx.p.b, fx.p.p1.host(4), 4004, 30e6));
+  ASSERT_TRUE(removed);
+  EXPECT_DOUBLE_EQ(fx.sim.flow_rate(b), 40e6 / 3);
+  for (const FlowId f : {a, b, d}) {
+    EXPECT_EQ(last.at(f), fx.sim.flow_rate(f)) << "flow " << f;
+  }
+}
+
+TEST(NetworkSim, FreshIdSkipsCallerChosenIds) {
+  support::PaperSimHarness fx;
+  Flow chosen = make_flow(fx.p.b, fx.p.p1.host(1), 4001);
+  chosen.id = 1;
+  EXPECT_EQ(fx.sim.add_flow(chosen), 1u);
+  const FlowId fresh = fx.sim.add_flow(make_flow(fx.p.b, fx.p.p1.host(2), 4002));
+  EXPECT_NE(fresh, 1u);
+  EXPECT_EQ(fx.sim.flow_count(), 2u);
+}
+
+// ------------------------------------------------ work scoped to the change
+
+/// Flow walks and rate solves a mutation performed.
+struct Work {
+  std::uint64_t walks = 0;
+  std::uint64_t solves = 0;
+};
+
+template <typename Fn>
+Work work_of(const NetworkSim& sim, Fn&& mutate) {
+  const std::uint64_t walks = sim.flow_walks();
+  const std::uint64_t solves = sim.rate_solves();
+  mutate();
+  return Work{sim.flow_walks() - walks, sim.rate_solves() - solves};
+}
+
+/// Three flows through R2 (two B->P1 over B-R2-C, one A->P2 over
+/// A-B-R2-C) and one R4->P1 over R4-C; nothing visits R1 or R3.
+struct ScopedSim : support::PaperSimHarness {
+  std::vector<igp::RoutingTable> tables =
+      igp::compute_all_routes(NetworkView::from_topology(p.topo));
+  std::vector<FlowId> flows;
+
+  ScopedSim() {
+    flows.push_back(sim.add_flow(make_flow(p.b, p.p1.host(1), 4001)));
+    flows.push_back(sim.add_flow(make_flow(p.b, p.p1.host(2), 4002)));
+    flows.push_back(sim.add_flow(make_flow(p.a, p.p2.host(3), 4003)));
+    flows.push_back(sim.add_flow(make_flow(p.r4, p.p1.host(4), 4004)));
+  }
+  [[nodiscard]] Fib plain_fib(NodeId node) const {
+    return Fib::from_routing_table(p.topo, node, tables[node]);
+  }
+};
+
+TEST(NetworkSim, AddFlowWalksOneFlowAndSolvesOnce) {
+  ScopedSim fx;
+  const Work w = work_of(fx.sim, [&] {
+    fx.sim.add_flow(make_flow(fx.p.a, fx.p.p1.host(5), 4005));
+  });
+  EXPECT_EQ(w.walks, 1u);
+  EXPECT_EQ(w.solves, 1u);
+}
+
+TEST(NetworkSim, RemoveFlowSolvesWithoutWalking) {
+  ScopedSim fx;
+  const Work w = work_of(fx.sim, [&] { fx.sim.remove_flow(fx.flows[0]); });
+  EXPECT_EQ(w.walks, 0u);
+  EXPECT_EQ(w.solves, 1u);
+}
+
+TEST(NetworkSim, FibSwapNoFlowCanFeelDoesNoWork) {
+  ScopedSim fx;
+  // An identical table at R2, which three flows visit.
+  Work w = work_of(fx.sim, [&] { fx.sim.set_fib(fx.p.r2, fx.plain_fib(fx.p.r2)); });
+  EXPECT_EQ(w.walks, 0u);
+  EXPECT_EQ(w.solves, 0u);
+  // R1, which no flow visits, emptied.
+  w = work_of(fx.sim, [&] { fx.sim.set_fib(fx.p.r1, Fib{}); });
+  EXPECT_EQ(w.walks, 0u);
+  EXPECT_EQ(w.solves, 0u);
+  // R4 changes only its P2 entry; its one flow goes to P1.
+  Fib r4 = fx.plain_fib(fx.p.r4);
+  r4.set(fx.p.p2, FibEntry{false, {FibNextHop{fx.p.topo.link_between(fx.p.r4, fx.p.r1),
+                                                fx.p.r1, 1}}});
+  w = work_of(fx.sim, [&] { fx.sim.set_fib(fx.p.r4, std::move(r4)); });
+  EXPECT_EQ(w.walks, 0u);
+  EXPECT_EQ(w.solves, 0u);
+  EXPECT_EQ(fx.sim.blackholed_flows(), 0u);
+}
+
+TEST(NetworkSim, FibChangeWalksOnlyFlowsThroughTheRouter) {
+  ScopedSim fx;
+  Work w = work_of(fx.sim, [&] { fx.sim.set_fib(fx.p.r2, Fib{}); });
+  EXPECT_EQ(w.walks, 3u);  // not the R4 flow
+  EXPECT_EQ(w.solves, 1u);
+  EXPECT_EQ(fx.sim.blackholed_flows(), 3u);
+  // A P2 entry with no next hop: only the A->P2 flow re-walks, and it still
+  // blackholes at R2, so no path moved and no solve runs.
+  Fib dead_p2;
+  dead_p2.set(fx.p.p2, FibEntry{});
+  w = work_of(fx.sim, [&] { fx.sim.set_fib(fx.p.r2, std::move(dead_p2)); });
+  EXPECT_EQ(w.walks, 1u);
+  EXPECT_EQ(w.solves, 0u);
+  w = work_of(fx.sim, [&] { fx.sim.set_fib(fx.p.r2, fx.plain_fib(fx.p.r2)); });
+  EXPECT_EQ(w.walks, 3u);
+  EXPECT_EQ(w.solves, 1u);
+  EXPECT_EQ(fx.sim.blackholed_flows(), 0u);
+}
+
+TEST(NetworkSim, LinkFailureWalksEveryFlow) {
+  ScopedSim fx;
+  const Work w = work_of(fx.sim, [&] {
+    fx.sim.fail_link(fx.p.topo.link_between(fx.p.a, fx.p.r1));
+  });
+  EXPECT_EQ(w.walks, fx.flows.size());
+  EXPECT_EQ(w.solves, 1u);
+}
+
 }  // namespace
 }  // namespace fibbing::dataplane

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -14,6 +15,7 @@
 #include "igp/route_cache.hpp"
 #include "dataplane/ecmp.hpp"
 #include "dataplane/forwarding.hpp"
+#include "dataplane/network_sim.hpp"
 #include "dataplane/rate_solver.hpp"
 #include "igp/spf.hpp"
 #include "igp/view.hpp"
@@ -226,6 +228,191 @@ TEST_P(RateSolverProperty, CapacityEfficiencyAndFairness) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RateSolverProperty,
                          ::testing::Range<std::uint64_t>(1, 7));
+
+// ------------------------------- scoped data-plane updates vs full recompute
+
+/// NetworkSim re-walks only the flows a mutation can move and solves rates
+/// only when a path moved. Reference: after every step, walk every flow
+/// from scratch over a mirror of the FIBs and solve max-min rates over all
+/// flows in id order; paths, flow rates and link rates must match exactly.
+class DataplaneIncrementalProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DataplaneIncrementalProperty, ScopedUpdatesMatchFullRecompute) {
+  util::Rng rng(GetParam() ^ 0xda7a);
+  topo::Topology t = topo::make_waxman(
+      static_cast<std::size_t>(rng.uniform_int(30, 60)), rng, 0.5, 0.5, 8, 50e6, 200e6);
+  std::vector<net::Prefix> used;
+  for (std::uint8_t i = 0; i < 4; ++i) {
+    used.emplace_back(net::Ipv4(203, 0, i, 0), 24);
+    t.attach_prefix(static_cast<topo::NodeId>(rng.pick_index(t.node_count())),
+                    used.back());
+  }
+  const net::Prefix unused(net::Ipv4(198, 51, 100, 0), 24);  // no flow goes here
+  t.attach_prefix(static_cast<topo::NodeId>(rng.pick_index(t.node_count())), unused);
+
+  // FIB sources: tables under 3 link masks x {no lies, lies on the flows'
+  // prefixes} x {no lies, lies on the unused prefix}. Flipping only the
+  // last choice changes only entries no flow reads.
+  const auto lies_on = [&](const std::vector<net::Prefix>& prefixes, std::uint64_t id) {
+    std::vector<igp::NetworkView::External> lies;
+    for (int i = 0; i < 12; ++i) {
+      const auto l = static_cast<topo::LinkId>(rng.pick_index(t.link_count()));
+      lies.push_back(igp::NetworkView::External{
+          id++, prefixes[rng.pick_index(prefixes.size())],
+          static_cast<topo::Metric>(rng.uniform_int(0, 3)),
+          t.link(t.link(l).reverse).local_addr});
+    }
+    return lies;
+  };
+  const std::vector<igp::NetworkView::External> used_lies = lies_on(used, 1);
+  const std::vector<igp::NetworkView::External> unused_lies = lies_on({unused}, 101);
+  std::vector<std::vector<igp::RoutingTable>> sources;  // index: 4*mask + 2*u + v
+  for (int m = 0; m < 3; ++m) {
+    topo::LinkStateMask mask(t);
+    for (int k = 0; k < 4 * m; ++k) {
+      mask.fail(static_cast<topo::LinkId>(rng.pick_index(t.link_count())));
+    }
+    for (int u = 0; u < 2; ++u) {
+      for (int v = 0; v < 2; ++v) {
+        std::vector<igp::NetworkView::External> lies;
+        if (u == 1) lies = used_lies;
+        if (v == 1) lies.insert(lies.end(), unused_lies.begin(), unused_lies.end());
+        sources.push_back(igp::compute_all_routes(
+            igp::NetworkView::from_topology(t, std::move(lies), &mask)));
+      }
+    }
+  }
+  const auto make_fib = [&](topo::NodeId n, std::size_t source) {
+    return dataplane::Fib::from_routing_table(t, n, sources[source][n]);
+  };
+
+  util::EventQueue events;
+  dataplane::NetworkSim sim(t, events);
+  sim.install_tables(sources[0]);
+  std::vector<std::size_t> installed(t.node_count(), 0);
+  std::vector<dataplane::Fib> mirror;
+  for (topo::NodeId n = 0; n < t.node_count(); ++n) mirror.push_back(make_fib(n, 0));
+  std::map<dataplane::FlowId, dataplane::Flow> flows;
+  std::uint16_t next_port = 1000;
+  const auto add_flow = [&] {
+    const net::Prefix& dst = used[rng.pick_index(used.size())];
+    dataplane::Flow f = support::make_flow(
+        static_cast<topo::NodeId>(rng.pick_index(t.node_count())),
+        dst.host(static_cast<std::uint32_t>(rng.uniform_int(1, 200))), next_port++,
+        rng.uniform(5e6, 40e6));
+    f.id = sim.add_flow(f);
+    flows.emplace(f.id, f);
+  };
+  for (int i = 0; i < 100; ++i) add_flow();
+
+  const auto random_flow = [&] {
+    return std::next(flows.begin(),
+                     static_cast<std::ptrdiff_t>(rng.pick_index(flows.size())));
+  };
+  const auto set_fib = [&](topo::NodeId n, std::size_t source) {
+    sim.set_fib(n, make_fib(n, source));
+    mirror[n] = make_fib(n, source);
+    installed[n] = source;
+  };
+  int quiet_swaps = 0;   // set_fib that walked no flow
+  int still_swaps = 0;   // walked, but no path moved
+  int moving_swaps = 0;  // a path moved
+  for (int step = 0; step < 300; ++step) {
+    const std::uint64_t walks = sim.flow_walks();
+    const std::uint64_t solves = sim.rate_solves();
+    const auto kind = rng.uniform_int(0, 7);
+    bool swap = false;
+    if (kind == 0 || (kind == 1 && flows.size() < 80)) {
+      add_flow();
+    } else if (kind == 1) {
+      const auto it = random_flow();
+      sim.remove_flow(it->first);
+      flows.erase(it);
+    } else if (kind == 2) {
+      sim.fail_link(static_cast<topo::LinkId>(rng.pick_index(t.link_count())));
+    } else if (kind == 3) {
+      const std::vector<topo::LinkId> down = sim.link_state().down_links();
+      if (!down.empty()) sim.restore_link(down[rng.pick_index(down.size())]);
+    } else if (kind == 4) {
+      // Identical table.
+      const auto n = static_cast<topo::NodeId>(rng.pick_index(t.node_count()));
+      set_fib(n, installed[n]);
+      swap = true;
+    } else if (kind == 5) {
+      // Only the unused prefix's entries change.
+      const auto n = static_cast<topo::NodeId>(rng.pick_index(t.node_count()));
+      set_fib(n, installed[n] ^ 1);
+      swap = true;
+    } else {
+      // At a router on some flow's path, a table whose route to the flow's
+      // prefix differs from the installed one (any table if none does).
+      const auto it = random_flow();
+      const dataplane::FlowPath& path = sim.flow_path(it->first);
+      const std::size_t hop = rng.pick_index(path.links.size() + 1);
+      const topo::NodeId n =
+          hop == 0 ? it->second.ingress : t.link(path.links[hop - 1]).to;
+      const net::Prefix& prefix =
+          *std::find_if(used.begin(), used.end(),
+                        [&](const net::Prefix& p) { return p.contains(it->second.dst); });
+      const auto route = [&](std::size_t source) {
+        const igp::RoutingTable& table = sources[source][n];
+        const auto found = table.find(prefix);
+        return found == table.end() ? std::nullopt : std::optional(found->second);
+      };
+      std::vector<std::size_t> differing;
+      for (std::size_t k = 0; k < sources.size(); ++k) {
+        if (route(k) != route(installed[n])) differing.push_back(k);
+      }
+      set_fib(n, differing.empty() ? rng.pick_index(sources.size())
+                                   : differing[rng.pick_index(differing.size())]);
+      swap = true;
+    }
+    if (swap) {
+      if (sim.flow_walks() == walks) {
+        ++quiet_swaps;
+        EXPECT_EQ(sim.rate_solves(), solves) << "step " << step;
+      } else if (sim.rate_solves() == solves) {
+        ++still_swaps;
+      } else {
+        ++moving_swaps;
+      }
+    }
+
+    std::vector<dataplane::FlowPath> paths;
+    std::vector<dataplane::RatedFlow> rated;
+    paths.reserve(flows.size());
+    for (const auto& [id, flow] : flows) {
+      paths.push_back(dataplane::walk_flow(t, mirror, flow, sim.link_state().bits()));
+      rated.push_back(dataplane::RatedFlow{id, flow.demand_bps, &paths.back()});
+    }
+    const std::vector<double> rates = dataplane::max_min_rates(t, rated);
+    std::vector<double> link_rates(t.link_count(), 0.0);
+    std::size_t looping = 0;
+    std::size_t blackholed = 0;
+    for (std::size_t i = 0; i < rated.size(); ++i) {
+      const dataplane::FlowId id = rated[i].id;
+      ASSERT_TRUE(sim.flow_path(id) == paths[i]) << "step " << step << " flow " << id;
+      ASSERT_EQ(sim.flow_rate(id), rates[i]) << "step " << step << " flow " << id;
+      if (paths[i].delivered()) {
+        for (const topo::LinkId l : paths[i].links) link_rates[l] += rates[i];
+      }
+      looping += paths[i].outcome == dataplane::FlowPath::Outcome::kLoop ? 1 : 0;
+      blackholed += paths[i].outcome == dataplane::FlowPath::Outcome::kBlackhole ? 1 : 0;
+    }
+    for (topo::LinkId l = 0; l < t.link_count(); ++l) {
+      ASSERT_EQ(sim.link_rate(l), link_rates[l]) << "step " << step << " link " << l;
+    }
+    ASSERT_EQ(sim.looping_flows(), looping) << "step " << step;
+    ASSERT_EQ(sim.blackholed_flows(), blackholed) << "step " << step;
+  }
+  // Every scope must have carried some swaps.
+  EXPECT_GT(quiet_swaps, 0);
+  EXPECT_GT(still_swaps, 0);
+  EXPECT_GT(moving_swaps, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DataplaneIncrementalProperty,
+                         ::testing::Range<std::uint64_t>(1, 4));
 
 // ------------------------------------------------- max-flow vs min-cut bound
 

@@ -7,7 +7,8 @@
 //   - an end-to-end controller reaction (optimize + compile + verify),
 // sized at Waxman graphs of 25..200 routers (ISP scale) -- plus whole-domain
 // protocol convergence across ShardPool worker counts, which is what the CI
-// perf diff watches for the sharding speedup.
+// perf diff watches for the sharding speedup, and the reconvergence of a
+// converged domain after one link flap.
 
 #include <benchmark/benchmark.h>
 
@@ -153,6 +154,44 @@ BENCHMARK(BM_DomainConvergence)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+void BM_LinkFlapReconvergence(benchmark::State& state) {
+  // Domain convergence at scale after a change, not from boot: one link
+  // fails and the domain reconverges, then it is restored (the adjacency
+  // re-forms through its database exchange) and the domain reconverges
+  // again. Both endpoints re-originate each time and every router runs SPF
+  // over them. One converged domain per size; every iteration flaps the
+  // same link, the first whose endpoints each have at least 3 links.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(3000 + n);
+  topo::Topology t = topo::make_waxman(n, rng, 0.2, 0.25, 10);
+  t.attach_prefix(0, net::Prefix(net::Ipv4(203, 0, 113, 0), 24), 0);
+  util::EventQueue events;
+  igp::IgpDomain domain(t, events);
+  domain.start();
+  domain.run_to_convergence();
+  topo::LinkId flap = 0;
+  while (t.out_links(t.link(flap).from).size() < 3 ||
+         t.out_links(t.link(flap).to).size() < 3) {
+    ++flap;
+  }
+  const std::uint64_t spf_runs = domain.total_spf_runs();
+  const std::uint64_t origins_read = domain.total_spf_origins_read();
+  for (auto _ : state) {
+    domain.fail_link(flap);
+    domain.run_to_convergence();
+    domain.restore_link(flap);
+    domain.run_to_convergence();
+  }
+  const auto per_iteration = [](std::uint64_t total) {
+    return benchmark::Counter(static_cast<double>(total),
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["spf_runs"] = per_iteration(domain.total_spf_runs() - spf_runs);
+  state.counters["spf_origins_read"] =
+      per_iteration(domain.total_spf_origins_read() - origins_read);
+}
+BENCHMARK(BM_LinkFlapReconvergence)->Arg(120)->Arg(300)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -81,6 +81,8 @@ void FibbingService::register_metrics_() {
   register_callback("igp.spf_runs", [this] { return double(domain_.total_spf_runs()); });
   register_callback("igp.spf_incremental_runs",
       [this] { return double(domain_.total_spf_incremental_runs()); });
+  register_callback("igp.spf_origins_read",
+      [this] { return double(domain_.total_spf_origins_read()); });
   register_callback("proto.packets_sent",
       [this] { return double(domain_.total_proto_counters().packets_sent); });
   register_callback("proto.bytes_sent",

@@ -309,6 +309,12 @@ std::uint64_t IgpDomain::total_spf_incremental_runs() const {
   return sum;
 }
 
+std::uint64_t IgpDomain::total_spf_origins_read() const {
+  std::uint64_t sum = 0;
+  for (const auto& router : routers_) sum += router->spf_origins_read();
+  return sum;
+}
+
 proto::SessionCounters IgpDomain::total_proto_counters() const {
   proto::SessionCounters total;
   for (const auto& router : routers_) total += router->counters();

@@ -162,6 +162,9 @@ class IgpDomain {
   /// How many of those SPF runs avoided the full Dijkstra (incremental
   /// repair or certified-unchanged); deterministic across shard counts.
   [[nodiscard]] std::uint64_t total_spf_incremental_runs() const;
+  /// Router-LSA origins re-read by those SPF runs (RouterProcess::
+  /// spf_origins_read): what the in-place view patches cost.
+  [[nodiscard]] std::uint64_t total_spf_origins_read() const;
   [[nodiscard]] proto::SessionCounters total_proto_counters() const;
 
   /// The sharded engine's execution telemetry (rounds, events, cross-shard

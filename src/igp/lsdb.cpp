@@ -1,6 +1,7 @@
 #include "igp/lsdb.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -10,11 +11,12 @@ Lsdb::InstallResult Lsdb::install(LsaPtr lsa) {
   FIB_ASSERT(lsa != nullptr, "Lsdb::install: null LSA");
   auto it = entries_.find(lsa->id);
   if (it == entries_.end()) {
+    changes_.push_back(Change{lsa->id, nullptr});
     entries_.emplace(lsa->id, std::move(lsa));
     return InstallResult::kNewer;
   }
   if (lsa->seq > it->second->seq) {
-    it->second = std::move(lsa);
+    changes_.push_back(Change{lsa->id, std::exchange(it->second, std::move(lsa))});
     return InstallResult::kNewer;
   }
   if (lsa->seq == it->second->seq) return InstallResult::kDuplicate;
@@ -25,7 +27,26 @@ Lsdb::InstallResult Lsdb::install(const Lsa& lsa) {
   return install(std::make_shared<const Lsa>(lsa));
 }
 
-bool Lsdb::erase(const LsaKey& key) { return entries_.erase(key) > 0; }
+bool Lsdb::erase(const LsaKey& key) {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return false;
+  changes_.push_back(Change{key, std::move(it->second)});
+  entries_.erase(it);
+  return true;
+}
+
+std::vector<Lsdb::Change> Lsdb::drain_changes() {
+  std::vector<Change> out;
+  out.swap(changes_);
+  // Stable, so each key's first record -- the one holding the instance of
+  // the previous drain -- is the one unique() keeps.
+  const auto by_key = [](const Change& a, const Change& b) { return a.key < b.key; };
+  std::stable_sort(out.begin(), out.end(), by_key);
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const Change& a, const Change& b) { return a.key == b.key; }),
+            out.end());
+  return out;
+}
 
 const Lsa* Lsdb::find(const LsaKey& key) const {
   const auto it = entries_.find(key);

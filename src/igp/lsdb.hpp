@@ -30,6 +30,17 @@ class Lsdb {
   /// something was erased.
   bool erase(const LsaKey& key);
 
+  /// A key whose content changed since the previous drain_changes().
+  struct Change {
+    LsaKey key;
+    /// The instance the key held at that drain; null when it held none.
+    LsaPtr before;
+  };
+  /// Every key whose content changed since the previous call -- through an
+  /// install returning kNewer or an erase -- once each, ascending by key.
+  /// The database records these itself, so no install site can be missed.
+  [[nodiscard]] std::vector<Change> drain_changes();
+
   /// All live (non-withdrawn) LSAs, deterministic order (sorted by key).
   [[nodiscard]] std::vector<const Lsa*> live() const;
 
@@ -43,6 +54,8 @@ class Lsdb {
 
  private:
   std::unordered_map<LsaKey, LsaPtr> entries_;
+  /// One record per change since the last drain, in change order.
+  std::vector<Change> changes_;
 };
 
 }  // namespace fibbing::igp

@@ -11,10 +11,10 @@ RouterProcess::RouterProcess(topo::NodeId self, std::size_t node_count,
                              const proto::AddressMap& addrs,
                              util::Scheduler& events, IgpTiming timing)
     : self_(self),
-      node_count_(node_count),
       addrs_(&addrs),
       events_(events),
-      timing_(timing) {}
+      timing_(timing),
+      spf_(self, node_count) {}
 
 void RouterProcess::add_neighbor(topo::NodeId peer) {
   FIB_ASSERT(!sessions_.contains(peer), "add_neighbor: session already exists");
@@ -350,94 +350,70 @@ void RouterProcess::schedule_spf_() {
 
 namespace {
 
-/// Directed adjacency changes between two LSDB-derived views of the same
-/// domain: the inputs to a batched incremental SPF repair. Per-node
-/// multiset difference of the out-edge lists (a metric change shows up as a
-/// removal plus an insertion).
-std::vector<EdgeDelta> adjacency_deltas(const NetworkView& prev,
-                                        const NetworkView& next) {
-  std::vector<EdgeDelta> deltas;
-  const auto key = [](const NetworkView::Edge& e) {
-    return std::make_pair(e.to, e.metric);
-  };
-  for (topo::NodeId u = 0; u < next.node_count(); ++u) {
-    const auto& before = prev.edges_from(u);
-    const auto& after = next.edges_from(u);
-    if (before.size() == after.size() &&
-        std::equal(before.begin(), before.end(), after.begin(),
-                   [&](const NetworkView::Edge& x, const NetworkView::Edge& y) {
-                     return key(x) == key(y);
-                   })) {
-      continue;
-    }
-    std::vector<NetworkView::Edge> a(before.begin(), before.end());
-    std::vector<NetworkView::Edge> b(after.begin(), after.end());
-    const auto by_key = [&](const NetworkView::Edge& x, const NetworkView::Edge& y) {
-      return key(x) < key(y);
-    };
-    std::sort(a.begin(), a.end(), by_key);
-    std::sort(b.begin(), b.end(), by_key);
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < a.size() || j < b.size()) {
-      if (j == b.size() || (i < a.size() && key(a[i]) < key(b[j]))) {
-        deltas.push_back(EdgeDelta{u, a[i].to, a[i].metric, /*removed=*/true});
-        ++i;
-      } else if (i == a.size() || key(b[j]) < key(a[i])) {
-        deltas.push_back(EdgeDelta{u, b[j].to, b[j].metric, /*removed=*/false});
-        ++j;
-      } else {
-        ++i;
-        ++j;
-      }
-    }
-  }
-  return deltas;
-}
-
 /// Past this many flipped directed edges the change is a bulk LSDB
 /// transition (boot, partition heal): repair would touch most of the graph,
 /// so run the full Dijkstra directly.
 constexpr std::size_t kMaxRouterSpfDeltas = 16;
 
+/// Apply `deltas` (a multiset diff of the out-edges) to the in-edge lists.
+void patch_reverse(ReverseAdjacency& rin, const std::vector<EdgeDelta>& deltas) {
+  for (const EdgeDelta& d : deltas) {
+    std::vector<ReverseAdjacency::InEdge>& in = rin.in[d.to];
+    if (!d.removed) {
+      in.push_back(ReverseAdjacency::InEdge{d.from, d.metric});
+      continue;
+    }
+    const auto it = std::find_if(in.begin(), in.end(), [&](const auto& e) {
+      return e.from == d.from && e.metric == d.metric;
+    });
+    FIB_ASSERT(it != in.end(), "patch_reverse: removed edge was never in");
+    *it = in.back();
+    in.pop_back();
+  }
+}
+
 }  // namespace
+
+RouterSpf::RouterSpf(topo::NodeId self, std::size_t node_count)
+    : self_(self), view_(node_count) {
+  rin_.in.resize(node_count);
+}
+
+RouterSpf::Run RouterSpf::run(Lsdb& lsdb) {
+  Run run;
+  run.origins_read = view_.patch_from_lsdb(lsdb, lsdb.drain_changes(), run.deltas);
+  patch_reverse(rin_, run.deltas);
+  if (!ran_ || run.deltas.size() > kMaxRouterSpfDeltas) {
+    spf_ = run_spf(view_, self_);
+  } else {
+    // The hold-down window's changes, repaired against the previous run.
+    SpfUpdate update = update_spf(view_, spf_, run.deltas, &rin_);
+    switch (update.mode) {
+      case SpfUpdate::Mode::kUnchanged:
+        run.incremental = true;  // spf_ is already exact for the view
+        break;
+      case SpfUpdate::Mode::kIncremental:
+        run.incremental = true;
+        spf_ = std::move(update.result);
+        break;
+      case SpfUpdate::Mode::kFull:
+        spf_ = std::move(update.result);
+        break;
+    }
+  }
+  ran_ = true;
+  return run;
+}
 
 void RouterProcess::run_spf_now_() {
   ++spf_runs_;
-  NetworkView view = NetworkView::from_lsdb(lsdb_, node_count_);
-  bool avoided_full = false;
-  if (prev_view_.has_value()) {
-    // The hold-down window accumulated some set of LSDB changes; diff the
-    // resulting adjacency sets and repair the previous SPF incrementally.
-    // Lie (External-LSA) churn leaves the adjacency diff empty: the old
-    // distances are certified unchanged and only routes are recomputed.
-    const std::vector<EdgeDelta> deltas = adjacency_deltas(*prev_view_, view);
-    if (deltas.size() <= kMaxRouterSpfDeltas) {
-      SpfUpdate update = update_spf(view, prev_spf_, deltas);
-      switch (update.mode) {
-        case SpfUpdate::Mode::kUnchanged:
-          avoided_full = true;  // prev_spf_ is already exact for `view`
-          break;
-        case SpfUpdate::Mode::kIncremental:
-          avoided_full = true;
-          prev_spf_ = std::move(update.result);
-          break;
-        case SpfUpdate::Mode::kFull:
-          prev_spf_ = std::move(update.result);
-          break;
-      }
-    } else {
-      prev_spf_ = run_spf(view, self_);
-    }
-  } else {
-    prev_spf_ = run_spf(view, self_);
-  }
-  if (avoided_full) ++spf_incremental_runs_;
-  table_ = compute_routes(view, prev_spf_);
-  prev_view_ = std::move(view);
+  const RouterSpf::Run run = spf_.run(lsdb_);
+  spf_origins_read_ += run.origins_read;
+  if (run.incremental) ++spf_incremental_runs_;
+  table_ = compute_routes(spf_.view(), spf_.result());
   FIB_LOG(kDebug, "igp") << "router " << self_ << " spf run #" << spf_runs_ << ", "
                          << table_.size() << " routes"
-                         << (avoided_full ? " (incremental)" : "");
+                         << (run.incremental ? " (incremental)" : "");
   // This run consumed every traced lie installed since the previous run:
   // stamp one kSpf per distinct trace (sorted lie order -- pending is a
   // set -- so the stream is independent of install interleaving), and keep

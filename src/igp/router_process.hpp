@@ -4,7 +4,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -40,6 +39,40 @@ struct IgpTiming {
   /// RFC 13.5 delayed-ack window; must stay well under rxmt_interval_s or
   /// delayed acks race the sender's retransmissions.
   double ack_delay_s = 0.04;
+};
+
+/// One router's SPF state kept between runs: the graph of its LSDB, patched
+/// in place from the keys that changed since the previous run
+/// (NetworkView::patch_from_lsdb), that graph's reverse adjacency, kept in
+/// step with the same deltas, and the previous run's result.
+class RouterSpf {
+ public:
+  RouterSpf(topo::NodeId self, std::size_t node_count);
+
+  struct Run {
+    /// Directed adjacency changes since the previous run.
+    std::vector<EdgeDelta> deltas;
+    /// Router-LSA origins the patch re-read.
+    std::size_t origins_read = 0;
+    /// The run avoided the full Dijkstra: an update_spf repair, or the old
+    /// result certified unchanged (lie churn leaves `deltas` empty).
+    bool incremental = false;
+  };
+  /// Drain `lsdb`'s changes into the view, then bring the SPF up to date: a
+  /// full Dijkstra on the first run or past kMaxRouterSpfDeltas deltas, an
+  /// update_spf repair otherwise.
+  Run run(Lsdb& lsdb);
+
+  [[nodiscard]] const NetworkView& view() const { return view_; }
+  [[nodiscard]] const ReverseAdjacency& reverse() const { return rin_; }
+  [[nodiscard]] const SpfResult& result() const { return spf_; }
+
+ private:
+  topo::NodeId self_;
+  bool ran_ = false;
+  NetworkView view_;
+  ReverseAdjacency rin_;  ///< reverse_adjacency(view_), up to in-edge order
+  SpfResult spf_;
 };
 
 /// One router's control plane: an LSDB replica, a wire-format OSPF speaker
@@ -150,6 +183,10 @@ class RouterProcess final : private proto::DatabaseFacade {
   [[nodiscard]] std::uint64_t spf_incremental_runs() const {
     return spf_incremental_runs_;
   }
+  /// Router-LSA origins re-read by SPF runs: the patch work. A run re-reads
+  /// the origins whose Router-LSA changed, or every origin when one appeared
+  /// or vanished.
+  [[nodiscard]] std::uint64_t spf_origins_read() const { return spf_origins_read_; }
   /// External LSAs rejected because their route tag named a different lie
   /// than the one owning the same wire identity (appendix-E host-bit
   /// collision) -- each one is an aliasing event that would otherwise have
@@ -186,8 +223,6 @@ class RouterProcess final : private proto::DatabaseFacade {
   void run_spf_now_();
 
   topo::NodeId self_;
-  // lint:obs-registered-ok(structural topology size, not a metric)
-  std::size_t node_count_;
   const proto::AddressMap* addrs_;
   util::Scheduler& events_;
   IgpTiming timing_;
@@ -222,13 +257,10 @@ class RouterProcess final : private proto::DatabaseFacade {
   std::uint64_t decode_errors_ = 0;
   std::uint64_t spf_runs_ = 0;
   std::uint64_t spf_incremental_runs_ = 0;
+  std::uint64_t spf_origins_read_ = 0;  // obs:registered(igp.spf_origins_read)
   std::uint64_t alias_collisions_ = 0;
   std::uint64_t tombstones_flushed_ = 0;
-  /// The previous SPF run's inputs and result: the basis the next run
-  /// repairs incrementally instead of re-running Dijkstra from scratch.
-  /// `prev_spf_` is valid exactly when `prev_view_` is engaged.
-  std::optional<NetworkView> prev_view_;
-  SpfResult prev_spf_;
+  RouterSpf spf_;
 };
 
 }  // namespace fibbing::igp

@@ -73,16 +73,6 @@ struct SpfUpdate {
   std::size_t affected = 0;
 };
 
-/// One directed adjacency change between two views. A bidirectional link
-/// flip is two deltas (one per direction); an SRLG event failing k links is
-/// 2k of them, all handed to update_spf at once.
-struct EdgeDelta {
-  topo::NodeId from = topo::kInvalidNode;
-  topo::NodeId to = topo::kInvalidNode;
-  topo::Metric metric = 0;  ///< directed metric of the flipped edge
-  bool removed = false;     ///< true: edge left the view; false: edge joined
-};
-
 /// Reverse adjacency (in-edges per node) of a view. update_spf consults it
 /// for support checks and first-hop reconstruction; it depends only on the
 /// view, so callers updating many sources against one view (the route

@@ -2,10 +2,60 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "util/assert.hpp"
 
 namespace fibbing::igp {
+
+namespace {
+
+const RouterLsa* router_lsa(const Lsdb& lsdb, topo::NodeId n) {
+  const Lsa* lsa = lsdb.find(LsaKey{LsaType::kRouter, n});
+  if (lsa == nullptr) return nullptr;
+  const auto& router = std::get<RouterLsa>(lsa->body);
+  FIB_ASSERT(router.origin == n, "patch_from_lsdb: Router-LSA key != origin");
+  return &router;
+}
+
+/// Append the changes from `before` to `after`, both `u`'s out-edges: their
+/// multiset difference by (to, metric), ascending (a metric change is a
+/// removal plus an insertion).
+void diff_out_edges(topo::NodeId u, const std::vector<NetworkView::Edge>& before,
+                    const std::vector<NetworkView::Edge>& after,
+                    std::vector<EdgeDelta>& deltas) {
+  const auto key = [](const NetworkView::Edge& e) { return std::make_pair(e.to, e.metric); };
+  if (before.size() == after.size() &&
+      std::equal(before.begin(), before.end(), after.begin(),
+                 [&](const NetworkView::Edge& x, const NetworkView::Edge& y) {
+                   return key(x) == key(y);
+                 })) {
+    return;
+  }
+  std::vector<NetworkView::Edge> a(before.begin(), before.end());
+  std::vector<NetworkView::Edge> b(after.begin(), after.end());
+  const auto by_key = [&](const NetworkView::Edge& x, const NetworkView::Edge& y) {
+    return key(x) < key(y);
+  };
+  std::sort(a.begin(), a.end(), by_key);
+  std::sort(b.begin(), b.end(), by_key);
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    if (j == b.size() || (i < a.size() && key(a[i]) < key(b[j]))) {
+      deltas.push_back(EdgeDelta{u, a[i].to, a[i].metric, /*removed=*/true});
+      ++i;
+    } else if (i == a.size() || key(b[j]) < key(a[i])) {
+      deltas.push_back(EdgeDelta{u, b[j].to, b[j].metric, /*removed=*/false});
+      ++j;
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+}
+
+}  // namespace
 
 NetworkView NetworkView::from_topology(const topo::Topology& topo,
                                        std::vector<External> externals,
@@ -88,6 +138,134 @@ void NetworkView::index_subnet_addresses_() {
     const Subnet& subnet = subnets_[i];
     fwd_index_.emplace(subnet.addr_a, std::pair{i, subnet.a});
     fwd_index_.emplace(subnet.addr_b, std::pair{i, subnet.b});
+  }
+}
+
+std::size_t NetworkView::patch_from_lsdb(const Lsdb& lsdb,
+                                         const std::vector<Lsdb::Change>& changes,
+                                         std::vector<EdgeDelta>& deltas) {
+  // Router keys sort before external ones, by origin: `origins` ascends.
+  std::vector<topo::NodeId> origins;
+  bool presence_flip = false;
+  for (const Lsdb::Change& change : changes) {
+    if (change.key.type == LsaType::kExternal) {
+      patch_external_(lsdb, change.key.key);
+      continue;
+    }
+    FIB_ASSERT(change.key.key < adj_.size(), "patch_from_lsdb: origin out of range");
+    origins.push_back(static_cast<topo::NodeId>(change.key.key));
+    presence_flip = presence_flip ||
+                    (change.before != nullptr) != (lsdb.find(change.key) != nullptr);
+  }
+  if (origins.empty()) return 0;  // lies only: no edge, subnet or prefix moved
+  if (presence_flip) {
+    // A router appeared or vanished: the two-way check of every edge into
+    // it flipped, so re-read every origin, once.
+    origins.resize(adj_.size());
+    std::iota(origins.begin(), origins.end(), topo::NodeId{0});
+    subnets_.clear();
+    fwd_index_.clear();
+  } else {
+    // Each subnet with an end at a changed origin was paired from one of
+    // that origin's links as they stood at the previous drain.
+    for (const Lsdb::Change& change : changes) {
+      if (change.key.type != LsaType::kRouter || change.before == nullptr) continue;
+      for (const LsaLink& link : std::get<RouterLsa>(change.before->body).links) {
+        drop_subnet_(link.local_addr);
+      }
+    }
+  }
+
+  std::vector<Edge> fresh;
+  for (const topo::NodeId u : origins) {
+    fresh.clear();
+    if (const RouterLsa* router = router_lsa(lsdb, u)) {
+      for (const LsaLink& link : router->links) {
+        // from_lsdb's two-way check: the neighbor's Router-LSA is present.
+        if (router_lsa(lsdb, link.neighbor) != nullptr) {
+          fresh.push_back(Edge{link.neighbor, link.metric});
+        }
+      }
+    }
+    diff_out_edges(u, adj_[u], fresh, deltas);
+    adj_[u].assign(fresh.begin(), fresh.end());  // keeps u's own buffer
+  }
+
+  pair_subnets_(lsdb, origins);
+
+  std::erase_if(attachments_, [&](const Attachment& att) {
+    return std::binary_search(origins.begin(), origins.end(), att.node);
+  });
+  for (const topo::NodeId u : origins) {
+    if (const RouterLsa* router = router_lsa(lsdb, u)) {
+      for (const LsaPrefix& pfx : router->prefixes) {
+        attachments_.push_back(Attachment{pfx.prefix, u, pfx.metric});
+      }
+    }
+  }
+  return origins.size();
+}
+
+void NetworkView::drop_subnet_(net::Ipv4 addr) {
+  const auto it = fwd_index_.find(addr);
+  if (it == fwd_index_.end()) return;  // never paired, or dropped from its other end
+  const std::uint32_t i = it->second.first;
+  fwd_index_.erase(subnets_[i].addr_a);
+  fwd_index_.erase(subnets_[i].addr_b);
+  // Swap-and-pop, so only the moved subnet's two index entries change.
+  if (i + 1 != subnets_.size()) {
+    subnets_[i] = subnets_.back();
+    fwd_index_.at(subnets_[i].addr_a).first = i;
+    fwd_index_.at(subnets_[i].addr_b).first = i;
+  }
+  subnets_.pop_back();
+}
+
+void NetworkView::pair_subnets_(const Lsdb& lsdb,
+                                const std::vector<topo::NodeId>& origins) {
+  for (const topo::NodeId u : origins) {
+    const RouterLsa* router = router_lsa(lsdb, u);
+    if (router == nullptr) continue;
+    for (const LsaLink& link : router->links) {
+      const topo::NodeId v = link.neighbor;
+      if (v < u && std::binary_search(origins.begin(), origins.end(), v)) {
+        continue;  // paired when v was re-read
+      }
+      const RouterLsa* peer = router_lsa(lsdb, v);
+      if (peer == nullptr) continue;  // two-way check
+      const auto half =
+          std::find_if(peer->links.begin(), peer->links.end(),
+                       [&](const LsaLink& other) { return other.subnet == link.subnet; });
+      if (half == peer->links.end()) continue;  // half-configured adjacency
+      // from_lsdb's orientation: `a` is the lower origin.
+      const LsaLink& lo = u < v ? link : *half;
+      const LsaLink& hi = u < v ? *half : link;
+      const auto i = static_cast<std::uint32_t>(subnets_.size());
+      subnets_.push_back(Subnet{lo.subnet, std::min(u, v), std::max(u, v), lo.metric,
+                                hi.metric, lo.local_addr, hi.local_addr});
+      fwd_index_.emplace(lo.local_addr, std::pair{i, std::min(u, v)});
+      fwd_index_.emplace(hi.local_addr, std::pair{i, std::max(u, v)});
+    }
+  }
+}
+
+void NetworkView::patch_external_(const Lsdb& lsdb, std::uint64_t lie_id) {
+  // from_lsdb lists externals by key, i.e. by lie id; keep that order.
+  const auto it = std::lower_bound(
+      externals_.begin(), externals_.end(), lie_id,
+      [](const External& ext, std::uint64_t id) { return ext.lie_id < id; });
+  const bool held = it != externals_.end() && it->lie_id == lie_id;
+  const Lsa* lsa = lsdb.find(LsaKey{LsaType::kExternal, lie_id});
+  const auto* ext = lsa == nullptr ? nullptr : std::get_if<ExternalLsa>(&lsa->body);
+  if (ext == nullptr || ext->withdrawn) {
+    if (held) externals_.erase(it);
+    return;
+  }
+  const External fresh{ext->lie_id, ext->prefix, ext->ext_metric, ext->forwarding_address};
+  if (held) {
+    *it = fresh;
+  } else {
+    externals_.insert(it, fresh);
   }
 }
 

@@ -14,10 +14,21 @@
 
 namespace fibbing::igp {
 
+/// One directed adjacency change between two views. A bidirectional link
+/// flip is two deltas (one per direction); an SRLG event failing k links is
+/// 2k of them, all handed to update_spf at once.
+struct EdgeDelta {
+  topo::NodeId from = topo::kInvalidNode;
+  topo::NodeId to = topo::kInvalidNode;
+  topo::Metric metric = 0;  ///< directed metric of the flipped edge
+  bool removed = false;     ///< true: edge left the view; false: edge joined
+};
+
 /// The routing-relevant content of a converged LSDB, in graph form: what a
-/// router's SPF actually consumes. Built either from an Lsdb (protocol path)
-/// or directly from a Topology plus a set of external routes (the fast path
-/// used by the optimizer, verifier and benches).
+/// router's SPF actually consumes. Built either from an Lsdb (protocol path;
+/// a router patches its view in place as its LSDB changes) or directly from
+/// a Topology plus a set of external routes (the fast path used by the
+/// optimizer, verifier and benches).
 class NetworkView {
  public:
   struct Edge {
@@ -63,6 +74,33 @@ class NetworkView {
                                    const topo::LinkStateMask* link_state = nullptr);
   static NetworkView from_lsdb(const Lsdb& lsdb, std::size_t node_count);
 
+  NetworkView() = default;
+  /// `node_count` routers and nothing else: from_lsdb of an empty database.
+  explicit NetworkView(std::size_t node_count) : adj_(node_count) {}
+
+  /// Bring a view that equals from_lsdb(lsdb) as the database stood at its
+  /// previous drain_changes() up to the database's current state, given what
+  /// that drain returned. Afterwards the view equals from_lsdb(lsdb) except
+  /// for the order of subnets and attachments.
+  ///
+  /// Each changed Router-LSA origin gets its out-edges (with from_lsdb's
+  /// presence-only two-way check), its prefixes and every /30 its old or new
+  /// links name re-read: the subnets its old links (Change::before) paired
+  /// are dropped through the forwarding-address index, and each new link is
+  /// paired with the neighbor's half through Lsdb::find. That agrees with
+  /// from_lsdb's pairing by subnet key because a transfer network is named
+  /// only by the two routers of its link, with one interface address each.
+  /// A Router-LSA that appeared or vanished can change any edge into its
+  /// router, so then every origin is re-read and every subnet re-paired, in
+  /// one pass. Each changed lie is added, replaced or dropped.
+  ///
+  /// Appends to `deltas` the directed adjacency changes, exactly as a
+  /// per-origin multiset diff of the old and new views lists them: origins
+  /// ascending, each origin's deltas ascending by (to, metric). Returns the
+  /// number of Router-LSA origins re-read.
+  std::size_t patch_from_lsdb(const Lsdb& lsdb, const std::vector<Lsdb::Change>& changes,
+                              std::vector<EdgeDelta>& deltas);
+
   [[nodiscard]] std::size_t node_count() const { return adj_.size(); }
   [[nodiscard]] const std::vector<Edge>& edges_from(topo::NodeId n) const;
   [[nodiscard]] const std::vector<Subnet>& subnets() const { return subnets_; }
@@ -77,8 +115,9 @@ class NetworkView {
 
   /// The subnet owning an external forwarding address, with the pointed-to
   /// side resolved: `entry` is the router whose interface address matches.
-  /// O(1): served from an address-indexed map built once at construction
-  /// (i.e. once per RouteCache generation), not by scanning the subnets.
+  /// O(1): served from an address-indexed map built at construction (i.e.
+  /// once per RouteCache generation) and kept in step by patch_from_lsdb,
+  /// not by scanning the subnets.
   struct FwdAddrMatch {
     const Subnet* subnet = nullptr;
     topo::NodeId pointed_router = topo::kInvalidNode;
@@ -90,6 +129,13 @@ class NetworkView {
 
  private:
   void index_subnet_addresses_();
+  /// Drop the subnet holding interface address `addr`, if any, with both
+  /// of its forwarding-address entries.
+  void drop_subnet_(net::Ipv4 addr);
+  /// Pair each link of `origins` (sorted) with its neighbor's half.
+  void pair_subnets_(const Lsdb& lsdb, const std::vector<topo::NodeId>& origins);
+  /// Add, replace or drop the external of lie `lie_id` to match `lsdb`.
+  void patch_external_(const Lsdb& lsdb, std::uint64_t lie_id);
 
   std::vector<std::vector<Edge>> adj_;
   std::vector<Subnet> subnets_;

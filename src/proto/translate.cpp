@@ -146,6 +146,11 @@ Decoded<igp::Lsa> from_wire(const WireLsa& wire, const AddressMap& addrs) {
           if (!neighbor) {
             return bad(DecodeErrorKind::kBadValue, "unknown neighbor router");
           }
+          // RFC 2328 C.3: an interface's output cost is greater than 0; SPF
+          // relies on it (a zero-cost edge breaks its equal-cost merge).
+          if (link.metric == 0) {
+            return bad(DecodeErrorKind::kBadValue, "zero-cost point-to-point link");
+          }
           // The transfer network rides in the stub link that follows.
           if (i + 1 >= router->links.size() ||
               router->links[i + 1].type != RouterLinkType::kStub) {

@@ -530,6 +530,55 @@ TEST(Domain, RandomGraphsConvergeToDirectTables) {
   }
 }
 
+/// Router SPF patches its kept view from the LSAs that changed: a link
+/// failure re-originates its two endpoints, and every router re-reads each
+/// of them once; a lie re-reads no Router-LSA at all.
+TEST(Domain, SpfReReadsOnlyTheReoriginatedRouterLsas) {
+  util::Rng rng(40);
+  topo::Topology t = topo::make_waxman(40, rng);
+  const net::Prefix pfx(net::Ipv4(203, 0, 113, 0), 24);
+  t.attach_prefix(0, pfx, 0);
+  util::EventQueue events;
+  IgpDomain domain(t, events);
+  domain.start();
+  domain.run_to_convergence();
+
+  // A non-bridge link: the domain stays connected without it.
+  const auto connected_without = [&](topo::LinkId cut) {
+    std::vector<bool> seen(t.node_count(), false);
+    std::vector<NodeId> stack{0};
+    seen[0] = true;
+    while (!stack.empty()) {
+      const NodeId u = stack.back();
+      stack.pop_back();
+      for (const topo::LinkId l : t.out_links(u)) {
+        if (l == cut || l == t.link(cut).reverse || seen[t.link(l).to]) continue;
+        seen[t.link(l).to] = true;
+        stack.push_back(t.link(l).to);
+      }
+    }
+    return std::all_of(seen.begin(), seen.end(), [](bool b) { return b; });
+  };
+  topo::LinkId cut = 0;
+  while (!connected_without(cut)) ++cut;
+
+  const std::uint64_t before = domain.total_spf_origins_read();
+  domain.fail_link(cut);
+  domain.run_to_convergence();
+  EXPECT_EQ(domain.total_spf_origins_read() - before, 2 * t.node_count());
+
+  ExternalLsa lie;
+  lie.lie_id = 1;
+  lie.prefix = pfx;
+  lie.forwarding_address = t.link(t.out_links(3).front()).local_addr;
+  const std::uint64_t runs = domain.total_spf_runs();
+  const std::uint64_t at_lie = domain.total_spf_origins_read();
+  domain.inject_external(5, lie);
+  domain.run_to_convergence();
+  EXPECT_GE(domain.total_spf_runs() - runs, t.node_count());
+  EXPECT_EQ(domain.total_spf_origins_read(), at_lie);
+}
+
 // ------------------------------------------------------------ link recovery
 
 TEST(Domain, RestoreLinkRoundTripsTablesBitIdentical) {

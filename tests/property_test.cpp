@@ -7,12 +7,16 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "core/augment.hpp"
 #include "core/verify.hpp"
 #include "igp/route_cache.hpp"
+#include "igp/lsdb.hpp"
+#include "igp/router_process.hpp"
 #include "dataplane/ecmp.hpp"
 #include "dataplane/forwarding.hpp"
 #include "dataplane/network_sim.hpp"
@@ -1047,6 +1051,272 @@ TEST_P(RouteCacheSrlgProperty, GroupedDeltasMatchFreshViaBatchedRepairs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouteCacheSrlgProperty,
+                         ::testing::Range<std::uint64_t>(1, 4));
+
+// ------------------------------- router SPF view patch vs from_lsdb rebuild
+
+/// The per-node multiset diff of two whole views: the repair input routers
+/// computed before they patched one kept view in place.
+std::vector<igp::EdgeDelta> adjacency_deltas(const igp::NetworkView& prev,
+                                             const igp::NetworkView& next) {
+  std::vector<igp::EdgeDelta> deltas;
+  using Key = std::pair<topo::NodeId, topo::Metric>;
+  for (topo::NodeId u = 0; u < next.node_count(); ++u) {
+    std::vector<Key> a;
+    std::vector<Key> b;
+    for (const auto& e : prev.edges_from(u)) a.emplace_back(e.to, e.metric);
+    for (const auto& e : next.edges_from(u)) b.emplace_back(e.to, e.metric);
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < a.size() || j < b.size()) {
+      if (j == b.size() || (i < a.size() && a[i] < b[j])) {
+        deltas.push_back(igp::EdgeDelta{u, a[i].first, a[i].second, true});
+        ++i;
+      } else if (i == a.size() || b[j] < a[i]) {
+        deltas.push_back(igp::EdgeDelta{u, b[j].first, b[j].second, false});
+        ++j;
+      } else {
+        ++i;
+        ++j;
+      }
+    }
+  }
+  return deltas;
+}
+
+/// The first difference between a patched view and from_lsdb's, or "" when
+/// they agree: edges and externals in order, subnets and attachments as
+/// sorted lists, and every interface address of `t` resolving alike.
+std::string view_difference(const igp::NetworkView& got, const igp::NetworkView& want,
+                            const topo::Topology& t) {
+  using SubnetKey = std::tuple<net::Prefix, topo::NodeId, topo::NodeId, topo::Metric,
+                               topo::Metric, std::uint32_t, std::uint32_t>;
+  const auto subnet_key = [](const igp::NetworkView::Subnet& s) {
+    return SubnetKey{s.prefix,    s.a, s.b, s.metric_ab, s.metric_ba, s.addr_a.bits(),
+                     s.addr_b.bits()};
+  };
+  const auto subnets = [&](const igp::NetworkView& v) {
+    std::vector<SubnetKey> out;
+    for (const auto& s : v.subnets()) out.push_back(subnet_key(s));
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto attachments = [](const igp::NetworkView& v) {
+    std::vector<std::tuple<net::Prefix, topo::NodeId, topo::Metric>> out;
+    for (const auto& a : v.attachments()) out.emplace_back(a.prefix, a.node, a.metric);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto externals = [](const igp::NetworkView& v) {
+    std::vector<std::tuple<std::uint64_t, net::Prefix, topo::Metric, std::uint32_t>> out;
+    for (const auto& e : v.externals()) {
+      out.emplace_back(e.lie_id, e.prefix, e.ext_metric, e.forwarding_address.bits());
+    }
+    return out;
+  };
+  if (got.node_count() != want.node_count()) return "node count";
+  for (topo::NodeId u = 0; u < want.node_count(); ++u) {
+    const auto& g = got.edges_from(u);
+    const auto& w = want.edges_from(u);
+    const bool same = std::equal(g.begin(), g.end(), w.begin(), w.end(),
+                                 [](const auto& x, const auto& y) {
+                                   return x.to == y.to && x.metric == y.metric;
+                                 });
+    if (!same) return "edges of " + std::to_string(u);
+  }
+  if (subnets(got) != subnets(want)) return "subnets";
+  if (attachments(got) != attachments(want)) return "attachments";
+  if (externals(got) != externals(want)) return "externals";
+  for (topo::LinkId l = 0; l < t.link_count(); ++l) {
+    const auto g = got.resolve_forwarding_address(t.link(l).local_addr);
+    const auto w = want.resolve_forwarding_address(t.link(l).local_addr);
+    if (g.has_value() != w.has_value() ||
+        (g && (subnet_key(*g->subnet) != subnet_key(*w->subnet) ||
+               g->pointed_router != w->pointed_router))) {
+      return "forwarding address of link " + std::to_string(l);
+    }
+  }
+  return "";
+}
+
+/// A router's SPF patches one kept view from the LSDB keys that changed
+/// since its previous run. Reference: rebuild the view with from_lsdb and
+/// run a fresh Dijkstra after every batch of LSDB changes. Batches
+/// re-originate Router-LSAs with links dropped, restored or re-metered on
+/// one side or both (half-configured adjacencies included), with prefixes
+/// hidden or shown; erase Router-LSAs and let them appear late; and
+/// install, withdraw and erase lies whose forwarding addresses sit on live
+/// and dead subnets.
+class RouterViewPatchProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RouterViewPatchProperty, PatchedViewMatchesFromLsdbRebuild) {
+  util::Rng rng(GetParam() ^ 0x5bf);
+  topo::Topology t = topo::make_waxman(
+      static_cast<std::size_t>(rng.uniform_int(30, 60)), rng, 0.5, 0.5, 8);
+  const std::size_t n = t.node_count();
+  std::vector<net::Prefix> prefixes;
+  for (std::uint8_t i = 0; i < 6; ++i) {
+    prefixes.emplace_back(net::Ipv4(203, 0, i, 0), 24);
+    t.attach_prefix(static_cast<topo::NodeId>(rng.pick_index(n)), prefixes.back(),
+                    static_cast<topo::Metric>(rng.uniform_int(0, 3)));
+  }
+  prefixes.emplace_back(net::Ipv4(198, 51, 100, 0), 24);  // announced by lies only
+
+  igp::Lsdb db;
+  std::vector<bool> dropped(t.link_count(), false);  // per directed link
+  std::vector<topo::Metric> metric(t.link_count());
+  for (topo::LinkId l = 0; l < t.link_count(); ++l) metric[l] = t.link(l).metric;
+  std::vector<bool> hide_prefixes(n, false);
+  std::vector<igp::SeqNum> router_seq(n, 0);
+  std::vector<igp::SeqNum> lie_seq(16, 0);
+  const auto present = [&](topo::NodeId u) {
+    return db.find(igp::LsaKey{igp::LsaType::kRouter, u}) != nullptr;
+  };
+  const auto originate = [&](topo::NodeId u) {
+    igp::RouterLsa body;
+    body.origin = u;
+    for (const topo::LinkId l : t.out_links(u)) {
+      if (dropped[l]) continue;
+      body.links.push_back(
+          igp::LsaLink{t.link(l).to, metric[l], t.link(l).subnet, t.link(l).local_addr});
+    }
+    for (const auto& att : t.prefixes()) {
+      if (att.node == u && !hide_prefixes[u]) {
+        body.prefixes.push_back(igp::LsaPrefix{att.prefix, att.metric});
+      }
+    }
+    ASSERT_EQ(db.install(igp::Lsa{igp::LsaKey{igp::LsaType::kRouter, u}, ++router_seq[u],
+                                  std::move(body)}),
+              igp::Lsdb::InstallResult::kNewer);
+  };
+  const auto install_lie = [&](std::uint64_t id, bool withdrawn) {
+    igp::ExternalLsa ext;
+    ext.lie_id = id;
+    ext.prefix = prefixes[rng.pick_index(prefixes.size())];
+    ext.ext_metric = static_cast<topo::Metric>(rng.uniform_int(0, 3));
+    // Any interface address: its subnet may be live, dropped on one side or
+    // on both, or owned by an absent router.
+    ext.forwarding_address =
+        t.link(static_cast<topo::LinkId>(rng.pick_index(t.link_count()))).local_addr;
+    ext.withdrawn = withdrawn;
+    (void)db.install(igp::make_external_lsa(ext, ++lie_seq[id]));
+  };
+
+  // Boot: most Router-LSAs are there before the first run, the rest appear
+  // later.
+  std::vector<bool> was_present(n, false);  // at the previous run
+  for (topo::NodeId u = 0; u < n; ++u) {
+    if (rng.chance(0.85)) originate(u);
+  }
+  const auto src = static_cast<topo::NodeId>(rng.pick_index(n));
+  igp::RouterSpf spf(src, n);
+  igp::NetworkView prev = igp::NetworkView::from_lsdb(igp::Lsdb{}, n);
+  int flip_runs = 0;
+  int repairs = 0;
+  for (int step = 0; step < 300; ++step) {
+    std::set<topo::NodeId> touched;  // Router keys this batch changed
+    const auto batch = step == 0 ? 0 : rng.uniform_int(1, 3);
+    for (std::int64_t a = 0; a < batch; ++a) {
+      const auto kind = rng.uniform_int(0, 19);
+      const auto l = static_cast<topo::LinkId>(rng.pick_index(t.link_count()));
+      const topo::NodeId from = t.link(l).from;
+      const topo::NodeId to = t.link(l).to;
+      const auto u = static_cast<topo::NodeId>(rng.pick_index(n));
+      const auto refresh = [&](topo::NodeId r) {
+        if (!present(r)) return;
+        originate(r);
+        touched.insert(r);
+      };
+      if (kind <= 3) {
+        // Both sides drop (or restore) the link.
+        dropped[l] = !dropped[l];
+        dropped[t.link(l).reverse] = dropped[l];
+        refresh(from);
+        refresh(to);
+      } else if (kind <= 5) {
+        // One side only: the /30 is named on one side, or again on both.
+        dropped[l] = !dropped[l];
+        refresh(from);
+      } else if (kind <= 7) {
+        metric[l] = static_cast<topo::Metric>(rng.uniform_int(1, 8));
+        refresh(from);
+      } else if (kind == 8) {
+        hide_prefixes[u] = !hide_prefixes[u];
+        refresh(u);
+      } else if (kind == 9) {
+        refresh(u);  // same content, fresher instance
+      } else if (kind == 10) {
+        // A flushed Router-LSA (RFC 14 erase of a MaxAge instance).
+        if (db.erase(igp::LsaKey{igp::LsaType::kRouter, u})) touched.insert(u);
+      } else if (kind == 11) {
+        if (!present(u)) {
+          originate(u);
+          touched.insert(u);
+        }
+      } else {
+        const std::uint64_t id = rng.pick_index(lie_seq.size());
+        if (kind <= 15) {
+          install_lie(id, /*withdrawn=*/false);
+        } else if (kind <= 17) {
+          install_lie(id, /*withdrawn=*/true);
+        } else {
+          (void)db.erase(igp::LsaKey{igp::LsaType::kExternal, id});
+        }
+      }
+    }
+    bool flipped = false;
+    for (topo::NodeId u = 0; u < n; ++u) {
+      flipped = flipped || was_present[u] != present(u);
+      was_present[u] = present(u);
+    }
+
+    const igp::RouterSpf::Run run = spf.run(db);
+    const igp::NetworkView want = igp::NetworkView::from_lsdb(db, n);
+    ASSERT_EQ(view_difference(spf.view(), want, t), "") << "step " << step;
+
+    const std::vector<igp::EdgeDelta> deltas = adjacency_deltas(prev, want);
+    ASSERT_EQ(run.deltas.size(), deltas.size()) << "step " << step;
+    for (std::size_t i = 0; i < deltas.size(); ++i) {
+      const igp::EdgeDelta& g = run.deltas[i];
+      const igp::EdgeDelta& w = deltas[i];
+      ASSERT_TRUE(g.from == w.from && g.to == w.to && g.metric == w.metric &&
+                  g.removed == w.removed)
+          << "step " << step << " delta " << i;
+    }
+
+    const igp::ReverseAdjacency rin = igp::reverse_adjacency(want);
+    for (topo::NodeId v = 0; v < n; ++v) {
+      const auto sorted = [](std::vector<igp::ReverseAdjacency::InEdge> in) {
+        std::vector<std::pair<topo::NodeId, topo::Metric>> out;
+        for (const auto& e : in) out.emplace_back(e.from, e.metric);
+        std::sort(out.begin(), out.end());
+        return out;
+      };
+      ASSERT_EQ(sorted(spf.reverse().in[v]), sorted(rin.in[v]))
+          << "step " << step << " node " << v;
+    }
+
+    const igp::SpfResult fresh = igp::run_spf(want, src);
+    ASSERT_EQ(spf.result().dist, fresh.dist) << "step " << step;
+    ASSERT_EQ(spf.result().first_hops, fresh.first_hops) << "step " << step;
+    ASSERT_EQ(igp::compute_routes(spf.view(), spf.result()),
+              igp::compute_routes(want, fresh))
+        << "step " << step;
+
+    // Work: every origin on a presence flip, else exactly the changed ones.
+    ASSERT_EQ(run.origins_read, flipped ? n : touched.size()) << "step " << step;
+    if (flipped) ++flip_runs;
+    if (run.incremental && !run.deltas.empty()) ++repairs;
+    prev = want;
+  }
+  // Both patch paths and the repair path must have carried some runs.
+  EXPECT_GT(flip_runs, 1);
+  EXPECT_GT(repairs, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RouterViewPatchProperty,
                          ::testing::Range<std::uint64_t>(1, 4));
 
 }  // namespace

@@ -201,6 +201,30 @@ TEST(Codec, RouterLsaTranslationRoundTrips) {
   EXPECT_EQ(from_wire_seq(to_wire_seq(5)), 5u);
 }
 
+TEST(Codec, ZeroCostPointToPointLinkIsRejected) {
+  // RFC 2328 C.3: interface costs are > 0. A checksum-valid Router-LSA with a
+  // zero-cost point-to-point link must not translate (SPF would abort on
+  // it); a zero stub (prefix) metric stays legal.
+  topo::PaperTopology p = topo::make_paper_topology();
+  p.topo.attach_prefix(p.b, net::Prefix(net::Ipv4(198, 51, 100, 0), 24), 0);
+  const AddressMap addrs(p.topo);
+  WireLsa wire = to_wire(igp::make_router_lsa(p.topo, p.b, 2), addrs);
+  const Decoded<igp::Lsa> valid = from_wire(wire, addrs);
+  ASSERT_TRUE(valid.ok());
+  const auto& prefixes = std::get<igp::RouterLsa>(valid.value().body).prefixes;
+  ASSERT_FALSE(prefixes.empty());
+  EXPECT_EQ(prefixes.back().metric, 0u);
+
+  auto& links = std::get<RouterLsaBody>(wire.body).links;
+  ASSERT_EQ(links[0].type, RouterLinkType::kPointToPoint);
+  links[0].metric = 0;
+  wire = finalize_lsa(std::move(wire));
+  ASSERT_TRUE(lsa_checksum_ok(wire));
+  const Decoded<igp::Lsa> back = from_wire(wire, addrs);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().kind, DecodeErrorKind::kBadValue);
+}
+
 // ------------------------------------------------------- fuzz-style coverage
 
 Packet random_packet(util::Rng& rng) {

@@ -99,12 +99,12 @@ C1Outcome run_c1(const Scenario& s) {
   igp::IgpDomain domain(s.topo, events);
   domain.start();
   domain.run_to_convergence();
-  const std::uint64_t before = domain.total_lsas_sent();
+  const std::uint64_t before = domain.total_proto_counters().lsas_sent;
   for (const core::Lie& lie : compiled.value().lies) {
     domain.inject_external(0, core::to_lsa(lie));
   }
   domain.run_to_convergence();
-  out.lsa_tx = domain.total_lsas_sent() - before;
+  out.lsa_tx = domain.total_proto_counters().lsas_sent - before;
   out.lies = compiled.value().lies.size();
   out.fib_slots = out.lies;  // each replica occupies one FIB slot at its attach router
 

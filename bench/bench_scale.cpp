@@ -137,7 +137,7 @@ void BM_DomainConvergence(benchmark::State& state) {
     igp::IgpDomain domain(t, events, igp::IgpTiming{}, nullptr, shards);
     domain.start();
     domain.run_to_convergence();
-    benchmark::DoNotOptimize(domain.total_lsas_sent());
+    benchmark::DoNotOptimize(domain.total_proto_counters().lsas_sent);
     last = domain.shard_stats();
   }
   state.counters["rounds"] = static_cast<double>(last.rounds);

@@ -33,13 +33,15 @@ line directly above; the reason is mandatory):
                   type; the per-declaration attribute keeps the API surface
                   greppable and survives aliasing through auto&&).
   obs-registered  counter-ish members (`*_count_` / `*counters_`) declared in
-                  src/ outside src/obs/ must flow into the unified metrics
-                  registry: annotate the declaration (same line or the line
+                  src/ outside src/obs/ must flow into the telemetry
+                  snapshot: annotate the declaration (same line or the line
                   above) with `// obs:registered(<key>)` where <key> is a
-                  prefix of a metric name registered somewhere in the tree
-                  (register_callback("...", ...)), or waive with a written
-                  reason. Keeps FibbingService::telemetry_json the one
-                  complete snapshot instead of re-scattering ad-hoc counters.
+                  prefix of a metric key in the telemetry table (a
+                  `{"<ns>.<name>", <value>}` entry under src/, as in
+                  FibbingService::telemetry_snapshot), or waive with a
+                  written reason. Keeps FibbingService::telemetry_json the
+                  one complete snapshot instead of re-scattering ad-hoc
+                  counters.
 
 Exit status: 0 clean, 1 findings, 2 usage error. --github emits findings as
 GitHub Actions `::error` annotations in addition to the human lines.
@@ -99,8 +101,9 @@ OBS_MEMBER_RE = re.compile(
     r"(?:FIB_GUARDED_BY\([^)]*\)\s*)?(?:=[^;{]*)?[;{]"
 )
 OBS_ANNOTATION_RE = re.compile(r"obs:registered\(([^)]*)\)")
+# A telemetry-table entry: `{"<ns>.<name>", <value>}` in an initializer.
 REGISTER_METRIC_RES = [
-    re.compile(r'register_callback\(\s*"([^"]+)"'),
+    re.compile(r'\{\s*"([a-z]\w*(?:\.\w+)+)"\s*,'),
 ]
 
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -176,13 +179,15 @@ def collect_unordered_symbols(files):
 
 
 def collect_registered_metrics(files):
-    """Metric names registered into obs::Registry anywhere in the scanned
-    tree. Parsed from RAW lines on purpose: the names live inside string
-    literals, which strip_code blanks. Concatenated names
-    (`register_callback("prefix." + key, ...)`) contribute their literal
-    prefix, which is exactly what the prefix-matched annotations need."""
+    """Metric keys of the telemetry table: `{"<ns>.<name>", <value>}`
+    entries in the scanned src/ files (tests may spell keys too, but only
+    the program's own table feeds the snapshot). Parsed from RAW lines on
+    purpose: the keys live inside string literals, which strip_code
+    blanks."""
     names = set()
-    for _, _, lines in files:
+    for _, rel, lines in files:
+        if not rel.startswith("src/"):
+            continue
         for line in lines:
             for metric_re in REGISTER_METRIC_RES:
                 for m in metric_re.finditer(line):
@@ -266,16 +271,17 @@ def check_line(rel, code, symbols, metrics, obs_key):
             member = m.group(1)
             if obs_key is None:
                 yield ("obs-registered",
-                       f"counter member `{member}` is not registered into "
-                       "obs::Registry: annotate the declaration with "
-                       "`// obs:registered(<metric prefix>)` (and register it, "
-                       "e.g. in FibbingService::register_metrics_) or waive "
-                       "with the reason it is not a metric")
+                       f"counter member `{member}` is not in the telemetry "
+                       "snapshot: annotate the declaration with "
+                       "`// obs:registered(<metric prefix>)` (and add its key "
+                       "to the telemetry table in "
+                       "FibbingService::telemetry_snapshot) or waive with the "
+                       "reason it is not a metric")
             elif not any(name.startswith(obs_key) for name in metrics):
                 yield ("obs-registered",
                        f"`obs:registered({obs_key})` on `{member}` matches no "
-                       "registered metric name: register it "
-                       "(register_callback) or fix the prefix")
+                       "telemetry key: add it to the telemetry table or fix "
+                       "the prefix")
 
 
 def lint_files(files, symbols, metrics):

@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <map>
 #include <string>
 
 // The accepted obs-registered forms: a registration annotation whose key
-// prefix-matches a metric name registered somewhere in the tree, and a
+// prefix-matches a key of a telemetry table somewhere in the tree, and a
 // reasoned waiver for members that are not metrics.
 
 namespace fixture {
@@ -14,16 +14,13 @@ struct Counters {
   std::uint64_t packets = 0;
 };
 
-class Registry {
- public:
-  void register_callback(const std::string& name, std::function<double()> fn);
-};
-
 class FloodMeter {
  public:
-  void register_metrics(Registry& registry) {
-    registry.register_callback("igp.floods",
-                               [this] { return double(flood_count_); });
+  std::map<std::string, double> telemetry() const {
+    return {
+        {"igp.floods", flood_count_},
+        {"igp.packets", counters_.packets},
+    };
   }
 
  private:

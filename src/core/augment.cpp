@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 
 #include "core/verify.hpp"
 #include "igp/spf.hpp"
@@ -50,33 +49,15 @@ CompileResult compile_lies(const topo::Topology& topo,
     return R::failure(K::kBadRequirement, valid.error());
   }
 
-  // The shared route cache serves the view, the baseline tables and the
-  // per-router SPFs when it describes this exact topology state; otherwise
-  // (standalone callers, mismatched mask) everything is computed locally.
-  igp::RouteCache* cache = config.route_cache;
-  if (cache != nullptr && (&cache->topology() != &topo ||
-                           config.link_state != &cache->link_state())) {
-    cache = nullptr;
-  }
-  std::optional<igp::NetworkView> local_view;
-  if (cache == nullptr) {
-    local_view = igp::NetworkView::from_topology(topo, {}, config.link_state);
-  }
-  const igp::NetworkView& view = cache != nullptr ? cache->view() : *local_view;
-  const igp::RouteCache::TablesPtr baseline_ptr =
-      cache != nullptr ? cache->baseline()
-                       : std::make_shared<const std::vector<igp::RoutingTable>>(
-                             igp::compute_all_routes(view));
+  // One planning path: the view, the baseline tables, the per-router SPFs
+  // and every verification round come from one route cache -- the caller's
+  // when it describes this exact topology state, a local one otherwise.
+  PlanningCache planning(topo, config.link_state, config.route_cache);
+  igp::RouteCache& cache = planning.get();
+  const igp::NetworkView& view = cache.view();
+  const igp::RouteCache::TablesPtr baseline_ptr = cache.baseline();
   const std::vector<igp::RoutingTable>& baseline = *baseline_ptr;
 
-  // Cache one SPF per router we plan lies at.
-  std::map<topo::NodeId, igp::SpfResult> spf_cache;
-  const auto spf_at = [&](topo::NodeId u) -> const igp::SpfResult& {
-    if (cache != nullptr) return cache->spf(u);
-    auto it = spf_cache.find(u);
-    if (it == spf_cache.end()) it = spf_cache.emplace(u, igp::run_spf(view, u)).first;
-    return it->second;
-  };
   // Distance from u to the transfer subnet of link u<->via, and the check
   // that the subnet route actually steers out of that interface.
   struct SubnetCost {
@@ -94,7 +75,7 @@ CompileResult compile_lies(const topo::Topology& topo,
     const net::Prefix& subnet = topo.link(l).subnet;
     for (const auto& s : view.subnets()) {
       if (s.prefix != subnet) continue;
-      const igp::SubnetRoute route = igp::route_to_subnet(view, spf_at(u), s);
+      const igp::SubnetRoute route = igp::route_to_subnet(view, cache.spf(u), s);
       if (route.first_hops != std::vector<topo::NodeId>{via}) {
         return SubnetCost{CompileErrorKind::kWrongInterface,
                           "lie at " + node_name(topo, u) + " toward " +
@@ -216,7 +197,7 @@ CompileResult compile_lies(const topo::Topology& topo,
     }
 
     const VerifyReport report =
-        verify_augmentation(topo, req, out.lies, config.link_state, cache);
+        verify_augmentation(topo, req, out.lies, &cache.link_state(), &cache);
     if (report.ok()) {
       out.naive_lie_count = out.lies.size();
       break;
@@ -265,7 +246,8 @@ CompileResult compile_lies(const topo::Topology& topo,
     for (std::size_t i = out.lies.size(); i-- > 0;) {
       std::vector<Lie> candidate = out.lies;
       candidate.erase(candidate.begin() + static_cast<long>(i));
-      if (verify_augmentation(topo, req, candidate, config.link_state, cache).ok()) {
+      if (verify_augmentation(topo, req, candidate, &cache.link_state(), &cache)
+              .ok()) {
         out.lies = std::move(candidate);
       }
     }

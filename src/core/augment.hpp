@@ -34,8 +34,9 @@ struct AugmentConfig {
   /// Shared route-computation cache (optional, not owned): the baseline
   /// tables, the per-router SPFs and every verification round's table sets
   /// are served from it instead of fresh all-pairs runs. Used only when it
-  /// describes the same topology and the same mask as `link_state`; the
-  /// compiled output is bit-identical either way. The controller passes its
+  /// describes the same topology and the same mask as `link_state`, else a
+  /// local cache plans (PlanningCache); the compiled output is bit-identical
+  /// either way. The controller passes its
   /// own instance so a mitigation's solve -> compile -> verify pipeline
   /// computes each baseline exactly once.
   igp::RouteCache* route_cache = nullptr;

@@ -31,12 +31,11 @@ Controller::Controller(const topo::Topology& topo, igp::IgpDomain& domain,
       domain_(domain),
       events_(events),
       config_(config),
+      session_(domain.controller_session(config.session_router)),
       detector_(topo, config.high_watermark, config.low_watermark,
                 config.hold_rounds),
       cache_(topo, domain.link_state()),
       pool_(config.mitigation_workers) {
-  FIB_ASSERT(config.session_router < topo.node_count(),
-             "Controller: bad session router");
   bus.subscribe([this](const monitor::DemandNotice& notice) { on_notice_(notice); });
   domain_.link_state().subscribe(
       [this](topo::LinkId link, bool down) { on_topology_change_(link, down); });
@@ -238,6 +237,20 @@ const std::vector<double>& Controller::prefix_loads_(
   return memo.loads;
 }
 
+std::vector<double> Controller::background_(const net::Prefix& prefix,
+                                            const igp::RouteCache::TablesPtr& tables,
+                                            const std::set<net::Prefix>& moving) {
+  std::vector<double> background(topo_.link_count(), 0.0);
+  for (const auto& [q, ingresses] : ledger_) {
+    if (q == prefix || (moving.contains(q) && !placement_failed_.contains(q))) {
+      continue;
+    }
+    const std::vector<double>& q_load = prefix_loads_(q, tables);
+    for (topo::LinkId l = 0; l < topo_.link_count(); ++l) background[l] += q_load[l];
+  }
+  return background;
+}
+
 std::vector<te::Demand> Controller::demands_of_(const net::Prefix& prefix) const {
   std::vector<te::Demand> out;
   const auto it = ledger_.find(prefix);
@@ -393,17 +406,7 @@ void Controller::mitigate_() {
       }
       m.demands = demands_of_(m.prefix);
       m.base_lie_id = next_lie_id_ + i * kLieIdStride;
-      m.background.assign(topo_.link_count(), 0.0);
-      for (const auto& [q, ingresses] : ledger_) {
-        if (q == m.prefix ||
-            (in_batch.contains(q) && !placement_failed_.contains(q))) {
-          continue;
-        }
-        const std::vector<double>& q_load = prefix_loads_(q, snapshot);
-        for (topo::LinkId l = 0; l < topo_.link_count(); ++l) {
-          m.background[l] += q_load[l];
-        }
-      }
+      m.background = background_(m.prefix, snapshot, in_batch);
     }
     const std::function<void(std::size_t)> job = [&](std::size_t i) {
       Member& m = members[i];
@@ -442,17 +445,8 @@ void Controller::mitigate_() {
       continue;
     }
 
-    const igp::RouteCache::TablesPtr current_tables =
-        cache_.tables(to_externals(all_lies_()));
-    std::vector<double> background(topo_.link_count(), 0.0);
-    for (const auto& [q, ingresses] : ledger_) {
-      if (q == m.prefix ||
-          (unattempted.contains(q) && !placement_failed_.contains(q))) {
-        continue;
-      }
-      const std::vector<double>& q_load = prefix_loads_(q, current_tables);
-      for (topo::LinkId l = 0; l < topo_.link_count(); ++l) background[l] += q_load[l];
-    }
+    const std::vector<double> background = background_(
+        m.prefix, cache_.tables(to_externals(all_lies_())), unattempted);
 
     placement_solves_ += m.outcome.solves;
     bool accept = background == m.background;
@@ -662,16 +656,9 @@ void Controller::maybe_retract_() {
     if (lies.empty()) continue;
     const auto announcers = topo_.attachments_for(prefix);
     if (announcers.empty()) continue;
-    const std::vector<te::Demand> demands = demands_of_(prefix);
-
-    std::vector<double> background(topo_.link_count(), 0.0);
-    for (const auto& [q, ingresses] : ledger_) {
-      if (q == prefix) continue;
-      const std::vector<double>& q_load = prefix_loads_(q, full_tables);
-      for (topo::LinkId l = 0; l < topo_.link_count(); ++l) background[l] += q_load[l];
-    }
     const double spf_util = te::shortest_path_max_utilization(
-        topo_, announcers.front().node, demands, background, &mask);
+        topo_, announcers.front().node, demands_of_(prefix),
+        background_(prefix, full_tables, {}), &mask);
     if (spf_util < config_.low_watermark) to_retract.push_back(prefix);
   }
   for (const net::Prefix& prefix : to_retract) {
@@ -689,15 +676,13 @@ void Controller::apply_lies_(const net::Prefix& prefix, std::vector<Lie> lies) {
   // All announcements leave through the controller's southbound OSPF
   // session: wire-format External-LSA LS Updates over the adjacency with
   // the session router, retractions as MaxAge tombstones (premature aging).
-  proto::ControllerSession& session =
-      domain_.controller_session(config_.session_router);
   const auto it = active_.find(prefix);
   if (it != active_.end()) {
     for (const Lie& old_lie : it->second) {
       // active_ only holds lies whose injection succeeded, so a refusal here
       // means the bookkeeping diverged from the session -- log it, and keep
       // going: the remaining retractions must still go out.
-      if (const util::Status status = session.retract(old_lie.id); !status.ok()) {
+      if (const util::Status status = session_.retract(old_lie.id); !status.ok()) {
         FIB_LOG(kWarn, "controller")
             << "retract of lie " << old_lie.id << " for " << prefix.to_string()
             << " refused: " << status.error();
@@ -713,7 +698,7 @@ void Controller::apply_lies_(const net::Prefix& prefix, std::vector<Lie> lies) {
   injected.reserve(lies.size());
   for (Lie& lie : lies) {
     FIB_LOG(kInfo, "controller") << "inject " << to_string(lie, topo_);
-    if (const util::Status status = session.inject(to_lsa(lie)); !status.ok()) {
+    if (const util::Status status = session_.inject(to_lsa(lie)); !status.ok()) {
       FIB_LOG(kWarn, "controller")
           << "inject refused, dropping lie: " << status.error();
       continue;

@@ -128,8 +128,8 @@ class Controller {
   [[nodiscard]] int placement_solves() const { return placement_solves_; }
   /// Wire traffic of the controller's southbound OSPF session (lie
   /// injections/retractions as LS Updates, and the acks received back).
-  [[nodiscard]] const proto::ControllerSession::Counters& southbound_counters() {
-    return domain_.controller_session(config_.session_router).counters();
+  [[nodiscard]] const proto::ControllerSession::Counters& southbound_counters() const {
+    return session_.counters();
   }
   [[nodiscard]] const ControllerConfig& config() const { return config_; }
 
@@ -184,11 +184,21 @@ class Controller {
   /// instead of a per-prefix O(prefixes) rebuild. Driving thread only.
   [[nodiscard]] const std::vector<double>& prefix_loads_(
       const net::Prefix& prefix, const igp::RouteCache::TablesPtr& tables);
+  /// Per-link load `prefix`'s placement must leave room for: the sum of
+  /// prefix_loads_ over every other ledger prefix on `tables`, skipping the
+  /// `moving` prefixes (batch members still to be placed) unless their last
+  /// placement failed, since failed traffic stays put.
+  [[nodiscard]] std::vector<double> background_(
+      const net::Prefix& prefix, const igp::RouteCache::TablesPtr& tables,
+      const std::set<net::Prefix>& moving);
 
   const topo::Topology& topo_;
   igp::IgpDomain& domain_;
   util::EventQueue& events_;
   ControllerConfig config_;
+  /// The southbound OSPF session at config_.session_router, bound once at
+  /// construction: every lie injection and retraction leaves through it.
+  proto::ControllerSession& session_;
   monitor::CongestionDetector detector_;
   /// Versioned route-computation cache over the domain's live mask: every
   /// table set the controller (and the compile/verify pipeline it invokes)

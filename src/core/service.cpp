@@ -1,16 +1,34 @@
 #include "core/service.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <cstdio>
 #include <set>
 #include <string>
-#include <utility>
 
 #include "dataplane/fib.hpp"
 #include "util/assert.hpp"
 #include "util/stats.hpp"
 
 namespace fibbing::core {
+
+namespace {
+
+/// Shortest round-trip decimal of `v`: integral values print without a
+/// fraction, so counter snapshots read like counters. Deterministic for
+/// identical bit patterns.
+std::string format_value(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  // Prefer the shorter %g form when it round-trips (1.0 -> "1", 0.05 stays
+  // exact); keeps the JSON stable and human-readable at once.
+  char shorter[32];
+  std::snprintf(shorter, sizeof(shorter), "%g", v);
+  double back = 0.0;
+  if (std::sscanf(shorter, "%lf", &back) == 1 && back == v) return shorter;
+  return buf;
+}
+
+}  // namespace
 
 FibbingService::FibbingService(const topo::Topology& topo, ServiceConfig config)
     : topo_(topo),
@@ -55,81 +73,56 @@ FibbingService::FibbingService(const topo::Topology& topo, ServiceConfig config)
   poller_.subscribe([this](const std::vector<monitor::LinkLoad>& loads) {
     controller_->on_loads(loads);
   });
-  register_metrics_();
-}
-
-void FibbingService::register_metrics_() {
-  // Every layer's ad-hoc counters, adopted as thin callback reads under one
-  // namespaced key space. The components keep their structs and accessors;
-  // the registry evaluates these on the snapshotting thread only, between
-  // rounds, which is exactly when the underlying state is stable.
-  const auto register_callback = [this](const std::string& name,
-                                        std::function<double()> fn) {
-    registry_.register_callback(name, std::move(fn));
-  };
-  register_callback("controller.mitigations", [this] { return double(controller_->mitigations()); });
-  register_callback("controller.retractions", [this] { return double(controller_->retractions()); });
-  register_callback("controller.relaxed_placements",
-      [this] { return double(controller_->relaxed_placements()); });
-  register_callback("controller.topology_events",
-      [this] { return double(controller_->topology_events()); });
-  register_callback("controller.placement_solves",
-      [this] { return double(controller_->placement_solves()); });
-  register_callback("controller.active_lies",
-      [this] { return double(controller_->active_lie_count()); });
-  register_callback("igp.lsas_sent", [this] { return double(domain_.total_lsas_sent()); });
-  register_callback("igp.spf_runs", [this] { return double(domain_.total_spf_runs()); });
-  register_callback("igp.spf_incremental_runs",
-      [this] { return double(domain_.total_spf_incremental_runs()); });
-  register_callback("igp.spf_origins_read",
-      [this] { return double(domain_.total_spf_origins_read()); });
-  register_callback("proto.packets_sent",
-      [this] { return double(domain_.total_proto_counters().packets_sent); });
-  register_callback("proto.bytes_sent",
-      [this] { return double(domain_.total_proto_counters().bytes_sent); });
-  register_callback("proto.hellos_sent",
-      [this] { return double(domain_.total_proto_counters().hellos_sent); });
-  register_callback("proto.lsus_sent",
-      [this] { return double(domain_.total_proto_counters().lsus_sent); });
-  register_callback("proto.lsas_sent",
-      [this] { return double(domain_.total_proto_counters().lsas_sent); });
-  register_callback("proto.retransmissions",
-      [this] { return double(domain_.total_proto_counters().retransmissions); });
-  const auto southbound = [this]() -> const proto::ControllerSession::Counters& {
-    return controller_->southbound_counters();
-  };
-  register_callback("southbound.packets_sent",
-      [southbound] { return double(southbound().packets_sent); });
-  register_callback("southbound.lsus_sent", [southbound] { return double(southbound().lsus_sent); });
-  register_callback("southbound.lsas_sent", [southbound] { return double(southbound().lsas_sent); });
-  register_callback("southbound.acks_received",
-      [southbound] { return double(southbound().acks_received); });
-  register_callback("southbound.alias_rejections",
-      [southbound] { return double(southbound().alias_rejections); });
-  register_callback("southbound.reflushes", [southbound] { return double(southbound().reflushes); });
-  const auto cache = [this] { return controller_->route_cache().stats(); };
-  register_callback("cache.table_hits", [cache] { return double(cache().table_hits); });
-  register_callback("cache.table_builds", [cache] { return double(cache().table_builds); });
-  register_callback("cache.spf_full", [cache] { return double(cache().spf_full); });
-  register_callback("cache.spf_incremental", [cache] { return double(cache().spf_incremental); });
-  register_callback("cache.spf_batched", [cache] { return double(cache().spf_batched); });
-  register_callback("poller.polls", [this] { return double(poller_.polls_completed()); });
-  register_callback("dataplane.flow_walks", [this] { return double(sim_.flow_walks()); });
-  register_callback("dataplane.flows", [this] { return double(sim_.flow_count()); });
-  register_callback("dataplane.looping_flows", [this] { return double(sim_.looping_flows()); });
-  register_callback("dataplane.blackholed_flows",
-      [this] { return double(sim_.blackholed_flows()); });
-  register_callback("dataplane.rate_solves",
-      [this] { return double(sim_.rate_solves()); });
-  register_callback("shard.rounds", [this] { return double(domain_.shard_stats().rounds); });
-  register_callback("shard.events_run",
-      [this] { return double(domain_.shard_stats().events_run); });
-  register_callback("shard.cross_shard_messages",
-      [this] { return double(domain_.shard_stats().cross_shard_messages); });
 }
 
 std::map<std::string, double> FibbingService::telemetry_snapshot() {
-  std::map<std::string, double> out = registry_.snapshot();
+  // The telemetry table: every layer's counters, read straight from the
+  // component accessors on the driving thread between rounds, when the
+  // counters are stable. Each aggregate is read once.
+  const Controller& controller = *controller_;
+  const proto::SessionCounters proto = domain_.total_proto_counters();
+  const proto::ControllerSession::Counters& southbound =
+      controller.southbound_counters();
+  const igp::RouteCacheStats cache = controller_->route_cache().stats();
+  const util::ShardPool::Stats shard = domain_.shard_stats();
+  std::map<std::string, double> out = {
+      {"controller.mitigations", controller.mitigations()},
+      {"controller.retractions", controller.retractions()},
+      {"controller.relaxed_placements", controller.relaxed_placements()},
+      {"controller.topology_events", controller.topology_events()},
+      {"controller.placement_solves", controller.placement_solves()},
+      {"controller.active_lies", controller.active_lie_count()},
+      {"igp.lsas_sent", proto.lsas_sent},
+      {"igp.spf_runs", domain_.total_spf_runs()},
+      {"igp.spf_incremental_runs", domain_.total_spf_incremental_runs()},
+      {"igp.spf_origins_read", domain_.total_spf_origins_read()},
+      {"proto.packets_sent", proto.packets_sent},
+      {"proto.bytes_sent", proto.bytes_sent},
+      {"proto.hellos_sent", proto.hellos_sent},
+      {"proto.lsus_sent", proto.lsus_sent},
+      {"proto.lsas_sent", proto.lsas_sent},
+      {"proto.retransmissions", proto.retransmissions},
+      {"southbound.packets_sent", southbound.packets_sent},
+      {"southbound.lsus_sent", southbound.lsus_sent},
+      {"southbound.lsas_sent", southbound.lsas_sent},
+      {"southbound.acks_received", southbound.acks_received},
+      {"southbound.alias_rejections", southbound.alias_rejections},
+      {"southbound.reflushes", southbound.reflushes},
+      {"cache.table_hits", cache.table_hits},
+      {"cache.table_builds", cache.table_builds},
+      {"cache.spf_full", cache.spf_full},
+      {"cache.spf_incremental", cache.spf_incremental},
+      {"cache.spf_batched", cache.spf_batched},
+      {"poller.polls", poller_.polls_completed()},
+      {"dataplane.flow_walks", sim_.flow_walks()},
+      {"dataplane.flows", sim_.flow_count()},
+      {"dataplane.looping_flows", sim_.looping_flows()},
+      {"dataplane.blackholed_flows", sim_.blackholed_flows()},
+      {"dataplane.rate_solves", sim_.rate_solves()},
+      {"shard.rounds", shard.rounds},
+      {"shard.events_run", shard.events_run},
+      {"shard.cross_shard_messages", shard.cross_shard_messages},
+  };
   // The tracer is the one sample store: each stage's offsets (never an
   // empty list) expand into _count/_p50/_p99/_max keys (type-7 percentiles).
   for (const auto& [key, samples] : tracer_.stage_offsets()) {
@@ -143,7 +136,14 @@ std::map<std::string, double> FibbingService::telemetry_snapshot() {
 }
 
 std::string FibbingService::telemetry_json() {
-  return obs::to_json(telemetry_snapshot());
+  // One JSON object in the map's sorted key order: bit-identical for
+  // identical values.
+  std::string out = "{";
+  for (const auto& [key, value] : telemetry_snapshot()) {
+    if (out.size() > 1) out += ",";
+    out += "\"" + key + "\":" + format_value(value);
+  }
+  return out + "}";
 }
 
 util::Result<topo::LinkId> FibbingService::change_link_(topo::NodeId a,

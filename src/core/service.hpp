@@ -1,13 +1,14 @@
 #pragma once
 
+#include <map>
 #include <memory>
+#include <string>
 
 #include "core/controller.hpp"
 #include "dataplane/network_sim.hpp"
 #include "igp/domain.hpp"
 #include "monitor/bus.hpp"
 #include "monitor/poller.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "topo/link_state.hpp"
 #include "topo/topology.hpp"
@@ -90,18 +91,17 @@ class FibbingService {
   [[nodiscard]] Controller& controller() { return *controller_; }
 
   // -- observability -------------------------------------------------------
-  /// The unified metrics registry: every layer's counters under one
-  /// namespaced key space (controller.*, igp.*, proto.*, southbound.*,
-  /// cache.*, poller.*, dataplane.*, shard.*), adopted as thin callback
-  /// reads -- component structs and accessors stay untouched.
-  [[nodiscard]] obs::Registry& metrics() { return registry_; }
   /// The control-loop trace recorder (enabled by ServiceConfig::tracing).
   [[nodiscard]] obs::TraceRecorder& tracer() { return tracer_; }
-  /// One deterministic snapshot of everything: all registered metrics plus
-  /// the trace-derived reaction-latency histograms
-  /// (trace.reaction.<stage>_s_{count,p50,p99,max}), keys sorted. The
-  /// benches (bench_reaction, bench_fig2) consume this.
+  /// One deterministic snapshot of every layer's counters, read straight
+  /// from the component accessors under one namespaced key space
+  /// (controller.*, igp.*, proto.*, southbound.*, cache.*, poller.*,
+  /// dataplane.*, shard.*), plus the trace-derived reaction-latency
+  /// histograms (trace.reaction.<stage>_s_{count,p50,p99,max}), keys
+  /// sorted. The benches (bench_reaction, bench_fig2, perfbench) consume
+  /// this.
   [[nodiscard]] std::map<std::string, double> telemetry_snapshot();
+  /// telemetry_snapshot() as one JSON object.
   [[nodiscard]] std::string telemetry_json();
 
  private:
@@ -109,15 +109,13 @@ class FibbingService {
   [[nodiscard]] util::Result<topo::LinkId> change_link_(topo::NodeId a,
                                                         topo::NodeId b,
                                                         LinkEvent event);
-  void register_metrics_();
 
   const topo::Topology& topo_;
   /// The one live up/down mask every layer consumes (declared before the
   /// layers so it outlives their construction).
   std::shared_ptr<topo::LinkStateMask> link_state_;
-  /// Observability state precedes every layer holding a pointer into it
-  /// (domain, routers, controller), so it outlives them all.
-  obs::Registry registry_;
+  /// The tracer precedes every layer holding a pointer into it (domain,
+  /// routers, controller), so it outlives them all.
   obs::TraceRecorder tracer_;
   util::EventQueue events_;
   igp::IgpDomain domain_;

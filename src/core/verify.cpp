@@ -3,7 +3,6 @@
 #include <numeric>
 #include <sstream>
 
-#include "igp/spf.hpp"
 #include "util/assert.hpp"
 
 namespace fibbing::core {
@@ -56,6 +55,18 @@ std::string VerifyReport::to_string(const topo::Topology& topo) const {
   return out.str();
 }
 
+PlanningCache::PlanningCache(const topo::Topology& topo,
+                             const topo::LinkStateMask* link_state,
+                             igp::RouteCache* shared)
+    : cache_(shared) {
+  if (cache_ != nullptr && &cache_->topology() == &topo &&
+      link_state == &cache_->link_state()) {
+    return;
+  }
+  if (link_state == nullptr) link_state = &pristine_.emplace(topo);
+  cache_ = &local_.emplace(topo, *link_state);
+}
+
 VerifyReport verify_augmentation(const topo::Topology& topo,
                                  const DestRequirement& req,
                                  const std::vector<Lie>& lies,
@@ -71,18 +82,9 @@ VerifyReport verify_augmentation(const topo::Topology& topo,
     (lie.prefix == req.prefix ? own : other).push_back(lie);
   }
 
-  if (cache != nullptr && (&cache->topology() != &topo ||
-                           link_state != &cache->link_state())) {
-    cache = nullptr;  // describes some other topology state: fresh path
-  }
-  const auto compute = [&](const std::vector<Lie>& with) -> igp::RouteCache::TablesPtr {
-    if (cache != nullptr) return cache->tables(to_externals(with));
-    return std::make_shared<const std::vector<igp::RoutingTable>>(
-        igp::compute_all_routes(
-            igp::NetworkView::from_topology(topo, to_externals(with), link_state)));
-  };
-  const auto baseline_ptr = compute(other);
-  const auto augmented_ptr = compute(lies);
+  PlanningCache planning(topo, link_state, cache);
+  const auto baseline_ptr = planning.get().tables(to_externals(other));
+  const auto augmented_ptr = planning.get().tables(to_externals(lies));
   const auto& baseline = *baseline_ptr;
   const auto& augmented = *augmented_ptr;
 

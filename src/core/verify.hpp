@@ -1,6 +1,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,15 +59,32 @@ struct VerifyReport {
 /// `link_state` (optional) verifies on the degraded topology: baseline and
 /// augmented routes are both computed without the down links, exactly what
 /// converged routers would hold.
-/// `cache` (optional, not owned) serves both route-table sets from the
-/// shared route-computation cache instead of fresh all-pairs SPF runs. It
-/// is consulted only when it describes the same topology and the same live
-/// mask as `link_state` (cache-served tables are bit-identical to fresh
-/// ones, so the verdict cannot differ); otherwise the fresh path runs.
+/// `cache` (optional, not owned) serves both route-table sets when it
+/// describes `topo` under `link_state`; otherwise a local PlanningCache does.
 [[nodiscard]] VerifyReport verify_augmentation(
     const topo::Topology& topo, const DestRequirement& req,
     const std::vector<Lie>& lies,
     const topo::LinkStateMask* link_state = nullptr,
     igp::RouteCache* cache = nullptr);
+
+/// The route cache one compile_lies or verify_augmentation call plans on:
+/// `shared` when it describes `topo` under `link_state`, otherwise a local
+/// cache over `topo` and `link_state` (a pristine mask when that is null).
+/// Cache-served tables are bit-identical to fresh all-pairs SPF runs, so the
+/// choice changes the cost of a call, never its result.
+class PlanningCache {
+ public:
+  PlanningCache(const topo::Topology& topo, const topo::LinkStateMask* link_state,
+                igp::RouteCache* shared);
+  PlanningCache(const PlanningCache&) = delete;
+  PlanningCache& operator=(const PlanningCache&) = delete;
+
+  [[nodiscard]] igp::RouteCache& get() { return *cache_; }
+
+ private:
+  std::optional<topo::LinkStateMask> pristine_;
+  std::optional<igp::RouteCache> local_;
+  igp::RouteCache* cache_;
+};
 
 }  // namespace fibbing::core

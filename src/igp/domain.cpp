@@ -291,12 +291,6 @@ const RoutingTable& IgpDomain::table(topo::NodeId id) const {
   return router(id).table();
 }
 
-std::uint64_t IgpDomain::total_lsas_sent() const {
-  std::uint64_t sum = 0;
-  for (const auto& router : routers_) sum += router->lsas_sent();
-  return sum;
-}
-
 std::uint64_t IgpDomain::total_spf_runs() const {
   std::uint64_t sum = 0;
   for (const auto& router : routers_) sum += router->spf_runs();

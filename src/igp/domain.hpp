@@ -157,7 +157,6 @@ class IgpDomain {
 
   /// Control-plane overhead across all routers (the overhead benches and
   /// the DD-economy tests read these).
-  [[nodiscard]] std::uint64_t total_lsas_sent() const;
   [[nodiscard]] std::uint64_t total_spf_runs() const;
   /// How many of those SPF runs avoided the full Dijkstra (incremental
   /// repair or certified-unchanged); deterministic across shard counts.
@@ -165,6 +164,8 @@ class IgpDomain {
   /// Router-LSA origins re-read by those SPF runs (RouterProcess::
   /// spf_origins_read): what the in-place view patches cost.
   [[nodiscard]] std::uint64_t total_spf_origins_read() const;
+  /// Every router's RouterProcess::counters() summed; its lsas_sent is the
+  /// domain's LSA flooding volume.
   [[nodiscard]] proto::SessionCounters total_proto_counters() const;
 
   /// The sharded engine's execution telemetry (rounds, events, cross-shard

@@ -194,7 +194,6 @@ const proto::WireLsa* RouterProcess::lookup(const proto::LsaIdentity& id) const 
 
 proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
     const proto::WireLsa& lsa, std::uint32_t from_router_id) {
-  ++lsas_received_;
   // Flooding delivers most instances once per adjacency, so the common case
   // is a copy we already hold: settle that from the stored wire header
   // before paying for translation.
@@ -296,7 +295,6 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
 }
 
 void RouterProcess::receive_packet(topo::NodeId from, const BufferPtr& buffer) {
-  ++packets_received_;
   proto::Decoded<proto::Packet> decoded = proto::decode_packet(*buffer);
   if (!decoded) {
     ++decode_errors_;
@@ -311,7 +309,6 @@ void RouterProcess::receive_packet(topo::NodeId from, const BufferPtr& buffer) {
 }
 
 void RouterProcess::receive_controller_packet(const BufferPtr& buffer) {
-  ++packets_received_;
   proto::Decoded<proto::Packet> decoded = proto::decode_packet(*buffer);
   if (!decoded) {
     ++decode_errors_;

@@ -426,15 +426,6 @@ SpfUpdate update_spf(const NetworkView& new_view, const SpfResult& old,
   return out;
 }
 
-SpfUpdate update_spf(const NetworkView& new_view, const SpfResult& old,
-                     topo::NodeId a, topo::NodeId b, topo::Metric w_ab,
-                     topo::Metric w_ba, bool removed, const ReverseAdjacency* rin) {
-  return update_spf(new_view, old,
-                    std::vector<EdgeDelta>{EdgeDelta{a, b, w_ab, removed},
-                                           EdgeDelta{b, a, w_ba, removed}},
-                    rin);
-}
-
 std::vector<RoutingTable> compute_all_routes(const NetworkView& view) {
   std::vector<RoutingTable> tables;
   tables.reserve(view.node_count());

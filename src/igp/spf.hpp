@@ -104,13 +104,4 @@ struct ReverseAdjacency {
                                    const std::vector<EdgeDelta>& deltas,
                                    const ReverseAdjacency* rin = nullptr);
 
-/// Single-adjacency convenience: the bidirectional link between `a` and `b`
-/// flipped (`removed` says which way); `w_ab` / `w_ba` are its directed
-/// metrics. Exactly equivalent to the batched form with the two directed
-/// deltas.
-[[nodiscard]] SpfUpdate update_spf(const NetworkView& new_view, const SpfResult& old,
-                                   topo::NodeId a, topo::NodeId b, topo::Metric w_ab,
-                                   topo::Metric w_ba, bool removed,
-                                   const ReverseAdjacency* rin = nullptr);
-
 }  // namespace fibbing::igp

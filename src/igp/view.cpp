@@ -274,15 +274,6 @@ const std::vector<NetworkView::Edge>& NetworkView::edges_from(topo::NodeId n) co
   return adj_[n];
 }
 
-std::vector<net::Prefix> NetworkView::known_prefixes() const {
-  std::vector<net::Prefix> out;
-  for (const auto& att : attachments_) out.push_back(att.prefix);
-  for (const auto& ext : externals_) out.push_back(ext.prefix);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 std::optional<NetworkView::FwdAddrMatch> NetworkView::resolve_forwarding_address(
     net::Ipv4 addr) const {
   const auto it = fwd_index_.find(addr);

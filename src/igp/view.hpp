@@ -109,10 +109,6 @@ class NetworkView {
   }
   [[nodiscard]] const std::vector<External>& externals() const { return externals_; }
 
-  /// All prefixes known to the view (attached or announced externally),
-  /// deduplicated, deterministic order.
-  [[nodiscard]] std::vector<net::Prefix> known_prefixes() const;
-
   /// The subnet owning an external forwarding address, with the pointed-to
   /// side resolved: `entry` is the router whose interface address matches.
   /// O(1): served from an address-indexed map built at construction (i.e.
@@ -124,8 +120,6 @@ class NetworkView {
   };
   [[nodiscard]] std::optional<FwdAddrMatch> resolve_forwarding_address(
       net::Ipv4 addr) const;
-
-  void add_external(const External& ext) { externals_.push_back(ext); }
 
  private:
   void index_subnet_addresses_();

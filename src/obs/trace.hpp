@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -72,21 +71,16 @@ struct TraceEvent {
 /// Thread safety: lanes and the lie-binding map are util::Mutex-guarded
 /// (FIB_GUARDED_BY, proven by -Wthread-safety); a lane's mutex is only ever
 /// contended by its own shard worker vs the barrier flush. When disabled
-/// (the default) every emit path short-circuits on one relaxed atomic load
-/// before touching any argument -- the FIB_SPAN/FIB_EVENT macros guard the
-/// same way, so tracing costs one branch when off.
+/// (the default) every emit path short-circuits on one read of a flag fixed
+/// at construction, before touching any argument -- the FIB_SPAN/FIB_EVENT
+/// macros guard the same way, so tracing costs one branch when off.
 class TraceRecorder {
  public:
   explicit TraceRecorder(bool enabled = false) : enabled_(enabled) {}
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Size the per-shard lane set (the domain calls this with its shard
   /// count). Existing lane contents are preserved when growing.
@@ -137,7 +131,7 @@ class TraceRecorder {
   void exit_span() { --span_depth_; }
 
  private:
-  std::atomic<bool> enabled_;
+  const bool enabled_;
   std::uint64_t last_trace_id_ = 0;
   std::uint32_t span_depth_ = 0;
   std::vector<TraceEvent> events_;  ///< driving thread only

@@ -62,9 +62,6 @@ class ControllerSession {
   /// real neighbor (the resurrection signal -- see inject/retract).
   void receive(const BufferPtr& buffer);
 
-  [[nodiscard]] bool knows(std::uint64_t lie_id) const {
-    return last_.contains(lie_id);
-  }
   /// Every update acknowledged by the session router.
   [[nodiscard]] bool drained() const { return unacked_.empty(); }
   [[nodiscard]] const Counters& counters() const { return counters_; }

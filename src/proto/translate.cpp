@@ -207,14 +207,4 @@ Decoded<igp::Lsa> from_wire(const WireLsa& wire, const AddressMap& addrs) {
   return lsa;
 }
 
-LsaIdentity wire_identity(const igp::Lsa& lsa, const AddressMap& addrs) {
-  if (const auto* router = std::get_if<igp::RouterLsa>(&lsa.body)) {
-    const std::uint32_t rid = addrs.router_id(router->origin);
-    return LsaIdentity{WireLsaType::kRouter, rid, rid};
-  }
-  const auto& ext = std::get<igp::ExternalLsa>(lsa.body);
-  return LsaIdentity{WireLsaType::kExternal, external_ls_id(ext.prefix, ext.lie_id),
-                     kControllerRouterId};
-}
-
 }  // namespace fibbing::proto

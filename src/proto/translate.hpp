@@ -59,11 +59,6 @@ class AddressMap {
 [[nodiscard]] Decoded<igp::Lsa> from_wire(const WireLsa& lsa,
                                           const AddressMap& addrs);
 
-/// The database identity a wire instance of `lsa` carries (what DD
-/// summaries, LS requests and acks are keyed on).
-[[nodiscard]] LsaIdentity wire_identity(const igp::Lsa& lsa,
-                                        const AddressMap& addrs);
-
 /// The link state id an External-LSA for (prefix, lie_id) carries on the
 /// wire: the prefix network with the lie id in the host bits (appendix E).
 /// Two lies whose ids collide modulo 2^(32-len) share a wire identity --

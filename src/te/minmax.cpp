@@ -14,6 +14,10 @@ namespace fibbing::te {
 namespace {
 
 constexpr double kThetaCeiling = 1e9;
+/// Binary-search termination, relative on theta.
+constexpr double kPrecision = 1e-4;
+/// Refinement rounds (tie pass + sliver pass each round).
+constexpr int kRefineRounds = 2;
 
 /// Metric distance of every node toward `dest` (reverse Dijkstra), over the
 /// links `link_state` leaves up.
@@ -210,7 +214,7 @@ void refine_flow(const topo::Topology& topo, topo::NodeId dest,
             [&](topo::NodeId a, topo::NodeId b) { return dist[a] > dist[b]; });
 
   const double floor = std::clamp(config.granularity_floor, 0.0, 0.5);
-  for (int round = 0; round < std::max(config.refine_rounds, 1); ++round) {
+  for (int round = 0; round < kRefineRounds; ++round) {
     bool changed = false;
 
     // --- tie pass: re-include excluded shortest-path next hops ------------
@@ -415,7 +419,7 @@ util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
       }
     }
     double lo = 0.0;
-    while (hi - lo > config.precision * std::max(hi, 1.0)) {
+    while (hi - lo > kPrecision * std::max(hi, 1.0)) {
       const double mid = 0.5 * (lo + hi);
       if (solve_at_theta(topo, dest, demands, background_bps, mid, allowed)
               .feasible(total)) {

@@ -25,8 +25,6 @@ using SplitMap = std::map<topo::NodeId, std::vector<std::pair<topo::NodeId, doub
 /// reproduce the classic solve plus the degeneracy-breaking refinement at
 /// the exact optimum (theta_relax = 0 never trades optimality away).
 struct MinMaxConfig {
-  /// Binary-search termination (relative on theta).
-  double precision = 1e-4;
   /// Detour bound, 0 = unlimited (see solve_min_max()).
   double max_stretch = 0.0;
   /// Live topology state (optional, not owned): down links carry nothing.
@@ -46,8 +44,6 @@ struct MinMaxConfig {
   /// pushed onto shortest-path links are sized to exactly this fraction so
   /// the bounded-denominator rounding represents them exactly.
   double granularity_floor = 1.0 / 8.0;
-  /// Refinement rounds (tie pass + sliver pass each round).
-  int refine_rounds = 2;
 
   /// Fallback-ladder knob: when > 0, the refinement reroutes inside
   /// capacities relaxed to theta* * (1 + theta_relax), trading that much
@@ -134,10 +130,9 @@ struct MinMaxResult {
 ///
 /// Contract: a search is only meaningful for fixed (topo, dest, demands,
 /// background, stretch, link-state, support); of the config knobs, only
-/// theta_relax / refine / granularity_floor / refine_rounds may vary
-/// between calls that share an instance. Total demand is checked (a cheap
-/// tripwire for accidental reuse across instances); the rest is on the
-/// caller.
+/// theta_relax / refine / granularity_floor may vary between calls that
+/// share an instance. Total demand is checked (a cheap tripwire for
+/// accidental reuse across instances); the rest is on the caller.
 class MinMaxSearch {
  public:
   /// A prior call has populated this search (reusing it skips the search).

@@ -144,12 +144,12 @@ TEST(Failover, RestoreRoundTripsRoutesAndRatesBitIdentical) {
 
 TEST(Failover, RestoreOfNeverFailedLinkIsNoOp) {
   PaperScenario run;
-  const std::uint64_t lsas = run.service.domain().total_lsas_sent();
+  const std::uint64_t lsas = run.service.domain().total_proto_counters().lsas_sent;
   const auto result = run.service.restore_link(run.p.a, run.p.b);
   ASSERT_TRUE(result.ok()) << result.error();
   run.run_until(2.0);
   // No LSA moved, the controller saw no topology event, nothing is down.
-  EXPECT_EQ(run.service.domain().total_lsas_sent(), lsas);
+  EXPECT_EQ(run.service.domain().total_proto_counters().lsas_sent, lsas);
   EXPECT_EQ(run.service.controller().topology_events(), 0);
   EXPECT_FALSE(run.service.link_state().any_down());
 }
@@ -158,25 +158,27 @@ TEST(Failover, DoubleFailAndDoubleRestoreAreIdempotent) {
   PaperScenario run;
   ASSERT_TRUE(run.service.fail_link(run.p.a, run.p.r1).ok());
   run.run_until(2.0);
-  const std::uint64_t lsas_after_fail = run.service.domain().total_lsas_sent();
+  const std::uint64_t lsas_after_fail =
+      run.service.domain().total_proto_counters().lsas_sent;
   ASSERT_EQ(run.service.controller().topology_events(), 1);
 
   // Second fail (either direction) changes nothing.
   ASSERT_TRUE(run.service.fail_link(run.p.r1, run.p.a).ok());
   run.run_until(4.0);
-  EXPECT_EQ(run.service.domain().total_lsas_sent(), lsas_after_fail);
+  EXPECT_EQ(run.service.domain().total_proto_counters().lsas_sent, lsas_after_fail);
   EXPECT_EQ(run.service.controller().topology_events(), 1);
   EXPECT_EQ(run.service.link_state().down_count(), 1u);
 
   ASSERT_TRUE(run.service.restore_link(run.p.a, run.p.r1).ok());
   run.run_until(6.0);
-  const std::uint64_t lsas_after_restore = run.service.domain().total_lsas_sent();
+  const std::uint64_t lsas_after_restore =
+      run.service.domain().total_proto_counters().lsas_sent;
   EXPECT_EQ(run.service.controller().topology_events(), 2);
   EXPECT_FALSE(run.service.link_state().any_down());
 
   ASSERT_TRUE(run.service.restore_link(run.p.a, run.p.r1).ok());
   run.run_until(8.0);
-  EXPECT_EQ(run.service.domain().total_lsas_sent(), lsas_after_restore);
+  EXPECT_EQ(run.service.domain().total_proto_counters().lsas_sent, lsas_after_restore);
   EXPECT_EQ(run.service.controller().topology_events(), 2);
 }
 

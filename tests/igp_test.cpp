@@ -452,7 +452,7 @@ TEST(Domain, LsaFloodCountIsBounded) {
   IgpDomain domain(p.topo, events);
   domain.start();
   domain.run_to_convergence();
-  const std::uint64_t boot = domain.total_lsas_sent();
+  const std::uint64_t boot = domain.total_proto_counters().lsas_sent;
 
   ExternalLsa fb;
   fb.lie_id = 1;
@@ -460,7 +460,7 @@ TEST(Domain, LsaFloodCountIsBounded) {
   fb.forwarding_address = fwd_addr(p.topo, p.b, p.r3);
   domain.inject_external(p.r3, fb);
   domain.run_to_convergence();
-  const std::uint64_t delta = domain.total_lsas_sent() - boot;
+  const std::uint64_t delta = domain.total_proto_counters().lsas_sent - boot;
   // One LSA flooded once per directed link is the upper bound.
   EXPECT_LE(delta, p.topo.link_count());
   EXPECT_GE(delta, p.topo.node_count() - 1);  // must have reached everyone
@@ -622,10 +622,10 @@ TEST(Domain, RestoreOfNeverFailedLinkIsNoOp) {
   IgpDomain domain(p.topo, events);
   domain.start();
   domain.run_to_convergence();
-  const std::uint64_t lsas = domain.total_lsas_sent();
+  const std::uint64_t lsas = domain.total_proto_counters().lsas_sent;
   domain.restore_link(p.topo.link_between(p.a, p.b));
   EXPECT_TRUE(domain.converged());  // nothing scheduled
-  EXPECT_EQ(domain.total_lsas_sent(), lsas);
+  EXPECT_EQ(domain.total_proto_counters().lsas_sent, lsas);
 }
 
 TEST(Domain, RestoreHealsPartitionThroughDatabaseExchange) {

@@ -1,8 +1,7 @@
-// The observability layer: the unified metrics registry (registration-
-// order-independent snapshots, callback adoption, trace histogram
-// expansion), the control-loop trace recorder (span nesting, lie-id
-// threading, lane merge ordering, disabled no-op), the per-component log
-// level overrides, and -- through the full service -- the end-to-end
+// The observability layer: the control-loop trace recorder (span nesting,
+// lie-id threading, lane merge ordering, disabled no-op), the per-component
+// log level overrides, and -- through the full service -- the telemetry
+// snapshot (its key set and trace histogram expansion), the end-to-end
 // mitigation trace chain plus its bit-identity across shard and
 // mitigation-worker counts (the ShardDeterminism contract extended to
 // telemetry).
@@ -16,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "support/scenario.hpp"
 #include "util/logging.hpp"
@@ -24,51 +22,6 @@
 
 namespace fibbing {
 namespace {
-
-// ------------------------------------------------------------ the registry
-
-TEST(MetricsRegistry, GaugeAndAbsentKeyReads) {
-  obs::Registry reg;
-  double active_lies = 5.0;
-  reg.register_callback("controller.active_lies", [&active_lies] { return active_lies; });
-  EXPECT_DOUBLE_EQ(reg.value("controller.active_lies"), 5.0);
-  active_lies = 2.0;  // gauges overwrite, not accumulate
-  EXPECT_DOUBLE_EQ(reg.value("controller.active_lies"), 2.0);
-  EXPECT_DOUBLE_EQ(reg.value("no.such.key"), 0.0);
-}
-
-TEST(MetricsRegistry, CallbackAdoptionAndReplacement) {
-  obs::Registry reg;
-  std::uint64_t component_counter = 7;
-  reg.register_callback("proto.packets_sent",
-                        [&component_counter] { return double(component_counter); });
-  EXPECT_DOUBLE_EQ(reg.value("proto.packets_sent"), 7.0);
-  component_counter = 9;  // a thin read: the component keeps its counter
-  EXPECT_DOUBLE_EQ(reg.value("proto.packets_sent"), 9.0);
-  // Re-registration replaces (components re-wire across reboots).
-  reg.register_callback("proto.packets_sent", [] { return 1.0; });
-  EXPECT_DOUBLE_EQ(reg.value("proto.packets_sent"), 1.0);
-  EXPECT_EQ(reg.size(), 1u);
-}
-
-TEST(MetricsRegistry, SnapshotIsIndependentOfRegistrationOrder) {
-  const std::vector<std::pair<std::string, double>> metrics = {
-      {"controller.mitigations", 3.0},
-      {"igp.spf_runs", 41.0},
-      {"proto.lsas_sent", 17.0},
-      {"shard.rounds", 1200.0},
-  };
-  obs::Registry forward;
-  for (const auto& [name, value] : metrics) {
-    forward.register_callback(name, [v = value] { return v; });
-  }
-  obs::Registry reverse;
-  for (auto it = metrics.rbegin(); it != metrics.rend(); ++it) {
-    reverse.register_callback(it->first, [v = it->second] { return v; });
-  }
-  EXPECT_EQ(forward.json(), reverse.json());
-  EXPECT_EQ(forward.snapshot(), reverse.snapshot());
-}
 
 // ------------------------------------------------------ the trace recorder
 
@@ -191,7 +144,9 @@ core::ServiceConfig traced_config(std::size_t shards, std::size_t workers) {
 }
 
 /// The tracer is the one sample store: telemetry expands each stage's
-/// offsets into _count/_p50/_p99/_max keys, and the registry holds none.
+/// offsets into _count/_p50/_p99/_max keys. Every other key is a component
+/// counter read by the telemetry table, and the set of those is pinned
+/// exactly, so a dropped or renamed key fails here.
 TEST(MetricsRegistry, HistogramExpandsToPercentileKeys) {
   support::PaperScenario scenario(traced_config(1, 1));
   scenario.schedule_fig2();
@@ -199,6 +154,7 @@ TEST(MetricsRegistry, HistogramExpandsToPercentileKeys) {
   const auto offsets = scenario.service.tracer().stage_offsets();
   ASSERT_TRUE(offsets.contains("end_to_end_s"));
   const auto telemetry = scenario.service.telemetry_snapshot();
+  std::set<std::string> trace_keys;
   for (const auto& [key, samples] : offsets) {
     const std::string name = "trace.reaction." + key;
     EXPECT_DOUBLE_EQ(telemetry.at(name + "_count"), double(samples.size())) << key;
@@ -206,10 +162,37 @@ TEST(MetricsRegistry, HistogramExpandsToPercentileKeys) {
     EXPECT_DOUBLE_EQ(telemetry.at(name + "_p99"), util::percentile(samples, 99.0));
     EXPECT_DOUBLE_EQ(telemetry.at(name + "_max"),
                      *std::max_element(samples.begin(), samples.end()));
+    for (const char* suffix : {"_count", "_p50", "_p99", "_max"}) {
+      trace_keys.insert(name + suffix);
+    }
   }
-  for (const auto& [key, value] : scenario.service.metrics().snapshot()) {
-    EXPECT_NE(key.rfind("trace.", 0), 0u) << key;
+  std::set<std::string> counter_keys;
+  for (const auto& [key, value] : telemetry) {
+    if (key.rfind("trace.", 0) == 0) {
+      EXPECT_TRUE(trace_keys.contains(key)) << key;
+    } else {
+      counter_keys.insert(key);
+    }
   }
+  const std::set<std::string> expected = {
+      "cache.spf_batched", "cache.spf_full", "cache.spf_incremental",
+      "cache.table_builds", "cache.table_hits", "controller.active_lies",
+      "controller.mitigations", "controller.placement_solves",
+      "controller.relaxed_placements", "controller.retractions",
+      "controller.topology_events", "dataplane.blackholed_flows", "dataplane.flow_walks",
+      "dataplane.flows", "dataplane.looping_flows", "dataplane.rate_solves",
+      "igp.lsas_sent", "igp.spf_incremental_runs", "igp.spf_origins_read", "igp.spf_runs",
+      "poller.polls", "proto.bytes_sent", "proto.hellos_sent", "proto.lsas_sent",
+      "proto.lsus_sent", "proto.packets_sent", "proto.retransmissions",
+      "shard.cross_shard_messages", "shard.events_run", "shard.rounds",
+      "southbound.acks_received", "southbound.alias_rejections", "southbound.lsas_sent",
+      "southbound.lsus_sent", "southbound.packets_sent", "southbound.reflushes",
+  };
+  EXPECT_EQ(expected.size(), 36u);
+  EXPECT_EQ(counter_keys, expected);
+  // igp.lsas_sent is the domain's flooding volume, the same aggregate as
+  // proto.lsas_sent.
+  EXPECT_DOUBLE_EQ(telemetry.at("igp.lsas_sent"), telemetry.at("proto.lsas_sent"));
 }
 
 TEST(TraceChain, Fig2SurgeCoversEveryStage) {

@@ -227,7 +227,9 @@ TEST_P(SpfUpdateProperty, RemovalAndInsertionMatchFreshEverywhere) {
       const igp::SpfResult on_degraded = igp::run_spf(degraded, src);
 
       const igp::SpfUpdate removal = igp::update_spf(
-          degraded, on_full, link.from, link.to, w_ab, w_ba, /*removed=*/true);
+          degraded, on_full,
+          {igp::EdgeDelta{link.from, link.to, w_ab, /*removed=*/true},
+           igp::EdgeDelta{link.to, link.from, w_ba, /*removed=*/true}});
       const igp::SpfResult& removed = removal.mode == igp::SpfUpdate::Mode::kUnchanged
                                           ? on_full
                                           : removal.result;
@@ -236,7 +238,9 @@ TEST_P(SpfUpdateProperty, RemovalAndInsertionMatchFreshEverywhere) {
           << "link " << l << " src " << src;
 
       const igp::SpfUpdate insertion = igp::update_spf(
-          full, on_degraded, link.from, link.to, w_ab, w_ba, /*removed=*/false);
+          full, on_degraded,
+          {igp::EdgeDelta{link.from, link.to, w_ab, /*removed=*/false},
+           igp::EdgeDelta{link.to, link.from, w_ba, /*removed=*/false}});
       const igp::SpfResult& inserted =
           insertion.mode == igp::SpfUpdate::Mode::kUnchanged ? on_degraded
                                                              : insertion.result;

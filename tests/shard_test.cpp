@@ -52,7 +52,6 @@ struct ChurnRun {
                                            shards)) {}
   std::unique_ptr<util::EventQueue> events;
   std::unique_ptr<IgpDomain> domain;
-  std::uint64_t lsas_sent = 0;
   std::uint64_t spf_runs = 0;
   proto::SessionCounters proto_counters;
   proto::ControllerSession::Counters southbound;
@@ -90,7 +89,6 @@ ChurnRun run_churn_script(const topo::Topology& t, std::size_t shards) {
   EXPECT_TRUE(domain.withdraw_external(2, 7).ok());  // ...retract mid-churn
   domain.run_to_convergence();
 
-  run.lsas_sent = domain.total_lsas_sent();
   run.spf_runs = domain.total_spf_runs();
   run.proto_counters = domain.total_proto_counters();
   run.southbound = domain.controller_session(2).counters();
@@ -121,7 +119,6 @@ TEST(ShardDeterminism, BitIdenticalToSingleThreadedAcrossSeedsAndShardCounts) {
       }
       // ...and the *same execution*: every control-plane message and SPF
       // run happened identically, not merely equivalently.
-      EXPECT_EQ(ref.lsas_sent, got.lsas_sent);
       EXPECT_EQ(ref.spf_runs, got.spf_runs);
       EXPECT_EQ(ref.proto_counters, got.proto_counters);
       EXPECT_EQ(ref.southbound, got.southbound);
@@ -148,7 +145,6 @@ struct LivenessRun {
   std::unique_ptr<util::EventQueue> events;
   std::unique_ptr<IgpDomain> domain;
   std::vector<std::pair<LinkId, bool>> transitions;
-  std::uint64_t lsas_sent = 0;
   std::uint64_t spf_runs = 0;
   proto::SessionCounters proto_counters;
 };
@@ -183,7 +179,6 @@ LivenessRun run_liveness_script(const topo::Topology& t, std::size_t shards) {
   run.events->run_until(run.events->now() + 3.5);  // past the dead interval
   domain.run_to_convergence();
 
-  run.lsas_sent = domain.total_lsas_sent();
   run.spf_runs = domain.total_spf_runs();
   run.proto_counters = domain.total_proto_counters();
   return run;
@@ -206,7 +201,6 @@ TEST(ShardDeterminism, TimerDrivenTeardownBitIdenticalAcrossShardCounts) {
           << "router " << n;
       ASSERT_EQ(ref.domain->table(n), got.domain->table(n)) << "router " << n;
     }
-    EXPECT_EQ(ref.lsas_sent, got.lsas_sent);
     EXPECT_EQ(ref.spf_runs, got.spf_runs);
     EXPECT_EQ(ref.proto_counters, got.proto_counters);
   }

@@ -1,5 +1,5 @@
-// Ablation A1 (reaction time vs detection path) plus the mitigation
-// pipeline worker sweep, as google-benchmark JSON so the CI perf diff
+// Ablation A1 (reaction time vs detection path) plus a correlated
+// multi-prefix batch, as google-benchmark JSON so the CI perf diff
 // (scripts/compare_bench.py) tracks wall-clock and counters run over run.
 //
 //   - BM_ReactionTime/{proactive,poll_ds}: how fast the controller removes
@@ -10,12 +10,10 @@
 //     tracing is on, and the trace-derived reaction breakdown
 //     (trace.reaction.<stage>_s_{p50,p99}) is exported as counters, so the
 //     perf diff flags latency-percentile regressions growth-only.
-//   - BM_MitigationWorkers/{workers}: a correlated flash crowd dirties 8
-//     prefixes at once on a 40-router Waxman graph; the batch is solved by
-//     the parallel mitigation pipeline at the given pool width. Results are
-//     bit-identical across widths (the determinism property test proves
-//     it), so the sweep isolates pure solve wall-clock scaling; the
-//     counters pin the work done per run.
+//   - BM_CorrelatedBatch: a correlated flash crowd dirties 8 prefixes at
+//     once on a 40-router Waxman graph, so the controller places an
+//     8-member batch, one member at a time in demand order; the counters
+//     pin the work done per run.
 
 #include <benchmark/benchmark.h>
 
@@ -111,9 +109,8 @@ struct FanoutOutcome {
 };
 
 /// Correlated-join flash crowd: one server, 8 hot prefixes surging in the
-/// same instant, so the first evaluation mitigates an 8-member batch -- the
-/// workload the parallel pipeline fans out.
-FanoutOutcome run_fanout(std::size_t workers) {
+/// same instant, so the first evaluation mitigates an 8-member batch.
+FanoutOutcome run_fanout() {
   util::Rng rng(99);
   topo::Topology t = topo::make_waxman(40, rng, 0.5, 0.5, 8);
   constexpr int kPrefixes = 8;
@@ -126,7 +123,6 @@ FanoutOutcome run_fanout(std::size_t workers) {
   config.controller.high_watermark = 0.05;
   config.controller.low_watermark = 0.02;
   config.controller.session_router = 0;
-  config.controller.mitigation_workers = workers;
   core::FibbingService service(t, config);
   service.boot();
   const auto server =
@@ -149,11 +145,10 @@ FanoutOutcome run_fanout(std::size_t workers) {
   return out;
 }
 
-void BM_MitigationWorkers(benchmark::State& state) {
-  const auto workers = static_cast<std::size_t>(state.range(0));
+void BM_CorrelatedBatch(benchmark::State& state) {
   FanoutOutcome last;
   for (auto _ : state) {
-    last = run_fanout(workers);
+    last = run_fanout();
     benchmark::DoNotOptimize(last);
   }
   state.counters["mitigations"] = last.mitigations;
@@ -161,8 +156,7 @@ void BM_MitigationWorkers(benchmark::State& state) {
   state.counters["active_lies"] = static_cast<double>(last.lies);
 }
 
-BENCHMARK(BM_MitigationWorkers)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_CorrelatedBatch)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

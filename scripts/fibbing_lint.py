@@ -39,9 +39,11 @@ line directly above; the reason is mandatory):
                   prefix of a metric key in the telemetry table (a
                   `{"<ns>.<name>", <value>}` entry under src/, as in
                   FibbingService::telemetry_snapshot), or waive with a
-                  written reason. Keeps FibbingService::telemetry_json the
-                  one complete snapshot instead of re-scattering ad-hoc
-                  counters.
+                  written reason. Every such annotation in src/ outside
+                  src/obs/ is checked against the table, whatever the
+                  member it covers is called. Keeps
+                  FibbingService::telemetry_json the one complete snapshot
+                  instead of re-scattering ad-hoc counters.
 
 Exit status: 0 clean, 1 findings, 2 usage error. --github emits findings as
 GitHub Actions `::error` annotations in addition to the human lines.
@@ -93,13 +95,14 @@ NODISCARD_DECL_RE = re.compile(
     r"^\s*(?:(?:virtual|static|constexpr|inline|explicit)\s+)*"
     r"(?:util::)?(?:Status|Result<[^;=]*>)\s+[\w:]+\s*\("
 )
-# A member *declaration* whose name says "I am a counter": `<type> foo_count_`
-# or `<type> ...counters_`, optionally guarded/initialized. Anchored on the
-# type words so accessor calls and usages never match.
+# A member *declaration* `<type> name`, optionally guarded/initialized.
+# Anchored on the type words so accessor calls and usages never match.
 OBS_MEMBER_RE = re.compile(
-    r"^\s*(?:[\w:<>,]+(?:\s*[&*])?\s+)+(\w+_count_|\w*counters_)\s*"
+    r"^\s*(?:[\w:<>,]+(?:\s*[&*])?\s+)+(\w+)\s*"
     r"(?:FIB_GUARDED_BY\([^)]*\)\s*)?(?:=[^;{]*)?[;{]"
 )
+# A member name that says "I am a counter": `foo_count_` or `...counters_`.
+OBS_COUNTER_NAME_RE = re.compile(r"\w+_count_|\w*counters_")
 OBS_ANNOTATION_RE = re.compile(r"obs:registered\(([^)]*)\)")
 # A telemetry-table entry: `{"<ns>.<name>", <value>}` in an initializer.
 REGISTER_METRIC_RES = [
@@ -195,13 +198,17 @@ def collect_registered_metrics(files):
     return names
 
 
-def obs_key_for(lines, idx):
-    """The `obs:registered(<key>)` annotation covering line idx, or None."""
-    for j in (idx, idx - 1):
-        if 0 <= j < len(lines):
-            m = OBS_ANNOTATION_RE.search(lines[j])
-            if m:
-                return m.group(1).strip()
+def obs_key_for(lines, idx, code, above_code):
+    """The `obs:registered(<key>)` annotation covering line idx, or None. An
+    annotation covers its own line when that line holds code, else the line
+    below it, so every annotation is checked exactly once."""
+    m = OBS_ANNOTATION_RE.search(lines[idx])
+    if m and code.strip():
+        return m.group(1).strip()
+    if idx > 0 and not above_code.strip():
+        m = OBS_ANNOTATION_RE.search(lines[idx - 1])
+        if m:
+            return m.group(1).strip()
     return None
 
 
@@ -267,21 +274,21 @@ def check_line(rel, code, symbols, metrics, obs_key):
                    "[[nodiscard]]: a dropped status is a silently ignored failure")
     if rel.startswith("src/") and not rel.startswith("src/obs/"):
         m = OBS_MEMBER_RE.match(code)
-        if m:
-            member = m.group(1)
-            if obs_key is None:
+        member = m.group(1) if m else None
+        if obs_key is not None:
+            if not any(name.startswith(obs_key) for name in metrics):
                 yield ("obs-registered",
-                       f"counter member `{member}` is not in the telemetry "
-                       "snapshot: annotate the declaration with "
-                       "`// obs:registered(<metric prefix>)` (and add its key "
-                       "to the telemetry table in "
-                       "FibbingService::telemetry_snapshot) or waive with the "
-                       "reason it is not a metric")
-            elif not any(name.startswith(obs_key) for name in metrics):
-                yield ("obs-registered",
-                       f"`obs:registered({obs_key})` on `{member}` matches no "
-                       "telemetry key: add it to the telemetry table or fix "
-                       "the prefix")
+                       f"`obs:registered({obs_key})` on "
+                       f"`{member or code.strip()}` matches no telemetry key: "
+                       "add it to the telemetry table or fix the prefix")
+        elif member is not None and OBS_COUNTER_NAME_RE.fullmatch(member):
+            yield ("obs-registered",
+                   f"counter member `{member}` is not in the telemetry "
+                   "snapshot: annotate the declaration with "
+                   "`// obs:registered(<metric prefix>)` (and add its key "
+                   "to the telemetry table in "
+                   "FibbingService::telemetry_snapshot) or waive with the "
+                   "reason it is not a metric")
 
 
 def lint_files(files, symbols, metrics):
@@ -289,10 +296,12 @@ def lint_files(files, symbols, metrics):
     for _, rel, lines in files:
         in_block = False
         prev_code = ""
+        above_code = ""
         for idx, line in enumerate(lines):
             code, in_block = strip_code(line, in_block)
             waived = waivers_for(lines, idx)
-            obs_key = obs_key_for(lines, idx)
+            obs_key = obs_key_for(lines, idx, code, above_code)
+            above_code = code
             for check, message in check_line(rel, code, symbols, metrics, obs_key):
                 if check == "nodiscard" and "[[nodiscard]]" in prev_code:
                     continue  # attribute on its own line above the declaration

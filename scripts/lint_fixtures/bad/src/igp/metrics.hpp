@@ -2,8 +2,9 @@
 
 #include <cstdint>
 
-// Counter-ish members outside src/obs/ must register into the unified
-// metrics registry (obs-registered): every member below is a finding.
+// Counter-ish members outside src/obs/ must flow into the telemetry
+// snapshot, and every registration annotation must name a telemetry key
+// (obs-registered): every member below is a finding.
 
 namespace fixture {
 
@@ -21,6 +22,7 @@ class FloodMeter {
   Counters counters_;
   // obs:registered(nosuch)
   std::uint64_t unmatched_count_ = 0;
+  std::uint64_t flood_walks_ = 0;  // obs:registered(igp.nosuch)
 };
 
 }  // namespace fixture

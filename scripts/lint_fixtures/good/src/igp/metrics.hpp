@@ -20,6 +20,7 @@ class FloodMeter {
     return {
         {"igp.floods", flood_count_},
         {"igp.packets", counters_.packets},
+        {"igp.walks", walks_},
     };
   }
 
@@ -27,6 +28,7 @@ class FloodMeter {
   // obs:registered(igp.floods)
   std::uint64_t flood_count_ = 0;
   Counters counters_;  // obs:registered(igp)
+  std::uint64_t walks_ = 0;  // obs:registered(igp.walks)
   // lint:obs-registered-ok(structural size, not a metric)
   std::uint64_t slot_count_ = 0;
 };

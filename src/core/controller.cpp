@@ -1,7 +1,6 @@
 #include "core/controller.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -12,16 +11,8 @@
 namespace fibbing::core {
 
 namespace {
-/// Lie-id block pre-assigned to each member of a mitigation batch: worker i
-/// compiles with first_lie_id = base + i * stride, so the ids any candidate
-/// carries are fixed before the parallel phase starts and are identical for
-/// every worker count. Far above any real compiled set's naive_lie_count
-/// (asserted at commit). Deliberately ODD: a lie's wire identity keeps only
-/// its host bits (appendix E), so a power-of-two stride would hand a
-/// re-placed prefix the exact wire identity of its previous round's lie --
-/// colliding with the not-yet-flushed MaxAge tombstone. An odd stride is
-/// never congruent to 0 modulo any host-bit space.
-constexpr std::uint64_t kLieIdStride = 4097;
+/// The fallback ladder's theta relaxations, tried in order (see place_prefix).
+constexpr double kThetaRelaxSchedule[] = {0.02, 0.05, 0.10, 0.25};
 }  // namespace
 
 Controller::Controller(const topo::Topology& topo, igp::IgpDomain& domain,
@@ -34,8 +25,7 @@ Controller::Controller(const topo::Topology& topo, igp::IgpDomain& domain,
       session_(domain.controller_session(config.session_router)),
       detector_(topo, config.high_watermark, config.low_watermark,
                 config.hold_rounds),
-      cache_(topo, domain.link_state()),
-      pool_(config.mitigation_workers) {
+      cache_(topo, domain.link_state()) {
   bus.subscribe([this](const monitor::DemandNotice& notice) { on_notice_(notice); });
   domain_.link_state().subscribe(
       [this](topo::LinkId link, bool down) { on_topology_change_(link, down); });
@@ -269,15 +259,6 @@ std::vector<Lie> Controller::all_lies_() const {
   return out;
 }
 
-std::vector<Lie> Controller::all_lies_except_(const net::Prefix& prefix) const {
-  std::vector<Lie> out;
-  for (const auto& [p, lies] : active_) {
-    if (p == prefix) continue;
-    out.insert(out.end(), lies.begin(), lies.end());
-  }
-  return out;
-}
-
 void Controller::evaluate_() {
   // Predict per-link utilization with the ledger demand on the *current*
   // forwarding state (lies included) over the *live* topology; mitigate if
@@ -373,151 +354,56 @@ void Controller::mitigate_() {
     }
   };
 
-  // ---- Phase 1: speculative candidates, in parallel ----------------------
-  //
-  // Every batch member's solve -> ladder -> compile runs against the same
-  // read-only batch-start snapshot: the background it would see as the
-  // batch's first (demand-heaviest) member -- other batch members excluded
-  // (they are about to move), everything else at its current routes.
-  // Workers share the thread-safe cache_ and write only their own member
-  // slot, so every candidate is independent of worker count and scheduling
-  // order.
-  struct Member {
-    net::Prefix prefix;
-    topo::NodeId dest = topo::kInvalidNode;
-    bool has_dest = false;
-    std::vector<te::Demand> demands;
-    std::vector<double> background;  ///< snapshot background the solve used
-    std::uint64_t base_lie_id = 0;
-    PlacementOutcome outcome;
-  };
-  std::vector<Member> members(prefixes.size());
-  if (!prefixes.empty()) {
-    const igp::RouteCache::TablesPtr snapshot =
-        cache_.tables(to_externals(all_lies_()));
-    const std::set<net::Prefix> in_batch(prefixes.begin(), prefixes.end());
-    for (std::size_t i = 0; i < prefixes.size(); ++i) {
-      Member& m = members[i];
-      m.prefix = prefixes[i];
-      const auto announcers = topo_.attachments_for(m.prefix);
-      if (!announcers.empty()) {
-        m.has_dest = true;
-        m.dest = announcers.front().node;
-      }
-      m.demands = demands_of_(m.prefix);
-      m.base_lie_id = next_lie_id_ + i * kLieIdStride;
-      m.background = background_(m.prefix, snapshot, in_batch);
-    }
-    const std::function<void(std::size_t)> job = [&](std::size_t i) {
-      Member& m = members[i];
-      if (!m.has_dest) return;  // fails deterministically at commit
-      m.outcome = place_prefix(topo_, config_, domain_.link_state(), cache_,
-                               m.prefix, m.dest, m.demands, m.background,
-                               m.base_lie_id);
-    };
-    pool_.run(members.size(), job);
-  }
-
-  // ---- Phase 2: deterministic commit, demand-sorted ----------------------
-  //
-  // The driving thread walks the members in the order the serial pipeline
-  // would and validates each candidate against the *true* background of
-  // that moment (earlier commits included). A candidate commits as-is when
-  // its solve inputs match that background exactly -- then it IS the serial
-  // result, which always holds for the first member and for single-prefix
-  // batches -- or when it keeps every link at or under the high watermark
-  // on the true background. Otherwise the prefix is re-solved inline, old-
-  // pipeline style, reusing its pre-assigned lie-id block. Everything here
-  // is a pure function of controller state and the candidate slots, so the
-  // ledger, lies and counters are bit-identical for every worker count.
-  //
-  // Lie-id accounting: only *committed* sets consume ids, so next_lie_id_
-  // advances to the end of the highest block actually injected (not by a
-  // blanket batch_size * stride). For a single-member batch this is exactly
-  // the serial allocation (base + naive_lie_count + 1).
-  std::uint64_t used_max = next_lie_id_;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    Member& m = members[i];
-    unattempted.erase(m.prefix);
-    if (!m.has_dest) {
-      FIB_LOG(kWarn, "controller") << "no announcer for " << m.prefix.to_string();
-      fail_placement(m.prefix);
+  // One placement per member, in demand order. A committed set moves
+  // next_lie_id_ past every id its compile handed out.
+  for (const net::Prefix& prefix : prefixes) {
+    unattempted.erase(prefix);
+    const auto announcers = topo_.attachments_for(prefix);
+    if (announcers.empty()) {
+      FIB_LOG(kWarn, "controller") << "no announcer for " << prefix.to_string();
+      fail_placement(prefix);
       continue;
     }
-
     const std::vector<double> background = background_(
-        m.prefix, cache_.tables(to_externals(all_lies_())), unattempted);
+        prefix, cache_.tables(to_externals(all_lies_())), unattempted);
+    PlacementOutcome outcome = place_prefix(
+        topo_, config_, domain_.link_state(), cache_, prefix,
+        announcers.front().node, demands_of_(prefix), background, next_lie_id_);
+    placement_solves_ += outcome.solves;
 
-    placement_solves_ += m.outcome.solves;
-    bool accept = background == m.background;
-    if (!accept && m.outcome.ok()) {
-      // The speculative inputs went stale (an earlier member moved
-      // traffic). The candidate is still committable if it overloads
-      // nothing against the background that actually exists now.
-      std::vector<Lie> with = all_lies_except_(m.prefix);
-      const std::vector<Lie>& cand = m.outcome.compiled->value().lies;
-      with.insert(with.end(), cand.begin(), cand.end());
-      const igp::RouteCache::TablesPtr cand_tables =
-          cache_.tables(to_externals(with));
-      const std::vector<double> mine =
-          loads_from_routes(topo_, *cand_tables, m.prefix, m.demands);
-      double util = 0.0;
-      for (topo::LinkId l = 0; l < topo_.link_count(); ++l) {
-        util = std::max(util, (mine[l] + background[l]) / topo_.link(l).capacity_bps);
-      }
-      accept = util <= config_.high_watermark;
-      if (accept) {
-        FIB_LOG(kDebug, "controller")
-            << "committing speculative placement for " << m.prefix.to_string()
-            << " (max util " << util << " on the true background)";
-      }
-    }
-    if (!accept) {
-      m.outcome = place_prefix(topo_, config_, domain_.link_state(), cache_,
-                               m.prefix, m.dest, m.demands, background,
-                               m.base_lie_id);
-      placement_solves_ += m.outcome.solves;
-    }
-
-    // Stage stamps land here -- on the driving thread, in commit order --
-    // not inside the parallel phase, so the stream is identical for every
-    // mitigation_workers value. Virtual time does not advance inside one
-    // event callback, so nothing is lost by stamping at commit.
+    // Virtual time does not advance inside one event callback, so every
+    // stage of the attempt is stamped at the same instant.
     if (current_trace_ != 0) {
       const double now = events_.now();
       FIB_EVENT(tracer_, now, current_trace_, obs::Stage::kSolve,
-                obs::kControllerNode, static_cast<std::uint64_t>(m.outcome.solves));
-      if (m.outcome.compiled.has_value()) {
+                obs::kControllerNode, static_cast<std::uint64_t>(outcome.solves));
+      if (outcome.compiled.has_value()) {
         const std::uint64_t lie_count =
-            m.outcome.ok() ? m.outcome.compiled->value().lies.size() : 0;
+            outcome.ok() ? outcome.compiled->value().lies.size() : 0;
         FIB_EVENT(tracer_, now, current_trace_, obs::Stage::kCompile,
                   obs::kControllerNode, lie_count);
         FIB_EVENT(tracer_, now, current_trace_, obs::Stage::kVerify,
-                  obs::kControllerNode, m.outcome.ok() ? 1 : 0);
+                  obs::kControllerNode, outcome.ok() ? 1 : 0);
       }
     }
 
-    if (!m.outcome.ok()) {
-      if (!m.outcome.compiled.has_value()) {
-        FIB_LOG(kWarn, "controller")
-            << "optimizer failed: " << m.outcome.solver_error;
+    if (!outcome.ok()) {
+      if (!outcome.compiled.has_value()) {
+        FIB_LOG(kWarn, "controller") << "optimizer failed: " << outcome.solver_error;
       } else {
         FIB_LOG(kWarn, "controller")
-            << "augmentation failed ("
-            << to_string(m.outcome.compiled->error_kind())
-            << "): " << m.outcome.compiled->error();
+            << "augmentation failed (" << to_string(outcome.compiled->error_kind())
+            << "): " << outcome.compiled->error();
       }
-      fail_placement(m.prefix);
+      fail_placement(prefix);
       continue;
     }
-    relaxed_placements_ += m.outcome.relaxed;
-    CompileResult& compiled = *m.outcome.compiled;
-    FIB_ASSERT(compiled.value().naive_lie_count + 1 <= kLieIdStride,
-               "mitigate: compiled set overflows its lie-id block");
+    relaxed_placements_ += outcome.relaxed;
+    CompileResult& compiled = *outcome.compiled;
 
     // Idempotence: skip if the new lie set steers identically to the
     // currently injected one.
-    const auto current = active_.find(m.prefix);
+    const auto current = active_.find(prefix);
     if (current != active_.end()) {
       const auto& old_lies = current->second;
       const auto& new_lies = compiled.value().lies;
@@ -529,22 +415,20 @@ void Controller::mitigate_() {
         return sig;
       };
       if (signature(old_lies) == signature(new_lies)) {
-        dirty_.erase(m.prefix);
-        placement_failed_.erase(m.prefix);
-        stranded_.erase(m.prefix);
-        attempted_ok.push_back(m.prefix);
+        dirty_.erase(prefix);
+        placement_failed_.erase(prefix);
+        stranded_.erase(prefix);
+        attempted_ok.push_back(prefix);
         continue;
       }
     }
-    used_max = std::max(used_max,
-                        m.base_lie_id + compiled.value().naive_lie_count + 1);
-    apply_lies_(m.prefix, std::move(compiled).value().lies);
-    dirty_.erase(m.prefix);
-    placement_failed_.erase(m.prefix);
-    attempted_ok.push_back(m.prefix);
+    next_lie_id_ += compiled.value().naive_lie_count + 1;
+    apply_lies_(prefix, std::move(compiled).value().lies);
+    dirty_.erase(prefix);
+    placement_failed_.erase(prefix);
+    attempted_ok.push_back(prefix);
     ++mitigations_;
   }
-  next_lie_id_ = used_max;
 
   // A member *newly* failed: the ones placed before it in this batch were
   // optimized against a background missing its (immovable) traffic. Mark
@@ -603,8 +487,7 @@ PlacementOutcome place_prefix(const topo::Topology& topo, const ControllerConfig
   // the prefix unmitigable. Any other failure kind ends the ladder: more
   // headroom cannot fix an unreachable subnet or a broken requirement.
   if (!out.compiled->ok() &&
-      out.compiled->error_kind() == CompileErrorKind::kGranularity &&
-      !config.theta_relax_schedule.empty()) {
+      out.compiled->error_kind() == CompileErrorKind::kGranularity) {
     search.reset_bound();  // support changes the pruning; the Dijkstra stays
     mm.support = te::shortest_path_dag(topo, dest, &mask, &search);
     double total_demand = 0.0;
@@ -616,7 +499,7 @@ PlacementOutcome place_prefix(const topo::Topology& topo, const ControllerConfig
     // The binary-search bound is identical per rung (only the refinement
     // headroom differs), so after the first rung each re-solve costs a
     // single feasibility max-flow plus the refinement.
-    for (const double relax : config.theta_relax_schedule) {
+    for (const double relax : kThetaRelaxSchedule) {
       mm.theta_relax = relax;
       ++out.solves;
       const auto relaxed =

@@ -19,7 +19,6 @@
 #include "obs/trace.hpp"
 #include "topo/topology.hpp"
 #include "util/event_queue.hpp"
-#include "util/worker_pool.hpp"
 
 namespace fibbing::core {
 
@@ -40,19 +39,6 @@ struct ControllerConfig {
   double max_stretch = 1.5;
   /// Router hosting the controller's IGP session (paper: R3).
   topo::NodeId session_router = 0;
-  /// Fallback ladder for granularity-kind compile failures: the placement
-  /// is re-solved with theta relaxed to theta* * (1 + eps), restricted to
-  /// the compilable support (previous flow links + the shortest-path DAG),
-  /// for each eps in turn; only when the schedule is exhausted is the
-  /// prefix declared unmitigable. Empty disables the ladder.
-  std::vector<double> theta_relax_schedule{0.02, 0.05, 0.10, 0.25};
-  /// Worker threads for the mitigation pipeline: a multi-prefix batch's
-  /// solve -> compile candidates are computed concurrently against a shared
-  /// batch-start snapshot, then validated and committed on the driving
-  /// thread in demand-sorted order -- so the ledger, lies and counters are
-  /// bit-identical for every value of this knob. 1 (the default) spawns no
-  /// threads and runs the pipeline inline.
-  std::size_t mitigation_workers = 1;
 };
 
 /// One prefix's placement attempt, as returned by place_prefix().
@@ -68,9 +54,14 @@ struct PlacementOutcome {
 /// One prefix's full solve -> fallback-ladder -> compile attempt against a
 /// given background (per-link load the placement must leave room for), on
 /// the links `mask` leaves up, planning on `cache`. Pure apart from the
-/// thread-safe cache, so the controller's mitigation workers run it
-/// concurrently; the outcome's counters are folded in on the driving
-/// thread in commit order.
+/// cache's memo; the controller folds the outcome's counters in when it
+/// commits or fails the prefix.
+///
+/// Fallback ladder: when the compile fails on granularity, the placement is
+/// re-solved with theta relaxed to theta* * (1 + eps), restricted to the
+/// compilable support (the optimum's flow links plus the shortest-path
+/// DAG), for eps = 2, 5, 10 and 25 % in turn; only when the last rung fails
+/// is the prefix unmitigable.
 [[nodiscard]] PlacementOutcome place_prefix(
     const topo::Topology& topo, const ControllerConfig& config,
     const topo::LinkStateMask& mask, igp::RouteCache& cache,
@@ -142,9 +133,8 @@ class Controller {
 
   /// Attach the control-loop trace recorder (owned by FibbingService).
   /// Every mitigation then gets a trace id rooted at the sample that
-  /// triggered it, with solve/compile/verify/inject stages emitted on the
-  /// driving thread in commit order -- worker-count invariant by the same
-  /// argument as the counters.
+  /// triggered it, with solve/compile/verify/inject stages emitted in the
+  /// batch's commit order.
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
 
  private:
@@ -181,7 +171,7 @@ class Controller {
   /// depend only on its *own* externals, so the loads computed on any table
   /// set containing its current lies are identical -- every background /
   /// evaluation sum can therefore share one full-lie-set table build
-  /// instead of a per-prefix O(prefixes) rebuild. Driving thread only.
+  /// instead of a per-prefix O(prefixes) rebuild.
   [[nodiscard]] const std::vector<double>& prefix_loads_(
       const net::Prefix& prefix, const igp::RouteCache::TablesPtr& tables);
   /// Per-link load `prefix`'s placement must leave room for: the sum of
@@ -225,10 +215,6 @@ class Controller {
   std::set<net::Prefix> stranded_;
   bool eval_pending_ = false;
   std::map<net::Prefix, std::vector<Lie>> active_;
-  /// The mitigation pipeline's worker pool (mitigation_workers wide; one
-  /// worker spawns no threads). Workers only run place_prefix over
-  /// read-only inputs; every commit happens on the driving thread.
-  util::WorkerPool pool_;
   /// prefix_loads_'s memo. Holding the TablesPtr pins the table set so the
   /// identity check can never alias a recycled allocation.
   struct PrefixLoadMemo {

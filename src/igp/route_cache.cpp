@@ -192,7 +192,6 @@ RouteCache::TablesPtr RouteCache::build_(
       const auto att_it = attachments_.find(prefix);
       const auto& atts = att_it == attachments_.end() ? kNoAttachments : att_it->second;
       RouteEntry entry = compute_route_entry(current, source_spf, atts, exts);
-      ++stats_.entries_patched;
       if (entry.cost >= kInfMetric) {
         table.erase(prefix);
       } else {

@@ -25,7 +25,6 @@ struct RouteCacheStats {
   std::uint64_t table_builds = 0;    ///< misses patched from the baseline
   std::uint64_t memo_evictions = 0;  ///< LRU victims pushed out at capacity
   std::uint64_t baseline_builds = 0; ///< externals-free table sets derived
-  std::uint64_t entries_patched = 0; ///< per-(node, prefix) entries rewritten
   // -- SPF level ----------------------------------------------------------
   std::uint64_t spf_full = 0;         ///< fresh Dijkstras (cold or fallback)
   std::uint64_t spf_incremental = 0;  ///< affected-region repairs
@@ -69,14 +68,12 @@ struct RouteCacheStats {
 /// compile_lies and verify_augmentation), so each baseline is computed
 /// exactly once per topology version.
 ///
-/// Thread safety: every public method locks an internal mutex, so the
-/// controller's parallel mitigation workers may query one shared instance
-/// concurrently (all state is FIB_GUARDED_BY and proven by -Wthread-safety;
-/// the TSan job races it for real). Returned references stay valid after
-/// the lock drops: per-source SPFs and the view are written exactly once
-/// per generation, and generations only turn over on a mask-version change
-/// -- which the single driving thread performs strictly between parallel
-/// phases. Tables are immutable shared_ptrs throughout.
+/// Thread safety: every public method locks an internal mutex (all state is
+/// FIB_GUARDED_BY and proven by -Wthread-safety), although the controller
+/// queries it from one thread. Returned references stay valid after the
+/// lock drops: per-source SPFs and the view are written exactly once per
+/// generation, and generations only turn over on a mask-version change.
+/// Tables are immutable shared_ptrs throughout.
 class RouteCache {
  public:
   /// `memo_capacity` bounds the exact memo (layer 1): at capacity the
@@ -138,8 +135,8 @@ class RouteCache {
   const topo::LinkStateMask* mask_;
 
   /// One lock for all mutable state: queries are cheap relative to the
-  /// solver work the mitigation workers do between them, so a coarse
-  /// capability keeps the invariants trivially whole.
+  /// solver work done between them, so a coarse capability keeps the
+  /// invariants trivially whole.
   mutable util::Mutex mu_;
 
   std::uint64_t version_seen_ FIB_GUARDED_BY(mu_);

@@ -240,7 +240,6 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
     // The checksum held, so this is a structurally valid LSA referencing
     // things this domain does not know -- drop it (and ack, so the sender
     // stops retransmitting an instance we will never install).
-    ++decode_errors_;
     FIB_LOG(kWarn, "igp") << "router " << self_ << ": untranslatable LSA ("
                           << proto::to_string(translated.error().kind) << ": "
                           << translated.error().detail << ")";
@@ -297,7 +296,6 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
 void RouterProcess::receive_packet(topo::NodeId from, const BufferPtr& buffer) {
   proto::Decoded<proto::Packet> decoded = proto::decode_packet(*buffer);
   if (!decoded) {
-    ++decode_errors_;
     FIB_LOG(kWarn, "igp") << "router " << self_ << ": undecodable packet from "
                           << from << " (" << proto::to_string(decoded.error().kind)
                           << ": " << decoded.error().detail << ")";
@@ -311,7 +309,6 @@ void RouterProcess::receive_packet(topo::NodeId from, const BufferPtr& buffer) {
 void RouterProcess::receive_controller_packet(const BufferPtr& buffer) {
   proto::Decoded<proto::Packet> decoded = proto::decode_packet(*buffer);
   if (!decoded) {
-    ++decode_errors_;
     FIB_LOG(kWarn, "igp") << "router " << self_
                           << ": undecodable controller packet ("
                           << proto::to_string(decoded.error().kind) << ")";

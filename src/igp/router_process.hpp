@@ -170,7 +170,6 @@ class RouterProcess final : private proto::DatabaseFacade {
   // tests. `counters()` aggregates live sessions, retired (torn-down)
   // sessions and the controller-facing acks.
   [[nodiscard]] proto::SessionCounters counters() const;
-  [[nodiscard]] std::uint64_t decode_errors() const { return decode_errors_; }
   [[nodiscard]] std::uint64_t spf_runs() const { return spf_runs_; }
   /// SPF runs that avoided the full Dijkstra: the hold-down window's LSDB
   /// change set was repaired incrementally against the previous run's view
@@ -249,7 +248,6 @@ class RouterProcess final : private proto::DatabaseFacade {
   std::vector<std::uint64_t> last_spf_lie_ids_;
   proto::SessionCounters retired_;  ///< counters of torn-down sessions
   proto::SessionCounters controller_io_;  ///< acks sent to the controller
-  std::uint64_t decode_errors_ = 0;
   std::uint64_t spf_runs_ = 0;
   std::uint64_t spf_incremental_runs_ = 0;
   std::uint64_t spf_origins_read_ = 0;  // obs:registered(igp.spf_origins_read)

@@ -14,9 +14,8 @@ namespace fibbing::util {
 /// Fixed pool of persistent worker threads running parallel-for batches:
 /// `run(count, fn)` executes fn(0) .. fn(count-1) across the pool and
 /// returns when every index has completed. It is the tree's one thread
-/// barrier: the controller's mitigation pipeline fans its per-prefix
-/// solve -> compile -> verify work through one, and util::ShardPool runs
-/// each round's shards through another (one shard per index).
+/// barrier: util::ShardPool runs each round's shards through one (one shard
+/// per index).
 ///
 /// Determinism contract: the pool makes no ordering promises between
 /// indices -- callers must make each fn(i) independent of the others (read

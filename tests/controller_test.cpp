@@ -182,7 +182,7 @@ TEST(Controller, DegenerateOptimumCompilesViaFallbackLadder) {
   for (topo::LinkId l = 0; l < p.topo.link_count(); ++l) {
     if (exact.value().link_flow[l] > 1.0) mm.support[l] = true;
   }
-  mm.theta_relax = config.theta_relax_schedule.back();
+  mm.theta_relax = 0.25;  // the ladder's last rung
   const auto relaxed = te::solve_min_max(p.topo, p.c, demands, background, mm);
   ASSERT_TRUE(relaxed.ok());
   const double bound = relaxed.value().theta_opt * (1.0 + mm.theta_relax);
@@ -217,6 +217,45 @@ TEST(Controller, DoubleSurgePlacesBothPrefixesWithoutChurn) {
   run.run_until(35.0);
   EXPECT_EQ(run.service.controller().mitigations(), placed);
   EXPECT_EQ(run.service.controller().active_lie_count(), lies);
+}
+
+TEST(Controller, DoubleSurgeSolvesEachPrefixOnceWithContiguousLieIds) {
+  // The coalesced batch places P1, then P2 against P1's committed lies: one
+  // solve each, and P2's lie ids continue where P1's compile stopped (P1's
+  // one-lie set consumes ids 1 and 2).
+  PaperScenario run;
+  run.schedule(support::double_surge_schedule(run.s1, run.s2, run.p.p1, run.p.p2));
+  run.run_until(35.0);
+  const Controller& c = run.service.controller();
+  EXPECT_EQ(c.mitigations(), 2);
+  EXPECT_EQ(c.placement_solves(), 2);
+  const auto ids = [&](const net::Prefix& prefix) {
+    std::vector<std::uint64_t> out;
+    for (const Lie& lie : c.active_lies().at(prefix)) out.push_back(lie.id);
+    return out;
+  };
+  EXPECT_EQ(ids(run.p.p1), (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(ids(run.p.p2), (std::vector<std::uint64_t>{3, 4, 5, 6}));
+}
+
+TEST(Controller, FailRestoreBatchesSolveEachMemberOnce) {
+  // Failing B-R2 under both standing placements re-plans both prefixes in
+  // one two-member batch, and restoring it does so again. Each member is
+  // solved once, against the background of the members committed before it,
+  // and every placement compiles at theta* without the fallback ladder.
+  PaperScenario run;
+  run.schedule_fig2();
+  support::schedule_link_failure(run.service, 40.0, run.p.b, run.p.r2);
+  support::schedule_link_restore(run.service, 50.0, run.p.b, run.p.r2);
+  run.run_until(80.0);
+  const Controller& c = run.service.controller();
+  EXPECT_EQ(c.mitigations(), 6);
+  EXPECT_EQ(c.placement_solves(), c.mitigations());
+  EXPECT_EQ(c.relaxed_placements(), 0);
+  EXPECT_EQ(c.active_lie_count(), 5u);
+  EXPECT_TRUE(support::lies_respect_link_state(run.service));
+  EXPECT_EQ(run.service.sim().looping_flows(), 0u);
+  EXPECT_EQ(run.service.sim().blackholed_flows(), 0u);
 }
 
 }  // namespace

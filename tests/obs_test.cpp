@@ -2,9 +2,8 @@
 // lie-id threading, lane merge ordering, disabled no-op), the per-component
 // log level overrides, and -- through the full service -- the telemetry
 // snapshot (its key set and trace histogram expansion), the end-to-end
-// mitigation trace chain plus its bit-identity across shard and
-// mitigation-worker counts (the ShardDeterminism contract extended to
-// telemetry).
+// mitigation trace chain plus its bit-identity across shard counts (the
+// ShardDeterminism contract extended to telemetry).
 
 #include <gtest/gtest.h>
 
@@ -134,12 +133,11 @@ TEST(Logging, PerComponentOverrideShortCircuits) {
 
 // ------------------------------------------- the end-to-end mitigation trace
 
-core::ServiceConfig traced_config(std::size_t shards, std::size_t workers) {
+core::ServiceConfig traced_config(std::size_t shards) {
   // Reactive (SNMP-only) detection so the chain starts at a monitor sample.
   core::ServiceConfig config = support::demo_config(true, /*proactive=*/false);
   config.tracing = true;
   config.igp_shards = shards;
-  config.controller.mitigation_workers = workers;
   return config;
 }
 
@@ -148,7 +146,7 @@ core::ServiceConfig traced_config(std::size_t shards, std::size_t workers) {
 /// counter read by the telemetry table, and the set of those is pinned
 /// exactly, so a dropped or renamed key fails here.
 TEST(MetricsRegistry, HistogramExpandsToPercentileKeys) {
-  support::PaperScenario scenario(traced_config(1, 1));
+  support::PaperScenario scenario(traced_config(1));
   scenario.schedule_fig2();
   scenario.run_until(45.0);
   const auto offsets = scenario.service.tracer().stage_offsets();
@@ -196,7 +194,7 @@ TEST(MetricsRegistry, HistogramExpandsToPercentileKeys) {
 }
 
 TEST(TraceChain, Fig2SurgeCoversEveryStage) {
-  support::PaperScenario scenario(traced_config(1, 1));
+  support::PaperScenario scenario(traced_config(1));
   scenario.schedule_fig2();
   scenario.run_until(30.0);  // the t=15 surge has been detected and mitigated
 
@@ -227,7 +225,7 @@ TEST(TraceChain, Fig2SurgeCoversEveryStage) {
 
 /// The shard bit-identity contract extended to telemetry: the canonical
 /// trace stream and the metrics snapshot are pure functions of the scenario,
-/// independent of how many IGP shards or mitigation workers executed it.
+/// independent of how many IGP shards executed it.
 /// (shard.* keys are excluded from the snapshot comparison: cross-shard
 /// message counts genuinely depend on the partition.)
 TEST(TraceChain, TraceAndTelemetryBitIdenticalAcrossShardAndWorkerCounts) {
@@ -235,8 +233,8 @@ TEST(TraceChain, TraceAndTelemetryBitIdenticalAcrossShardAndWorkerCounts) {
     std::string dump;
     std::map<std::string, double> telemetry;
   };
-  const auto run = [](std::size_t shards, std::size_t workers) {
-    support::PaperScenario scenario(traced_config(shards, workers));
+  const auto run = [](std::size_t shards) {
+    support::PaperScenario scenario(traced_config(shards));
     scenario.schedule_fig2();
     scenario.run_until(45.0);  // both surges: multiple overlapping traces
     Run out;
@@ -248,14 +246,11 @@ TEST(TraceChain, TraceAndTelemetryBitIdenticalAcrossShardAndWorkerCounts) {
     return out;
   };
 
-  const Run ref = run(1, 1);
+  const Run ref = run(1);
   EXPECT_FALSE(ref.dump.empty());
-  for (const auto& [shards, workers] :
-       std::vector<std::pair<std::size_t, std::size_t>>{
-           {2, 1}, {8, 1}, {1, 8}, {8, 8}}) {
-    SCOPED_TRACE(std::to_string(shards) + " shards, " +
-                 std::to_string(workers) + " workers");
-    const Run got = run(shards, workers);
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    const Run got = run(shards);
     EXPECT_EQ(ref.dump, got.dump);
     EXPECT_EQ(ref.telemetry, got.telemetry);
   }

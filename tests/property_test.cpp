@@ -8,7 +8,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <tuple>
 
@@ -788,132 +787,6 @@ TEST_P(SrlgChurnProperty, GroupedFailuresPreserveInvariantsAndReconverge) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SrlgChurnProperty,
-                         ::testing::Range<std::uint64_t>(1, 4));
-
-// --------------------------- worker-count determinism: parallel mitigation
-
-/// Everything the controller's mitigation pipeline produces, serialized:
-/// the standing lies (every field, ids included), the controller counters,
-/// the southbound session's wire counters and each router's full routing
-/// table. Cache statistics are deliberately absent: LRU hit/build/eviction
-/// counts may legitimately vary with worker interleaving; the *results*
-/// may not.
-std::string churn_fingerprint(std::uint64_t seed, std::size_t workers) {
-  core::ServiceConfig config = support::demo_config();
-  config.controller.mitigation_workers = workers;
-  util::Rng rng(seed);
-  support::PaperScenario run(config);
-  core::FibbingService& service = run.service;
-  const topo::Topology& t = run.p.topo;
-  const video::VideoAsset asset{1e6, 3600.0};
-
-  std::vector<topo::LinkId> adjacencies;
-  for (topo::LinkId l = 0; l < t.link_count(); ++l) {
-    if (t.link(l).from < t.link(l).to) adjacencies.push_back(l);
-  }
-
-  std::vector<video::SessionId> sessions;
-  std::uint32_t next_host = 1;
-  double now = 0.0;
-  for (int step = 0; step < 80; ++step) {
-    const auto kind = rng.uniform_int(0, 3);
-    if (kind == 0) {
-      std::vector<topo::LinkId> candidates;
-      for (const topo::LinkId l : adjacencies) {
-        if (!service.link_state().is_down(l) &&
-            stays_connected_without(t, service.link_state(), l)) {
-          candidates.push_back(l);
-        }
-      }
-      if (!candidates.empty()) {
-        const topo::LinkId l = candidates[rng.pick_index(candidates.size())];
-        (void)service.fail_link(t.link(l).from, t.link(l).to);
-      }
-    } else if (kind == 1) {
-      std::vector<topo::LinkId> downs;
-      for (const topo::LinkId l : adjacencies) {
-        if (service.link_state().is_down(l)) downs.push_back(l);
-      }
-      if (!downs.empty()) {
-        const topo::LinkId l = downs[rng.pick_index(downs.size())];
-        (void)service.restore_link(t.link(l).from, t.link(l).to);
-      }
-    } else if (kind == 2 && sessions.size() < 40) {
-      // Surge both prefixes so mitigation batches carry several members --
-      // the case where the parallel pipeline actually fans out.
-      const bool p1 = rng.chance(0.5);
-      const auto count = rng.uniform_int(3, 8);
-      for (std::int64_t i = 0; i < count; ++i) {
-        const net::Prefix& prefix = p1 ? run.p.p1 : run.p.p2;
-        sessions.push_back(service.video().start_session(
-            p1 ? run.s1 : run.s2, prefix, prefix.host(1 + next_host++ % 120),
-            asset));
-      }
-    } else if (kind == 3 && !sessions.empty()) {
-      const auto count =
-          std::min<std::size_t>(sessions.size(),
-                                static_cast<std::size_t>(rng.uniform_int(1, 8)));
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t pick = rng.pick_index(sessions.size());
-        service.video().stop_session(sessions[pick]);
-        sessions[pick] = sessions.back();
-        sessions.pop_back();
-      }
-    }
-    now += 2.0;
-    run.run_until(now);
-  }
-
-  std::ostringstream out;
-  const core::Controller& c = service.controller();
-  out << "mitigations=" << c.mitigations() << " retractions=" << c.retractions()
-      << " relaxed=" << c.relaxed_placements()
-      << " topology_events=" << c.topology_events()
-      << " solves=" << c.placement_solves()
-      << " active=" << c.active_lie_count() << "\n";
-  for (const auto& [prefix, lies] : c.active_lies()) {
-    out << prefix.to_string() << ":";
-    for (const core::Lie& lie : lies) {
-      out << " [" << lie.id << " " << lie.name << " " << lie.attach << "->"
-          << lie.via << " m" << lie.ext_metric << " c" << lie.target_cost
-          << " fa" << lie.forwarding_address.to_string() << "]";
-    }
-    out << "\n";
-  }
-  const proto::ControllerSession::Counters& sb =
-      service.controller().southbound_counters();
-  out << "southbound pkts=" << sb.packets_sent << " bytes=" << sb.bytes_sent
-      << " lsus=" << sb.lsus_sent << " lsas=" << sb.lsas_sent
-      << " acks=" << sb.acks_received << " alias=" << sb.alias_rejections
-      << " reflush=" << sb.reflushes << "\n";
-  for (topo::NodeId n = 0; n < t.node_count(); ++n) {
-    out << t.node(n).name << ":";
-    for (const auto& [prefix, entry] : service.domain().table(n)) {
-      out << " " << prefix.to_string() << "=" << entry.cost << "@";
-      for (const auto& nh : entry.next_hops) {
-        out << nh.via << "x" << nh.weight << ",";
-      }
-    }
-    out << "\n";
-  }
-  return out.str();
-}
-
-class WorkerCountDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
-
-/// The parallel mitigation pipeline's contract: candidates are solved
-/// against a shared batch-start snapshot and committed by the driving
-/// thread in demand-sorted order, so the ledger, lies, counters and every
-/// router's forwarding state are bit-identical for every pool size.
-TEST_P(WorkerCountDeterminism, PipelineBitIdenticalAcrossPoolSizes) {
-  const std::string serial = churn_fingerprint(GetParam(), 1);
-  for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
-    EXPECT_EQ(serial, churn_fingerprint(GetParam(), workers))
-        << "diverged at mitigation_workers=" << workers;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, WorkerCountDeterminism,
                          ::testing::Range<std::uint64_t>(1, 4));
 
 // --------------------------------------- route cache vs fresh, direct churn

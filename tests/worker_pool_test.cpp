@@ -1,8 +1,6 @@
-// util::WorkerPool and the parallel mitigation pipeline built on it. This
-// suite is deliberately thread-heavy: the TSan CI job runs it to prove the
-// pool's handoff protocol and the controller's worker-side reads (shared
-// RouteCache, read-only snapshots) are race-free, complementing the
-// bit-identity determinism property in property_test.cpp.
+// util::WorkerPool, the thread barrier util::ShardPool runs its rounds
+// through. This suite is deliberately thread-heavy: the TSan CI job runs it
+// to prove the pool's handoff protocol race-free.
 
 #include <gtest/gtest.h>
 
@@ -11,9 +9,6 @@
 #include <numeric>
 #include <vector>
 
-#include "core/service.hpp"
-#include "support/probes.hpp"
-#include "support/scenario.hpp"
 #include "util/worker_pool.hpp"
 
 namespace fibbing {
@@ -46,8 +41,8 @@ TEST(WorkerPool, EveryIndexRunsExactlyOnce) {
 
 TEST(WorkerPool, ResultsVisibleToCallerAfterRun) {
   // run() is a synchronization point: per-slot writes made by workers must
-  // be visible to the caller without further locking (the controller reads
-  // candidate placements exactly this way).
+  // be visible to the caller without further locking (ShardPool reads each
+  // shard's round results exactly this way).
   util::WorkerPool pool(4);
   std::vector<int> slots(64, 0);
   pool.run(slots.size(), [&](std::size_t i) { slots[i] = static_cast<int>(i) + 1; });
@@ -68,50 +63,6 @@ TEST(WorkerPool, MoreWorkersThanTasks) {
   std::atomic<int> calls{0};
   pool.run(2, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 2);
-}
-
-// --------------------------------------------- parallel controller pipeline
-
-/// The demo surge with a wide pool: mitigation candidates for both hot
-/// prefixes are solved on worker threads against the shared RouteCache.
-/// Under TSan this drives the full worker-side read set (cache tables,
-/// topology, ledger snapshots) concurrently; the assertions check the
-/// pipeline still mitigates and keeps the paper's invariants.
-TEST(ParallelController, SurgeMitigatesWithWidePool) {
-  core::ServiceConfig config = support::demo_config();
-  config.controller.mitigation_workers = 8;
-  support::PaperScenario run(config);
-  run.schedule_fig2();
-  run.run_until(60.0);
-
-  EXPECT_GE(run.service.controller().mitigations(), 1);
-  EXPECT_GT(run.service.controller().active_lie_count(), 0u);
-  EXPECT_TRUE(support::lies_respect_link_state(run.service));
-  EXPECT_EQ(run.service.sim().looping_flows(), 0u);
-  EXPECT_EQ(run.service.sim().blackholed_flows(), 0u);
-}
-
-TEST(ParallelController, FailoverReplansWithWidePool) {
-  core::ServiceConfig config = support::demo_config();
-  config.controller.mitigation_workers = 8;
-  support::PaperScenario run(config);
-  run.schedule_fig2();
-  run.run_until(40.0);
-
-  // Kill and later restore an adjacency mid-mitigation: stranded lies are
-  // re-placed by the parallel pipeline on the degraded topology, then
-  // re-optimized when the link returns.
-  const topo::PaperTopology& p = run.p;
-  ASSERT_TRUE(run.service.fail_link(p.a, p.r1).ok());
-  run.run_until(50.0);
-  EXPECT_TRUE(support::lies_respect_link_state(run.service));
-  EXPECT_EQ(run.service.sim().blackholed_flows(), 0u);
-
-  ASSERT_TRUE(run.service.restore_link(p.a, p.r1).ok());
-  run.run_until(60.0);
-  EXPECT_TRUE(support::lies_respect_link_state(run.service));
-  EXPECT_EQ(run.service.sim().looping_flows(), 0u);
-  EXPECT_EQ(run.service.sim().blackholed_flows(), 0u);
 }
 
 }  // namespace

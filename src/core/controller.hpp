@@ -158,7 +158,6 @@ class Controller {
   /// by the next topology event to scope re-planning).
   void refresh_forwarding_snapshot_();
   [[nodiscard]] std::vector<te::Demand> demands_of_(const net::Prefix& prefix) const;
-  [[nodiscard]] std::vector<Lie> all_lies_except_(const net::Prefix& prefix) const;
   [[nodiscard]] std::vector<Lie> all_lies_() const;
   void apply_lies_(const net::Prefix& prefix, std::vector<Lie> lies);
   /// Root a new trace at the current instant if tracing is on and no root

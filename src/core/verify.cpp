@@ -3,6 +3,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "core/loads.hpp"
 #include "util/assert.hpp"
 
 namespace fibbing::core {
@@ -136,24 +137,7 @@ VerifyReport verify_augmentation(const topo::Topology& topo,
 
   // --- loop freedom ---------------------------------------------------------
   // Follow every achieved next hop; the union must be a DAG.
-  std::vector<int> indegree(topo.node_count(), 0);
-  for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
-    const auto it = augmented[n].find(req.prefix);
-    if (it == augmented[n].end() || it->second.local) continue;
-    for (const auto& nh : it->second.next_hops) ++indegree[nh.via];
-  }
-  std::vector<topo::NodeId> order;
-  for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
-    if (indegree[n] == 0) order.push_back(n);
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    const auto it = augmented[order[head]].find(req.prefix);
-    if (it == augmented[order[head]].end() || it->second.local) continue;
-    for (const auto& nh : it->second.next_hops) {
-      if (--indegree[nh.via] == 0) order.push_back(nh.via);
-    }
-  }
-  if (order.size() != topo.node_count()) {
+  if (forwarding_loops(topo, augmented, req.prefix)) {
     report.issues.push_back(
         {VerifyIssueKind::kLoop, topo::kInvalidNode,
          "forwarding loop detected for " + req.prefix.to_string()});

@@ -1,7 +1,5 @@
 #include "igp/domain.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 
@@ -23,10 +21,7 @@ IgpDomain::IgpDomain(const topo::Topology& topo, util::EventQueue& events,
       detected_down_(topo.node_count()),
       loss_rate_(topo.link_count(), 0.0),
       loss_seq_(topo.link_count(), 0),
-      extra_delay_(topo.link_count(), 0.0),
-      pending_liveness_(pool_.shard_count()),
-      pending_session_packets_(pool_.shard_count()),
-      pending_tables_(pool_.shard_count()) {
+      extra_delay_(topo.link_count(), 0.0) {
   FIB_ASSERT(timing_.flood_delay_s > 0.0,
              "IgpDomain: flood delay must be positive (channel lookahead)");
   link_state_->subscribe([this](topo::LinkId id, bool down) {
@@ -47,31 +42,33 @@ IgpDomain::IgpDomain(const topo::Topology& topo, util::EventQueue& events,
         [this](topo::NodeId from, topo::NodeId to, const proto::BufferPtr& buffer) {
           deliver_packet_(from, to, buffer);
         });
-    const std::size_t shard = pool_.shard_of(n);
-    router.set_controller_send([this, n, shard](const proto::BufferPtr& buffer) {
+    router.set_controller_send([this, n](const proto::BufferPtr& buffer) {
       // Acks ride back over the controller adjacency with the same channel
       // delay as any packet; convergence waits for them. The packet arrives
       // as an event on this router's shard, but the session is driving-thread
-      // state: the arrival is queued and handed to the session at the round
-      // barrier, where a reply (a re-issued tombstone) may enter the domain.
+      // state: the arrival is deferred to the round barrier, where a reply (a
+      // re-issued tombstone) may enter the domain.
       if (!controller_sessions_.contains(n)) return;
       if (alive_[n] == 0) return;  // a crashed router sends nothing
       in_flight_.fetch_add(1, std::memory_order_relaxed);
-      pool_.schedule(n, n, pool_.now() + timing_.flood_delay_s,
-                     [this, n, shard, buffer] {
-                       in_flight_.fetch_sub(1, std::memory_order_relaxed);
-                       pending_session_packets_[shard].emplace_back(n, buffer);
-                     });
+      pool_.schedule(n, n, pool_.now() + timing_.flood_delay_s, [this, n, buffer] {
+        in_flight_.fetch_sub(1, std::memory_order_relaxed);
+        pool_.defer(n, [this, n, buffer] {
+          controller_sessions_.at(n)->receive(buffer);
+        });
+      });
     });
     router.set_on_adjacency(
         [this](topo::NodeId self, topo::NodeId peer, bool up) {
           on_adjacency_(self, peer, up);
         });
-    router.set_on_table([this, shard](topo::NodeId self, const RoutingTable&) {
-      // Deferred: user callbacks must not run on shard workers. Flushed in
-      // ascending node order at the round barrier (the order a 1-shard run
-      // fires them in, since same-instant events sort by origin router).
-      pending_tables_[shard].push_back(self);
+    router.set_on_table([this](topo::NodeId self, const RoutingTable&) {
+      // User callbacks must not run on shard workers: deferred to the round
+      // barrier, where the table is still the one this SPF installed (a
+      // router runs at most one SPF per instant).
+      pool_.defer(self, [this, self] {
+        if (on_table_change_) on_table_change_(self, routers_[self]->table());
+      });
     });
     for (const topo::LinkId lid : topo.out_links(n)) {
       if (!link_state_->is_down(lid)) router.add_neighbor(topo.link(lid).to);
@@ -157,19 +154,10 @@ void IgpDomain::on_adjacency_(topo::NodeId self, topo::NodeId peer, bool up) {
                         << topo_.link_name(link);
   routers_[self]->originate(make_router_lsa(
       topo_, self, ++router_seq_[self], advertised_bits_(self)));
-  pending_liveness_[pool_.shard_of(self)].emplace_back(link, !up);
-}
-
-void IgpDomain::flush_liveness_() {
-  std::vector<std::pair<topo::LinkId, bool>> changes;
-  for (auto& per_shard : pending_liveness_) {
-    changes.insert(changes.end(), per_shard.begin(), per_shard.end());
-    per_shard.clear();
-  }
-  if (changes.empty() || on_liveness_change_ == nullptr) return;
-  // Shard-count independent delivery order: sorted by (link, direction).
-  std::sort(changes.begin(), changes.end());
-  for (const auto& [link, down] : changes) on_liveness_change_(link, down);
+  // The listener may fail mask links, scheduling more work: driving thread.
+  pool_.defer(self, [this, link, up] {
+    if (on_liveness_change_) on_liveness_change_(link, !up);
+  });
 }
 
 void IgpDomain::crash_router(topo::NodeId n) {
@@ -363,54 +351,12 @@ void IgpDomain::arm_pump_() {
 void IgpDomain::run_pump_() {
   pump_ = {};
   sync_clock_();  // the pump fires at pool_.next_time() == events_.now()
-  pool_.run_round();
-  flush_session_packets_();
-  // Lane flush precedes the table flush: a trace's LSA-install/SPF stamps
-  // must land in the stream before its same-instant table flip.
-  if (tracer_ != nullptr) tracer_->flush_lanes();
-  flush_table_changes_();
-  flush_liveness_();  // may fail mask links, scheduling more work
+  pool_.run_round();  // runs the routers' deferred callbacks before returning
   arm_pump_();
 }
 
 void IgpDomain::set_tracer(obs::TraceRecorder* tracer) {
-  tracer_ = tracer;
-  if (tracer_ == nullptr) return;
-  tracer_->configure_lanes(pool_.shard_count());
-  for (topo::NodeId n = 0; n < routers_.size(); ++n) {
-    routers_[n]->set_tracer(tracer_, pool_.shard_of(n));
-  }
-}
-
-void IgpDomain::flush_session_packets_() {
-  std::vector<std::pair<topo::NodeId, proto::BufferPtr>> arrived;
-  for (auto& per_shard : pending_session_packets_) {
-    arrived.insert(arrived.end(), per_shard.begin(), per_shard.end());
-    per_shard.clear();
-  }
-  // A 1-shard round runs one router's events in key order, routers
-  // ascending: a stable sort by router restores that order for any shard
-  // count, so the session's replies take the same driver sequence numbers.
-  std::stable_sort(arrived.begin(), arrived.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [at, buffer] : arrived) {
-    controller_sessions_.at(at)->receive(buffer);
-  }
-}
-
-void IgpDomain::flush_table_changes_() {
-  std::vector<topo::NodeId> changed;
-  for (auto& per_shard : pending_tables_) {
-    changed.insert(changed.end(), per_shard.begin(), per_shard.end());
-    per_shard.clear();
-  }
-  if (changed.empty() || on_table_change_ == nullptr) return;
-  // Each router runs at most one SPF per instant (hold-down), so the ids
-  // are unique; ascending order matches the 1-shard firing order.
-  std::sort(changed.begin(), changed.end());
-  for (const topo::NodeId n : changed) {
-    on_table_change_(n, routers_[n]->table());
-  }
+  for (const auto& router : routers_) router->set_tracer(tracer);
 }
 
 }  // namespace fibbing::igp

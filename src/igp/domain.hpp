@@ -35,11 +35,15 @@ namespace fibbing::igp {
 /// domain keeps exactly one "pump" event armed on it at the pool's earliest
 /// pending instant, and the pump runs one barrier-synchronized round (all
 /// shards in parallel) per firing, so the domain composes with the
-/// single-threaded data-plane/monitoring/video layers unchanged. Scheduling
-/// is deterministic under a seed: events are ordered by
-/// (time, origin router, per-origin sequence), so a sharded run produces
-/// bit-identical LSDBs, tables and counters to the single-threaded run
-/// (shards = 1, which spawns no worker thread at all).
+/// single-threaded data-plane/monitoring/video layers unchanged. Whatever a
+/// router hands to the driving thread -- a fresh table, a packet for the
+/// controller session, a liveness transition, a trace stamp -- goes through
+/// ShardPool::defer and runs when the round ends. Scheduling is
+/// deterministic under a seed: events are ordered by
+/// (time, origin router, per-origin sequence) and deferred callbacks by
+/// router, so a sharded run produces bit-identical LSDBs, tables and
+/// counters to the single-threaded run (shards = 1, which spawns no worker
+/// thread at all).
 class IgpDomain {
  public:
   /// `link_state` is the live up/down mask the domain consults and mutates;
@@ -173,10 +177,8 @@ class IgpDomain {
   [[nodiscard]] util::ShardPool::Stats shard_stats() { return pool_.stats(); }
   [[nodiscard]] std::size_t shard_count() const { return pool_.shard_count(); }
 
-  /// Attach the control-loop trace recorder: sizes one lane per shard,
-  /// hands every router its shard's lane, and flushes the lanes at each
-  /// round barrier (before table changes, so a trace's LSA-install/SPF
-  /// stamps precede its same-instant table flip in the stream).
+  /// Attach the control-loop trace recorder to every router (which defer
+  /// their stamps to the round barrier; see RouterProcess::set_tracer).
   void set_tracer(obs::TraceRecorder* tracer);
 
  private:
@@ -187,22 +189,17 @@ class IgpDomain {
   void on_link_restored_(topo::LinkId id);
   /// A session at `self` reported an adjacency transition (shard worker,
   /// mid-round): maintain the protocol-detected overlay, re-originate the
-  /// Router-LSA, and queue the liveness event for the barrier flush.
+  /// Router-LSA, and defer the liveness event to the round barrier.
   void on_adjacency_(topo::NodeId self, topo::NodeId peer, bool up);
   /// `self`'s advertised down-bits: the shared mask OR'd with the links the
   /// protocol detected dead at `self`.
   [[nodiscard]] std::vector<bool> advertised_bits_(topo::NodeId self) const;
   /// Deterministic drop decision for the next packet on directed link `id`.
   [[nodiscard]] bool lose_packet_(topo::LinkId id);
-  void flush_liveness_();
-  /// Hand the round's controller-session arrivals to their sessions
-  /// (driving thread, at the barrier, in the 1-shard arrival order).
-  void flush_session_packets_();
   // Driving-thread plumbing between the master clock and the shard pool.
   void sync_clock_();  ///< raise the pool clock to the master clock
   void arm_pump_();    ///< keep one pump event armed at pool_.next_time()
-  void run_pump_();    ///< one round: run an instant, flush tables, rearm
-  void flush_table_changes_();
+  void run_pump_();    ///< one round: sync the clock, run an instant, rearm
 
   const topo::Topology& topo_;
   util::EventQueue& events_;
@@ -226,28 +223,14 @@ class IgpDomain {
   std::vector<double> loss_rate_;
   std::vector<std::uint64_t> loss_seq_;
   std::vector<double> extra_delay_;
-  /// Liveness transitions detected this round, per shard (each worker
-  /// appends only to its own slot); drained sorted at the round barrier.
-  std::vector<std::vector<std::pair<topo::LinkId, bool>>> pending_liveness_;
   LivenessFn on_liveness_change_;
   std::map<topo::NodeId, std::unique_ptr<proto::ControllerSession>>
       controller_sessions_;
-  /// Packets for a controller session that arrived this round, per shard
-  /// (each worker appends only to its own slot); flushed at the barrier.
-  std::vector<std::vector<std::pair<topo::NodeId, proto::BufferPtr>>>
-      pending_session_packets_;
   /// Packets (and controller updates) scheduled but not yet delivered.
   /// Atomic: incremented/decremented from shard workers mid-round, read by
   /// converged() on the driving thread between rounds.
   std::atomic<std::uint64_t> in_flight_{0};
   TableChangeFn on_table_change_;
-  /// Trace recorder shared with the controller/service; the domain's only
-  /// duties are lane configuration and the barrier flush.
-  obs::TraceRecorder* tracer_ = nullptr;
-  /// Routers whose SPF installed a fresh table this round, per shard (each
-  /// worker appends only to its own slot); flushed to on_table_change_ in
-  /// ascending node order at the barrier.
-  std::vector<std::vector<topo::NodeId>> pending_tables_;
   util::EventHandle pump_{};
   util::SimTime pump_at_ = 0.0;
 };

@@ -71,10 +71,12 @@ struct Lsa {
   LsaBody body;
 };
 
-/// Shared-ownership handle to an immutable LSA instance. Flooding an LSA
-/// across the domain touches O(links) hops; with a shared pool every hop
-/// (and every LSDB replica holding the instance) shares one allocation
-/// instead of deep-copying the variant body per hop.
+/// Shared-ownership handle to an immutable LSA instance. Nothing is shared
+/// across routers: each decodes its own copy from the wire
+/// (RouterProcess::deliver). The handle lets one router's instance outlive
+/// its LSDB slot -- Lsdb::Change::before keeps a replaced instance alive for
+/// NetworkView::patch_from_lsdb -- and lets Lsdb::all() hand out entries
+/// without copying them.
 using LsaPtr = std::shared_ptr<const Lsa>;
 
 /// Build `node`'s Router-LSA from the topology. Links whose id is marked in

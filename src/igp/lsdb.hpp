@@ -10,8 +10,8 @@ namespace fibbing::igp {
 /// Link-state database: the per-router replica of all flooded LSAs.
 /// Sequence numbers decide freshness, exactly as in OSPF: an instance
 /// replaces a stored one iff its seq is strictly newer. Instances are held
-/// through the shared LSA pool (LsaPtr), so the N replicas of one flooded
-/// instance across the domain share a single allocation.
+/// by LsaPtr, so a replaced or erased instance stays alive in its Change
+/// record (Change::before) for the router's SPF view patch to diff against.
 class Lsdb {
  public:
   enum class InstallResult { kNewer, kDuplicate, kStale };
@@ -20,7 +20,7 @@ class Lsdb {
   /// caller should re-flood and schedule SPF).
   InstallResult install(LsaPtr lsa);
   /// Convenience for callers holding a plain value (tests, one-off
-  /// construction): wraps into the pool once.
+  /// construction): wraps it in a handle.
   InstallResult install(const Lsa& lsa);
 
   [[nodiscard]] const Lsa* find(const LsaKey& key) const;
@@ -44,8 +44,7 @@ class Lsdb {
   /// All live (non-withdrawn) LSAs, deterministic order (sorted by key).
   [[nodiscard]] std::vector<const Lsa*> live() const;
 
-  /// All entries including withdrawal tombstones (for flooding sync),
-  /// shared handles so re-flooding does not copy.
+  /// All entries including withdrawal tombstones, as handles (no copy).
   [[nodiscard]] std::vector<LsaPtr> all() const;
 
   /// Two databases are equivalent when they hold the same keys at the same

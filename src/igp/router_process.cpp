@@ -262,9 +262,7 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
         // for the SPF run the schedule above just armed.
         if (const std::uint64_t trace = tracer_->trace_for_lie(key.key);
             trace != 0) {
-          tracer_->emit_lane(trace_lane_, events_.now(), trace,
-                             obs::Stage::kLsaInstall,
-                             static_cast<std::uint32_t>(self_), key.key);
+          emit_trace_(trace, obs::Stage::kLsaInstall, key.key);
           pending_trace_lies_.insert(key.key);
         }
       }
@@ -399,6 +397,14 @@ RouterSpf::Run RouterSpf::run(Lsdb& lsdb) {
   return run;
 }
 
+void RouterProcess::emit_trace_(std::uint64_t trace, obs::Stage stage,
+                                std::uint64_t lie) {
+  events_.defer([tracer = tracer_, at = events_.now(), trace, stage,
+                 node = static_cast<std::uint32_t>(self_), lie] {
+    tracer->emit(at, trace, stage, 'i', node, lie);
+  });
+}
+
 void RouterProcess::run_spf_now_() {
   ++spf_runs_;
   const RouterSpf::Run run = spf_.run(lsdb_);
@@ -419,8 +425,7 @@ void RouterProcess::run_spf_now_() {
     for (const std::uint64_t lie : last_spf_lie_ids_) {
       const std::uint64_t trace = tracer_->trace_for_lie(lie);
       if (trace == 0 || !stamped.insert(trace).second) continue;
-      tracer_->emit_lane(trace_lane_, events_.now(), trace, obs::Stage::kSpf,
-                         static_cast<std::uint32_t>(self_), lie);
+      emit_trace_(trace, obs::Stage::kSpf, lie);
     }
   }
   if (on_table_) on_table_(self_, table_);

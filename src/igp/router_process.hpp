@@ -113,14 +113,10 @@ class RouterProcess final : private proto::DatabaseFacade {
     controller_send_ = std::move(fn);
   }
   void set_on_adjacency(AdjacencyFn fn) { on_adjacency_ = std::move(fn); }
-  /// Attach the control-loop trace recorder. `lane` is this router's shard:
-  /// the router runs on a shard worker mid-round, so it emits into the
-  /// shard's lane buffer and the domain merges lanes at the round barrier
-  /// (shard-count-invariant by the lane sort; see obs::TraceRecorder).
-  void set_tracer(obs::TraceRecorder* tracer, std::size_t lane) {
-    tracer_ = tracer;
-    trace_lane_ = lane;
-  }
+  /// Attach the control-loop trace recorder. The router may run on a shard
+  /// worker, so it hands each stamp to its scheduler's defer(), which
+  /// emits it on the driving thread (see util::ShardPool::defer).
+  void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
   /// Lie ids of controller-originated externals the most recent SPF run
   /// consumed (installed since the previous run). The service reads this at
   /// table-flush time to stamp the dataplane table flip on those traces.
@@ -217,6 +213,9 @@ class RouterProcess final : private proto::DatabaseFacade {
   void echo_to_controller_(const proto::WireLsa& lsa);
   void schedule_spf_();
   void run_spf_now_();
+  /// Stamp `stage` of `trace` for `lie` at this router, on the driving
+  /// thread (through the scheduler's defer()).
+  void emit_trace_(std::uint64_t trace, obs::Stage stage, std::uint64_t lie);
 
   topo::NodeId self_;
   const proto::AddressMap* addrs_;
@@ -240,10 +239,9 @@ class RouterProcess final : private proto::DatabaseFacade {
   bool controller_peer_ = false;
   /// Trace wiring (see set_tracer). pending_trace_lies_ accumulates traced
   /// lie installs between SPF runs; run_spf_now_ drains it into
-  /// last_spf_lie_ids_ and stamps one kSpf per distinct trace. All three
+  /// last_spf_lie_ids_ and stamps one kSpf per distinct trace. Both lists
   /// are only touched from this router's shard worker.
   obs::TraceRecorder* tracer_ = nullptr;
-  std::size_t trace_lane_ = 0;
   std::set<std::uint64_t> pending_trace_lies_;
   std::vector<std::uint64_t> last_spf_lie_ids_;
   proto::SessionCounters retired_;  ///< counters of torn-down sessions

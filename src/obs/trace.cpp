@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
-
-#include "util/assert.hpp"
 
 namespace fibbing::obs {
 
@@ -23,10 +20,6 @@ const char* to_string(Stage stage) {
   return "unknown";
 }
 
-void TraceRecorder::configure_lanes(std::size_t lanes) {
-  while (lanes_.size() < lanes) lanes_.push_back(std::make_unique<Lane>());
-}
-
 void TraceRecorder::bind_lie(std::uint64_t lie_id, std::uint64_t trace_id) {
   util::MutexLock lock(bind_mu_);
   lie_trace_[lie_id] = trace_id;
@@ -42,34 +35,6 @@ void TraceRecorder::emit(double at, std::uint64_t trace_id, Stage stage,
                          char phase, std::uint32_t node, std::uint64_t detail) {
   events_.push_back(
       TraceEvent{at, trace_id, stage, phase, node, detail, span_depth_});
-}
-
-void TraceRecorder::emit_lane(std::size_t lane, double at,
-                              std::uint64_t trace_id, Stage stage,
-                              std::uint32_t node, std::uint64_t detail) {
-  FIB_ASSERT(lane < lanes_.size(), "obs: lane out of range");
-  Lane& l = *lanes_[lane];
-  util::MutexLock lock(l.mu);
-  l.buffer.push_back(TraceEvent{at, trace_id, stage, 'i', node, detail, 0});
-}
-
-void TraceRecorder::flush_lanes() {
-  std::vector<TraceEvent> merged;
-  for (const auto& lane : lanes_) {
-    util::MutexLock lock(lane->mu);
-    merged.insert(merged.end(), lane->buffer.begin(), lane->buffer.end());
-    lane->buffer.clear();
-  }
-  if (merged.empty()) return;
-  // All events of a round share the round's instant and a node lives on one
-  // shard, so sorting by (time, node) with a stable sort yields the same
-  // stream for every shard count while preserving a node's own order.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.at != b.at) return a.at < b.at;
-                     return a.node < b.node;
-                   });
-  events_.insert(events_.end(), merged.begin(), merged.end());
 }
 
 std::string TraceRecorder::canonical_dump() const {
@@ -136,16 +101,6 @@ std::map<std::string, std::vector<double>> TraceRecorder::stage_offsets() const 
     out["end_to_end_s"].push_back(t.last - t.root);
   }
   return out;
-}
-
-void TraceRecorder::clear() {
-  events_.clear();
-  for (const auto& lane : lanes_) {
-    util::MutexLock lock(lane->mu);
-    lane->buffer.clear();
-  }
-  util::MutexLock lock(bind_mu_);
-  lie_trace_.clear();
 }
 
 ScopedSpan::ScopedSpan(TraceRecorder* recorder, double at,

@@ -1,9 +1,7 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,22 +56,20 @@ struct TraceEvent {
 /// E), so the thread needs no side channel.
 ///
 /// Determinism contract (extends the repo's shard bit-identity guarantee):
-/// shard workers never append to the global stream directly -- each emits
-/// into its shard's lane (emit_lane), and the domain flushes the lanes at
-/// the round barrier (flush_lanes) sorted by (time, node); a node's own
-/// events keep their emission order (stable sort, one lane per node). All
-/// events of a round share the round's instant and a node lives on exactly
-/// one shard, so the flushed stream is bit-identical for every shard count.
-/// Driving-thread events (controller stages, table flips) append directly
-/// between rounds in program order. The canonical_dump() string is the
-/// surface the determinism property test compares.
+/// events enter the stream one way only, emit(), on the driving thread.
+/// Controller stages and table flips append between rounds in program
+/// order; a router on a shard worker defers its stamp through
+/// util::ShardPool::defer, which replays the round's deferred callbacks in
+/// ascending router order, each router's in its own order. So the stream
+/// is bit-identical for every shard count. The canonical_dump() string is
+/// the surface the determinism property test compares.
 ///
-/// Thread safety: lanes and the lie-binding map are util::Mutex-guarded
-/// (FIB_GUARDED_BY, proven by -Wthread-safety); a lane's mutex is only ever
-/// contended by its own shard worker vs the barrier flush. When disabled
-/// (the default) every emit path short-circuits on one read of a flag fixed
-/// at construction, before touching any argument -- the FIB_SPAN/FIB_EVENT
-/// macros guard the same way, so tracing costs one branch when off.
+/// Thread safety: the stream is driving-thread-only; the lie-binding map
+/// is util::Mutex-guarded (FIB_GUARDED_BY, proven by -Wthread-safety),
+/// because routers read it mid-round. When disabled (the default) every
+/// emit path short-circuits on one read of a flag fixed at construction,
+/// before touching any argument -- the FIB_SPAN/FIB_EVENT macros guard the
+/// same way, so tracing costs one branch when off.
 class TraceRecorder {
  public:
   explicit TraceRecorder(bool enabled = false) : enabled_(enabled) {}
@@ -81,10 +77,6 @@ class TraceRecorder {
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   [[nodiscard]] bool enabled() const { return enabled_; }
-
-  /// Size the per-shard lane set (the domain calls this with its shard
-  /// count). Existing lane contents are preserved when growing.
-  void configure_lanes(std::size_t lanes);
 
   /// Fresh trace id (driving thread only; ids are dense from 1).
   [[nodiscard]] std::uint64_t next_trace_id() { return ++last_trace_id_; }
@@ -96,18 +88,11 @@ class TraceRecorder {
   [[nodiscard]] std::uint64_t trace_for_lie(std::uint64_t lie_id) const
       FIB_EXCLUDES(bind_mu_);
 
-  /// Driving-thread emission (between rounds): appends to the global
-  /// stream in program order.
+  /// Append to the stream in program order (driving thread only).
   void emit(double at, std::uint64_t trace_id, Stage stage, char phase,
             std::uint32_t node, std::uint64_t detail);
-  /// Shard-worker emission (mid-round): buffered in the worker's lane.
-  void emit_lane(std::size_t lane, double at, std::uint64_t trace_id, Stage stage,
-                 std::uint32_t node, std::uint64_t detail);
-  /// Round-barrier merge of all lanes into the global stream, sorted by
-  /// (time, node) with per-node emission order preserved.
-  void flush_lanes();
 
-  /// The merged stream (driving thread; call after flush_lanes).
+  /// The stream (driving thread).
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
 
   /// One line per event -- the bit-identity comparison surface.
@@ -124,8 +109,6 @@ class TraceRecorder {
   /// expands them into percentile keys.
   [[nodiscard]] std::map<std::string, std::vector<double>> stage_offsets() const;
 
-  void clear();
-
   // Span-depth bookkeeping for ScopedSpan (driving thread only).
   [[nodiscard]] std::uint32_t enter_span() { return span_depth_++; }
   void exit_span() { --span_depth_; }
@@ -136,20 +119,14 @@ class TraceRecorder {
   std::uint32_t span_depth_ = 0;
   std::vector<TraceEvent> events_;  ///< driving thread only
 
-  struct Lane {
-    util::Mutex mu;
-    std::vector<TraceEvent> buffer FIB_GUARDED_BY(mu);
-  };
-  std::vector<std::unique_ptr<Lane>> lanes_;
-
   mutable util::Mutex bind_mu_;
   std::map<std::uint64_t, std::uint64_t> lie_trace_ FIB_GUARDED_BY(bind_mu_);
 };
 
 /// RAII span: emits a 'B' record on construction and the matching 'E' on
 /// destruction, tracking nesting depth. Inert when the recorder is null or
-/// disabled. Driving thread only (spans model controller-side stages; shard
-/// workers emit instants via emit_lane).
+/// disabled. Driving thread only (spans model controller-side stages;
+/// routers defer instants).
 class ScopedSpan {
  public:
   ScopedSpan(TraceRecorder* recorder, double at, std::uint64_t trace_id,

@@ -10,6 +10,15 @@ namespace fibbing::proto {
 
 namespace {
 
+/// The interface MTU every Database Description packet advertises.
+constexpr std::uint16_t kInterfaceMtu = 1500;
+/// LS Update pagination: batches flush when the next LSA would push the
+/// packet past this many body bytes (an LSA larger by itself still goes
+/// alone, as real OSPF leaves oversized updates to IP fragmentation).
+/// Keeps LSR responses and retransmission bundles bounded -- the encoded
+/// packet length field is 16 bits.
+constexpr std::size_t kMaxUpdateBytes = 1400;
+
 /// The wire Hello carries whole-second intervals; a disabled (<= 0) timer
 /// advertises the RFC defaults so liveness-off sessions interoperate with
 /// each other (both sides advertise the same values either way).
@@ -279,7 +288,7 @@ void NeighborSession::take_snapshot_() {
 
 void NeighborSession::send_dd_page_(bool init) {
   DatabaseDescriptionBody dd;
-  dd.interface_mtu = config_.interface_mtu;
+  dd.interface_mtu = kInterfaceMtu;
   dd.dd_sequence = dd_seq_;
   if (init) {
     dd.flags = kDdFlagInit | kDdFlagMore | kDdFlagMasterSlave;
@@ -422,7 +431,7 @@ void NeighborSession::send_update_batches_(const std::vector<const WireLsa*>& ls
     // The wire length field is 16 bits; flush before a batch could ever
     // approach it. A single oversized LSA still travels alone.
     if (!batch.lsas.empty() &&
-        batch_bytes + lsa->header.length > config_.max_update_bytes) {
+        batch_bytes + lsa->header.length > kMaxUpdateBytes) {
       flush();
     }
     batch.lsas.push_back(*lsa);

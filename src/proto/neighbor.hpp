@@ -38,13 +38,6 @@ struct SessionConfig {
   std::size_t max_request_entries = 32;
   /// RFC RxmtInterval analogue (scaled to the demo's seconds-scale timers).
   double rxmt_interval_s = 0.5;
-  std::uint16_t interface_mtu = 1500;
-  /// LS Update pagination: batches flush when the next LSA would push the
-  /// packet past this many body bytes (an LSA larger by itself still goes
-  /// alone, as real OSPF leaves oversized updates to IP fragmentation).
-  /// Keeps LSR responses and retransmission bundles bounded -- the encoded
-  /// packet length field is 16 bits.
-  std::size_t max_update_bytes = 1400;
   /// RFC HelloInterval: periodic Hello cadence. <= 0 disables protocol
   /// liveness entirely (bring-up Hellos only) -- the default here, so a
   /// bare session harness's event queue still drains; IgpTiming turns it
@@ -212,7 +205,7 @@ class NeighborSession {
   void finish_exchange_();
   void send_next_requests_();
   /// Send `lsas` as LS Updates, splitting into packets of at most
-  /// max_update_bytes of LSA payload each. Every transmitted copy's age is
+  /// kMaxUpdateBytes of LSA payload each. Every transmitted copy's age is
   /// advanced by InfTransDelay (RFC 13.3) -- the Fletcher checksum excludes
   /// the age field, so the instance stays byte-verifiable.
   void send_update_batches_(const std::vector<const WireLsa*>& lsas);

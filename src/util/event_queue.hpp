@@ -48,6 +48,11 @@ class Scheduler {
   /// Cancel a pending event. Returns false (no-op) if the event already
   /// fired, was already cancelled, or the handle is invalid.
   virtual bool cancel(EventHandle h) = 0;
+
+  /// Run `cb` on the driving thread: at once when the caller already is the
+  /// driving thread (EventQueue), at the end of the current round when it
+  /// is a shard worker (ShardPool::defer).
+  virtual void defer(Callback cb) = 0;
 };
 
 /// Deterministic discrete-event scheduler.
@@ -59,16 +64,18 @@ class Scheduler {
 ///  - an event may schedule further events, including at the current time.
 ///
 /// Threading contract: **driving-thread-only**, deliberately unannotated.
-/// EventQueue is the master clock; every call (schedule_at, cancel, step,
-/// run_*) happens on the thread driving the simulation. Shard workers never
-/// see it: a sharded domain's routers schedule through ShardPool's per-actor
-/// Scheduler facades, which route cross-thread traffic into lock-guarded
-/// inboxes (see shard_pool.hpp), and ShardPool hands control back to the
-/// driving thread at the round barrier *before* the domain pumps this queue
-/// or flushes user callbacks. So the scheduler boundary the facades cross is
-/// ShardPool::schedule — the annotated, -Wthread-safety-checked surface —
-/// and adding a mutex here would only mask an architecture violation that
-/// FIB_ASSERTs and TSan are meant to catch loudly.
+/// EventQueue is the master clock; every call (schedule_at, cancel, defer,
+/// step, run_*) happens on the thread driving the simulation, so defer()
+/// runs its callback at once. Shard workers never see it: a sharded
+/// domain's routers schedule through ShardPool's per-actor Scheduler
+/// facades, which route cross-thread traffic into lock-guarded inboxes and
+/// deferred callbacks into per-shard queues (see shard_pool.hpp), and
+/// ShardPool runs those callbacks on the driving thread at the round
+/// barrier, before the domain pumps this queue again. So the scheduler
+/// boundary the facades cross is ShardPool::schedule — the annotated,
+/// -Wthread-safety-checked surface — and adding a mutex here would only
+/// mask an architecture violation that FIB_ASSERTs and TSan are meant to
+/// catch loudly.
 class EventQueue final : public Scheduler {
  public:
   using Callback = Scheduler::Callback;
@@ -82,6 +89,9 @@ class EventQueue final : public Scheduler {
   /// Cancel a pending event. Returns false (no-op) if the event already
   /// fired, was already cancelled, or the handle is invalid.
   bool cancel(EventHandle h) override;
+
+  /// The caller is the driving thread: run `cb` now.
+  void defer(Callback cb) override { cb(); }
 
   /// Run a single event. Returns false when the queue is empty.
   bool step();

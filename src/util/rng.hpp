@@ -37,12 +37,6 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Poisson sample with the given mean.
-  std::int64_t poisson(double mean) {
-    FIB_ASSERT(mean >= 0.0, "poisson: mean must be non-negative");
-    return std::poisson_distribution<std::int64_t>(mean)(engine_);
-  }
-
   /// Uniformly pick an element index from a non-empty container size.
   std::size_t pick_index(std::size_t size) {
     FIB_ASSERT(size > 0, "pick_index: empty container");

@@ -101,6 +101,26 @@ bool ShardPool::cancel(std::uint32_t actor, EventHandle h) {
   return shards_[shard_of(actor)]->live.erase(h.id) > 0;
 }
 
+void ShardPool::defer(std::uint32_t actor, Callback cb) {
+  FIB_ASSERT(in_round_.load(std::memory_order_relaxed),
+             "defer: no round running");
+  FIB_ASSERT(cb != nullptr, "defer: null callback");
+  shards_[shard_of(actor)]->deferred.emplace_back(actor, std::move(cb));
+}
+
+void ShardPool::run_deferred_() {
+  std::vector<std::pair<std::uint32_t, Callback>> queued;
+  for (const auto& shard : shards_) {
+    for (auto& entry : shard->deferred) queued.push_back(std::move(entry));
+    shard->deferred.clear();
+  }
+  // A shard runs its events in (origin, sequence) order, not by target, so
+  // even one shard needs the sort; stability keeps each actor's own order.
+  std::stable_sort(queued.begin(), queued.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& entry : queued) entry.second();
+}
+
 void ShardPool::prune_cancelled_(Shard& shard) {
   while (!shard.heap.empty() &&
          !shard.live.contains(event_id_(shard.heap.top().origin,
@@ -177,6 +197,7 @@ std::size_t ShardPool::run_round() {
   }
   std::uint64_t after = 0;
   for (const auto& shard : shards_) after += shard->executed;
+  run_deferred_();
   return static_cast<std::size_t>(after - before);
 }
 

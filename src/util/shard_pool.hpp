@@ -5,6 +5,7 @@
 #include <memory>
 #include <queue>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "util/annotations.hpp"
@@ -36,15 +37,24 @@ namespace fibbing::util {
 /// identically for every shard count, and by induction so does the entire
 /// execution.
 ///
+/// Output that must leave a shard for the driving thread (a routing table
+/// for the data plane, a packet for the controller session, a liveness
+/// transition, a trace stamp) takes one path: defer(). The callback waits
+/// in its shard's queue and runs on the driving thread at the end of the
+/// round, in ascending actor order and each actor's in deferral order. An
+/// actor's events at one instant run in key order for every shard count,
+/// so that order is shard-count-invariant too.
+///
 /// Threading contract:
 ///  - schedule() may be called from the driving thread while no round is
 ///    running, or mid-round by the thread running a shard, on behalf of an
 ///    actor that shard owns;
+///  - defer() only mid-round, by the thread running the actor's shard;
 ///  - everything else (run_round, next_time, has_pending, advance_to,
 ///    stats) is driving-thread-only, between rounds;
 ///  - the worker pool's batch barrier (run() returns only after every
-///    shard finished) orders all cross-thread access to shard heaps, actor
-///    state and sequence counters.
+///    shard finished) orders all cross-thread access to shard heaps,
+///    deferred queues, actor state and sequence counters.
 class ShardPool {
  public:
   using Callback = Scheduler::Callback;
@@ -78,6 +88,11 @@ class ShardPool {
   /// schedule). Returns false if it already fired or was cancelled.
   bool cancel(std::uint32_t actor, EventHandle h);
 
+  /// Queue `cb` to run on the driving thread once the current round's
+  /// events are done (see the class comment for the order). Mid-round
+  /// only, from the thread running `actor`'s shard.
+  void defer(std::uint32_t actor, Callback cb);
+
   /// Per-actor util::Scheduler facade: self-targeted scheduling plus the
   /// shard's virtual clock, for components (neighbor sessions, SPF timers)
   /// written against the Scheduler interface.
@@ -90,7 +105,8 @@ class ShardPool {
   /// Earliest pending timestamp; has_pending() must hold.
   [[nodiscard]] SimTime next_time();
   /// Execute every pending event at next_time() (one instant, all shards in
-  /// parallel), then merge inboxes. Returns the number of events run.
+  /// parallel), merge inboxes, then run the deferred callbacks. Returns the
+  /// number of events run.
   std::size_t run_round();
   /// The pool's clock: the last round's instant, or wherever advance_to
   /// moved it while idle.
@@ -121,14 +137,16 @@ class ShardPool {
     }
   };
   struct Shard {
-    // heap/live/executed are *barrier*-protected, not mutex-protected: the
-    // thread running the shard touches them mid-round, the driving thread
-    // between rounds, and the worker pool's batch barrier provides the
-    // happens-before edge. Clang's analysis cannot express that ownership
-    // hand-off, so only the inbox -- the one genuinely concurrent surface,
-    // pushed by any worker while the owner drains its heap -- is annotated.
+    // heap/live/deferred/executed are *barrier*-protected, not
+    // mutex-protected: the thread running the shard touches them mid-round,
+    // the driving thread between rounds, and the worker pool's batch
+    // barrier provides the happens-before edge. Clang's analysis cannot
+    // express that ownership hand-off, so only the inbox -- the one
+    // genuinely concurrent surface, pushed by any worker while the owner
+    // drains its heap -- is annotated.
     std::priority_queue<Item, std::vector<Item>, Later> heap;
     std::unordered_set<std::uint64_t> live;  // ids scheduled, not yet fired
+    std::vector<std::pair<std::uint32_t, Callback>> deferred;  // (actor, cb)
     std::uint64_t executed = 0;
     Mutex inbox_mu;
     std::vector<Item> inbox FIB_GUARDED_BY(inbox_mu);
@@ -143,6 +161,7 @@ class ShardPool {
       return pool_.schedule(actor_, actor_, at, std::move(cb));
     }
     bool cancel(EventHandle h) override { return pool_.cancel(actor_, h); }
+    void defer(Callback cb) override { pool_.defer(actor_, std::move(cb)); }
 
    private:
     ShardPool& pool_;
@@ -153,6 +172,7 @@ class ShardPool {
   std::uint64_t next_oseq_(std::uint32_t origin);
   void run_shard_round_(Shard& shard, SimTime t);
   void prune_cancelled_(Shard& shard);
+  void run_deferred_();
 
   // lint:obs-registered-ok(structural actor-table size, not a metric)
   std::size_t actor_count_;
@@ -167,7 +187,8 @@ class ShardPool {
 
   /// True exactly while a round is executing; schedule() uses it to
   /// distinguish driver-context (direct heap push is race-free) from
-  /// round-context (cross-shard pushes go through the inbox).
+  /// round-context (cross-shard pushes go through the inbox), and defer()
+  /// asserts it.
   std::atomic<bool> in_round_{false};
 
   /// Runs each round's shards in parallel (shard_count wide; one shard

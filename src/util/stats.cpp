@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/assert.hpp"
 
@@ -21,8 +20,6 @@ double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
 }
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 Ewma::Ewma(double alpha) : alpha_(alpha) {
   FIB_ASSERT(alpha > 0.0 && alpha <= 1.0, "Ewma: alpha must be in (0, 1]");

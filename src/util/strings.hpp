@@ -12,9 +12,6 @@ namespace fibbing::util {
 /// Strip ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view text);
 
-/// True if `text` begins with `prefix`.
-[[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
-
 /// Join with a separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                std::string_view sep);

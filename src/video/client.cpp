@@ -50,11 +50,6 @@ bool VideoClient::finished() {
   return state_ == State::kDone;
 }
 
-double VideoClient::buffer_seconds() {
-  catch_up_();
-  return buffer_s_;
-}
-
 void VideoClient::catch_up_() {
   const double now = events_.now();
   const double dt = now - last_update_;

@@ -63,7 +63,6 @@ class VideoClient {
   /// Advance internal state to the current simulation time and report QoE.
   [[nodiscard]] Qoe qoe();
   [[nodiscard]] bool finished();
-  [[nodiscard]] double buffer_seconds();
 
  private:
   enum class State { kStartup, kPlaying, kStalled, kDone, kStopped };

@@ -1,5 +1,5 @@
 // The observability layer: the control-loop trace recorder (span nesting,
-// lie-id threading, lane merge ordering, disabled no-op), the per-component
+// lie-id threading, stage offsets, disabled no-op), the per-component
 // log level overrides, and -- through the full service -- the telemetry
 // snapshot (its key set and trace histogram expansion), the end-to-end
 // mitigation trace chain plus its bit-identity across shard counts (the
@@ -72,30 +72,6 @@ TEST(TraceRecorderTest, LieBindingThreadsTraceIds) {
   EXPECT_EQ(rec.trace_for_lie(999), 0u);  // unbound
   rec.bind_lie(101, t2);  // re-binding follows the newest mitigation
   EXPECT_EQ(rec.trace_for_lie(101), t2);
-}
-
-TEST(TraceRecorderTest, LaneFlushMergesSortedByTimeThenNode) {
-  obs::TraceRecorder rec(/*enabled=*/true);
-  rec.configure_lanes(2);
-  // Out-of-order emission across two lanes, including two same-instant
-  // events on one node whose relative order must survive the merge.
-  rec.emit_lane(0, 2.0, 1, obs::Stage::kSpf, /*node=*/5, 0);
-  rec.emit_lane(1, 1.0, 1, obs::Stage::kLsaInstall, /*node=*/3, 7);
-  rec.emit_lane(0, 1.0, 1, obs::Stage::kLsaInstall, /*node=*/5, 7);
-  rec.emit_lane(0, 1.0, 1, obs::Stage::kSpf, /*node=*/5, 0);
-  rec.flush_lanes();
-  const auto& ev = rec.events();
-  ASSERT_EQ(ev.size(), 4u);
-  EXPECT_EQ(ev[0].node, 3u);
-  EXPECT_DOUBLE_EQ(ev[0].at, 1.0);
-  EXPECT_EQ(ev[1].node, 5u);
-  EXPECT_EQ(ev[1].stage, obs::Stage::kLsaInstall);  // per-node order kept
-  EXPECT_EQ(ev[2].node, 5u);
-  EXPECT_EQ(ev[2].stage, obs::Stage::kSpf);
-  EXPECT_DOUBLE_EQ(ev[3].at, 2.0);
-  // Lanes drained: a second flush adds nothing.
-  rec.flush_lanes();
-  EXPECT_EQ(rec.events().size(), 4u);
 }
 
 TEST(TraceRecorderTest, StageOffsetsMeasureFromTheTraceRoot) {

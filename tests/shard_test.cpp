@@ -11,6 +11,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -317,6 +318,49 @@ TEST(ShardPool, EventsAcrossShardsAtOneInstantAllRunInOneRound) {
   EXPECT_EQ(count.load(), 8);
   EXPECT_FALSE(pool.has_pending());
   EXPECT_EQ(pool.stats().rounds, 1u);
+}
+
+TEST(ShardPool, DeferredCallbacksRunAfterTheRoundInActorOrder) {
+  constexpr std::uint32_t kActors = 16;
+  const std::thread::id driver = std::this_thread::get_id();
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    util::ShardPool pool(shards, kActors);
+    std::atomic<std::uint32_t> events_run{0};
+    std::vector<std::pair<std::uint32_t, int>> ran;  // (actor, deferral)
+    bool early = false;
+    bool off_driver = false;
+    const auto defer = [&](std::uint32_t a, int k) {
+      pool.actor_scheduler(a).defer([&, a, k] {
+        early |= events_run.load() != 2 * kActors;
+        off_driver |= std::this_thread::get_id() != driver;
+        ran.emplace_back(a, k);
+      });
+    };
+    for (std::uint32_t a = 0; a < kActors; ++a) {
+      // Origins descend as targets ascend, so every shard runs its actors
+      // in descending order; each actor's second deferral comes from a
+      // self event at the same instant.
+      pool.schedule(kActors - 1 - a, a, 1.0, [&, a] {
+        defer(a, 0);
+        pool.actor_scheduler(a).schedule_in(0.0, [&, a] {
+          defer(a, 1);
+          events_run.fetch_add(1);
+        });
+        events_run.fetch_add(1);
+      });
+    }
+    EXPECT_EQ(pool.run_round(), 2 * kActors);
+    EXPECT_FALSE(pool.has_pending());
+    EXPECT_FALSE(early);
+    EXPECT_FALSE(off_driver);
+    std::vector<std::pair<std::uint32_t, int>> expected;
+    for (std::uint32_t a = 0; a < kActors; ++a) {
+      expected.emplace_back(a, 0);
+      expected.emplace_back(a, 1);
+    }
+    EXPECT_EQ(ran, expected);
+  }
 }
 
 }  // namespace

@@ -21,8 +21,9 @@ TEST(EventQueue, FiresInTimeOrder) {
   q.schedule_at(3.0, [&] { order.push_back(3); });
   q.schedule_at(1.0, [&] { order.push_back(1); });
   q.schedule_at(2.0, [&] { order.push_back(2); });
+  q.defer([&] { order.push_back(0); });  // the driving thread: runs at once
   q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_DOUBLE_EQ(q.now(), 3.0);
 }
 

@@ -75,7 +75,7 @@ CompileResult compile_lies(const topo::Topology& topo,
     const net::Prefix& subnet = topo.link(l).subnet;
     for (const auto& s : view.subnets()) {
       if (s.prefix != subnet) continue;
-      const igp::SubnetRoute route = igp::route_to_subnet(view, cache.spf(u), s);
+      const igp::SubnetRoute route = igp::route_to_subnet(cache.spf(u), s);
       if (route.first_hops != std::vector<topo::NodeId>{via}) {
         return SubnetCost{CompileErrorKind::kWrongInterface,
                           "lie at " + node_name(topo, u) + " toward " +

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <set>
 #include <string>
 
 #include "dataplane/fib.hpp"
@@ -39,20 +38,8 @@ FibbingService::FibbingService(const topo::Topology& topo, ServiceConfig config)
       poller_(topo, sim_, events_, config.poll_interval_s, config.poll_ewma_alpha),
       video_(topo, sim_, events_, bus_) {
   domain_.set_tracer(&tracer_);
-  // Router control planes program the data plane. The table flip is a
-  // trace's terminal stage: stamp it for every trace whose lies this
-  // router's SPF just consumed (driving thread, at the round barrier,
-  // after the domain flushed the lanes -- so install/SPF precede it).
+  // Router control planes program the data plane.
   domain_.set_on_table_change([this](topo::NodeId node, const igp::RoutingTable& table) {
-    if (tracer_.enabled()) {
-      std::set<std::uint64_t> stamped;
-      for (const std::uint64_t lie : domain_.router(node).last_spf_trace_lies()) {
-        const std::uint64_t trace = tracer_.trace_for_lie(lie);
-        if (trace == 0 || !stamped.insert(trace).second) continue;
-        tracer_.emit(events_.now(), trace, obs::Stage::kTableFlip, 'i',
-                     static_cast<std::uint32_t>(node), lie);
-      }
-    }
     sim_.set_fib(node, dataplane::Fib::from_routing_table(topo_, node, table));
   });
   // Protocol-detected liveness feeds the shared mask: when a router's

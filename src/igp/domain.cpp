@@ -42,22 +42,6 @@ IgpDomain::IgpDomain(const topo::Topology& topo, util::EventQueue& events,
         [this](topo::NodeId from, topo::NodeId to, const proto::BufferPtr& buffer) {
           deliver_packet_(from, to, buffer);
         });
-    router.set_controller_send([this, n](const proto::BufferPtr& buffer) {
-      // Acks ride back over the controller adjacency with the same channel
-      // delay as any packet; convergence waits for them. The packet arrives
-      // as an event on this router's shard, but the session is driving-thread
-      // state: the arrival is deferred to the round barrier, where a reply (a
-      // re-issued tombstone) may enter the domain.
-      if (!controller_sessions_.contains(n)) return;
-      if (alive_[n] == 0) return;  // a crashed router sends nothing
-      in_flight_.fetch_add(1, std::memory_order_relaxed);
-      pool_.schedule(n, n, pool_.now() + timing_.flood_delay_s, [this, n, buffer] {
-        in_flight_.fetch_sub(1, std::memory_order_relaxed);
-        pool_.defer(n, [this, n, buffer] {
-          controller_sessions_.at(n)->receive(buffer);
-        });
-      });
-    });
     router.set_on_adjacency(
         [this](topo::NodeId self, topo::NodeId peer, bool up) {
           on_adjacency_(self, peer, up);
@@ -139,6 +123,10 @@ std::vector<bool> IgpDomain::advertised_bits_(topo::NodeId self) const {
 }
 
 void IgpDomain::on_adjacency_(topo::NodeId self, topo::NodeId peer, bool up) {
+  // A crashed router's dead timers still expire, but it neither
+  // re-originates nor reports: its neighbors discover the death by Hello
+  // silence.
+  if (alive_[self] == 0) return;
   const topo::LinkId link = topo_.link_between(self, peer);
   if (link == topo::kInvalidLink) return;
   auto& detected = detected_down_[self];
@@ -223,9 +211,24 @@ proto::ControllerSession& IgpDomain::controller_session(topo::NodeId at) {
           arm_pump_();
         });
     it = controller_sessions_.emplace(at, std::move(session)).first;
-    // Only the session router echoes installed controller-originated
-    // externals back up (RFC 13.4 resurrection handling).
-    routers_[at]->set_controller_peer(true);
+    // Only the session router talks back to the session: acks, and echoes
+    // of installed controller-originated externals (RFC 13.4 resurrection
+    // handling).
+    routers_[at]->set_controller_send([this, at](const proto::BufferPtr& buffer) {
+      // Acks ride back over the controller adjacency with the same channel
+      // delay as any packet; convergence waits for them. The packet arrives
+      // as an event on this router's shard, but the session is driving-thread
+      // state: the arrival is deferred to the round barrier, where a reply (a
+      // re-issued tombstone) may enter the domain.
+      if (alive_[at] == 0) return;  // a crashed router sends nothing
+      in_flight_.fetch_add(1, std::memory_order_relaxed);
+      pool_.schedule(at, at, pool_.now() + timing_.flood_delay_s, [this, at, buffer] {
+        in_flight_.fetch_sub(1, std::memory_order_relaxed);
+        pool_.defer(at, [this, at, buffer] {
+          controller_sessions_.at(at)->receive(buffer);
+        });
+      });
+    });
   }
   return *it->second;
 }

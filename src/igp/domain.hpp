@@ -111,8 +111,10 @@ class IgpDomain {
   /// Kill router `n` outright: every packet to or from it (including
   /// controller-session traffic) is silently dropped from now on. Nothing
   /// is torn down administratively -- each neighbor discovers the death by
-  /// Hello silence alone. Call between rounds (any time the event queue is
-  /// not mid-step).
+  /// Hello silence alone. The dead router's own dead timers keep expiring,
+  /// but they neither re-originate its Router-LSA nor report a liveness
+  /// transition. Call between rounds (any time the event queue is not
+  /// mid-step).
   void crash_router(topo::NodeId n);
   [[nodiscard]] bool is_alive(topo::NodeId n) const;
 

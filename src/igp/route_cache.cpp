@@ -42,19 +42,13 @@ void RouteCache::refresh_() {
   }
 
   ++stats_.generations;
-  if (deltas.size() <= kMaxBatchedDeltas) {
-    // The previous generation's SPFs can be repaired incrementally on
-    // demand, in one batched Ramalingam-Reps pass over the whole delta.
-    prev_spf_ = std::move(spf_);
-    delta_ = std::move(deltas);
-  } else {
-    prev_spf_.clear();
-    delta_.clear();
-  }
+  // The previous generation's SPFs are updated on demand, in one batched
+  // Ramalingam-Reps pass over the whole delta.
+  prev_spf_ = std::move(spf_);
+  delta_ = std::move(deltas);
   spf_.assign(topo_->node_count(), nullptr);
   bits_ = live;
   view_.reset();
-  rin_.reset();
   baseline_.reset();
   memo_.clear();
   lru_.clear();
@@ -90,12 +84,11 @@ const SpfResult& RouteCache::spf_locked_(topo::NodeId source) {
   const NetworkView& current = view_locked_();
   std::shared_ptr<const SpfResult> prev =
       source < prev_spf_.size() ? prev_spf_[source] : nullptr;
-  if (!delta_.empty() && prev != nullptr) {
-    if (!rin_) rin_ = reverse_adjacency(current);
+  if (prev != nullptr) {
     // >2 directed halves == more than one simultaneous adjacency: an SRLG
     // batch (spf_batched counts the ones that stay off the full path).
     const bool multi = delta_.size() > 2;
-    SpfUpdate update = update_spf(current, *prev, delta_, &*rin_);
+    SpfUpdate update = update_spf(current, *prev, delta_);
     switch (update.mode) {
       case SpfUpdate::Mode::kUnchanged:
         ++stats_.spf_unchanged;

@@ -52,9 +52,10 @@ struct RouteCacheStats {
 ///      baseline and recomputes only the affected prefixes' entries from
 ///      the memoized per-source SPFs (no Dijkstra at all).
 ///   3. Incremental SPF -- on a link fail/restore the per-source SPFs are
-///      repaired from the affected subtree (igp::update_spf), falling back
-///      to a full Dijkstra when the change is non-local. A fail/restore
-///      pair that nets out to no change revalidates everything in O(links).
+///      repaired from the affected subtree (igp::update_spf, reading the
+///      view's in-edges), which itself falls back to a full Dijkstra when
+///      the change is bulk or non-local. A fail/restore pair that nets out
+///      to no change revalidates everything in O(links).
 ///
 /// Everything returned is bit-identical to a fresh
 /// igp::compute_all_routes(NetworkView::from_topology(topo, externals,
@@ -147,19 +148,13 @@ class RouteCache {
 
   /// Per-source SPFs for the current generation (null until queried).
   std::vector<std::shared_ptr<const SpfResult>> spf_ FIB_GUARDED_BY(mu_);
-  /// Previous generation's SPFs, kept only while `delta_` records the edge
-  /// changes separating it from the current generation.
+  /// Previous generation's SPFs, each updated on demand by `delta_`.
   std::vector<std::shared_ptr<const SpfResult>> prev_spf_ FIB_GUARDED_BY(mu_);
   /// Directed edge deltas between the previous and current generation, one
-  /// per flipped mask bit (empty when the previous SPFs were discarded). A
-  /// whole SRLG event lands here as one batch and stays on the incremental
-  /// path; past kMaxBatchedDeltas flipped halves the repair would touch most
-  /// of the graph anyway, so the cache invalidates instead.
-  static constexpr std::size_t kMaxBatchedDeltas = 16;
+  /// per flipped mask bit. A whole SRLG event lands here as one batch and
+  /// stays on the incremental path; update_spf runs the full Dijkstra past
+  /// its bulk-transition limit.
   std::vector<EdgeDelta> delta_ FIB_GUARDED_BY(mu_);
-  /// Reverse adjacency of the current view, built once per generation the
-  /// first time an incremental SPF update needs it (shared by all sources).
-  std::optional<ReverseAdjacency> rin_ FIB_GUARDED_BY(mu_);
 
   TablesPtr baseline_ FIB_GUARDED_BY(mu_);
   /// Exact memo with LRU keyed eviction: `lru_` orders fingerprints most-

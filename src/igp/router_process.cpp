@@ -1,6 +1,5 @@
 #include "igp/router_process.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -91,53 +90,31 @@ proto::SessionCounters RouterProcess::counters() const {
   return total;
 }
 
-void RouterProcess::store_wire_(const LsaKey& key, proto::WireLsa wire) {
-  const proto::LsaIdentity id = proto::identity_of(wire.header);
-  if (const auto it = wire_cache_.find(key); it != wire_cache_.end()) {
-    // An update may move the wire identity (it never does today -- router
-    // ids and lie ids are stable -- but keep the index honest).
-    const proto::LsaIdentity old_id = proto::identity_of(it->second.header);
-    by_identity_.erase(old_id);
-    tombstones_.erase(old_id);
-  }
-  by_identity_[id] = key;
-  if (wire.header.age == proto::kMaxAge) {
-    tombstones_.insert(id);
-  } else {
-    tombstones_.erase(id);
-  }
-  wire_cache_.insert_or_assign(key, std::move(wire));
-}
-
 void RouterProcess::maybe_flush_tombstone_(const proto::LsaIdentity& id) {
   // RFC 14: a MaxAge instance leaves the database once it is off every
   // neighbor's retransmission (and pending) list and no neighbor is mid
   // database exchange -- every adjacent replica provably saw the flush.
-  const auto key_it = by_identity_.find(id);
-  if (key_it == by_identity_.end()) return;
-  const auto wire_it = wire_cache_.find(key_it->second);
-  FIB_ASSERT(wire_it != wire_cache_.end(), "flush: identity index out of sync");
-  if (wire_it->second.header.age != proto::kMaxAge) return;
+  const auto it = wire_store_.find(id);
+  if (it == wire_store_.end() || it->second.wire.header.age != proto::kMaxAge) return;
   for (const auto& [peer, session] : sessions_) {
     if (session->in_exchange() || session->references(id)) return;
   }
   FIB_LOG(kDebug, "igp") << "router " << self_ << ": flushing MaxAge tombstone";
-  lsdb_.erase(key_it->second);
-  wire_cache_.erase(wire_it);
-  tombstones_.erase(id);
-  by_identity_.erase(key_it);
+  lsdb_.erase(it->second.key);
+  wire_store_.erase(it);
   ++tombstones_flushed_;
 }
 
 void RouterProcess::sweep_tombstones_() {
-  if (tombstones_.empty()) return;
-  const std::vector<proto::LsaIdentity> ids(tombstones_.begin(),
-                                            tombstones_.end());
-  for (const proto::LsaIdentity& id : ids) maybe_flush_tombstone_(id);
+  std::vector<proto::LsaIdentity> tombstones;
+  for (const auto& [id, stored] : wire_store_) {
+    if (stored.wire.header.age == proto::kMaxAge) tombstones.push_back(id);
+  }
+  for (const proto::LsaIdentity& id : tombstones) maybe_flush_tombstone_(id);
 }
 
 void RouterProcess::on_flood_acked(const proto::LsaIdentity& id) {
-  if (tombstones_.contains(id)) maybe_flush_tombstone_(id);
+  maybe_flush_tombstone_(id);
 }
 
 void RouterProcess::originate(Lsa lsa) {
@@ -145,12 +122,11 @@ void RouterProcess::originate(Lsa lsa) {
   const LsaKey key = lsa.id;
   const auto result = lsdb_.install(std::make_shared<const Lsa>(std::move(lsa)));
   if (result != Lsdb::InstallResult::kNewer) return;
-  store_wire_(key, wire);
+  const proto::LsaIdentity id = proto::identity_of(wire.header);
+  wire_store_.insert_or_assign(id, StoredLsa{key, wire});
   flood_(wire, /*except_router_id=*/addrs_->router_id(self_));
   schedule_spf_();
-  if (wire.header.age == proto::kMaxAge) {
-    maybe_flush_tombstone_(proto::identity_of(wire.header));
-  }
+  if (wire.header.age == proto::kMaxAge) maybe_flush_tombstone_(id);
 }
 
 void RouterProcess::flood_(const proto::WireLsa& lsa,
@@ -179,17 +155,14 @@ void RouterProcess::echo_to_controller_(const proto::WireLsa& lsa) {
 
 std::vector<proto::LsaHeader> RouterProcess::summarize() const {
   std::vector<proto::LsaHeader> headers;
-  headers.reserve(wire_cache_.size());
-  for (const auto& [key, wire] : wire_cache_) headers.push_back(wire.header);
+  headers.reserve(wire_store_.size());
+  for (const auto& [id, stored] : wire_store_) headers.push_back(stored.wire.header);
   return headers;
 }
 
 const proto::WireLsa* RouterProcess::lookup(const proto::LsaIdentity& id) const {
-  const auto it = by_identity_.find(id);
-  if (it == by_identity_.end()) return nullptr;
-  const auto wire = wire_cache_.find(it->second);
-  FIB_ASSERT(wire != wire_cache_.end(), "lookup: identity index out of sync");
-  return &wire->second;
+  const auto it = wire_store_.find(id);
+  return it == wire_store_.end() ? nullptr : &it->second.wire;
 }
 
 proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
@@ -197,7 +170,8 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
   // Flooding delivers most instances once per adjacency, so the common case
   // is a copy we already hold: settle that from the stored wire header
   // before paying for translation.
-  const proto::WireLsa* mine = lookup(proto::identity_of(lsa.header));
+  const proto::LsaIdentity id = proto::identity_of(lsa.header);
+  const proto::WireLsa* mine = lookup(id);
   if (mine != nullptr) {
     if (lsa.header.type == proto::WireLsaType::kExternal) {
       const auto& incoming = std::get<proto::ExternalLsaBody>(lsa.body);
@@ -250,7 +224,7 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
       lsdb_.install(std::make_shared<const Lsa>(std::move(translated).value()));
   switch (result) {
     case Lsdb::InstallResult::kNewer:
-      store_wire_(key, lsa);
+      wire_store_.insert_or_assign(id, StoredLsa{key, lsa});
       flood_(lsa, from_router_id);
       schedule_spf_();
       if (tracer_ != nullptr && tracer_->enabled() &&
@@ -266,8 +240,7 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
           pending_trace_lies_.insert(key.key);
         }
       }
-      if (controller_peer_ && controller_send_ != nullptr &&
-          from_router_id != proto::kControllerRouterId &&
+      if (controller_send_ != nullptr && from_router_id != proto::kControllerRouterId &&
           lsa.header.type == proto::WireLsaType::kExternal &&
           lsa.header.advertising_router == proto::kControllerRouterId) {
         // A controller-originated lie arrived over a *real* adjacency and
@@ -280,7 +253,7 @@ proto::DatabaseFacade::DeliverResult RouterProcess::deliver(
       if (lsa.header.age == proto::kMaxAge) {
         // If no adjacency took the flood (all Full neighbors already acked
         // or none exist), the tombstone is flushable right now.
-        maybe_flush_tombstone_(proto::identity_of(lsa.header));
+        maybe_flush_tombstone_(id);
       }
       return DeliverResult::kNewer;
     case Lsdb::InstallResult::kDuplicate:
@@ -340,46 +313,17 @@ void RouterProcess::schedule_spf_() {
   });
 }
 
-namespace {
-
-/// Past this many flipped directed edges the change is a bulk LSDB
-/// transition (boot, partition heal): repair would touch most of the graph,
-/// so run the full Dijkstra directly.
-constexpr std::size_t kMaxRouterSpfDeltas = 16;
-
-/// Apply `deltas` (a multiset diff of the out-edges) to the in-edge lists.
-void patch_reverse(ReverseAdjacency& rin, const std::vector<EdgeDelta>& deltas) {
-  for (const EdgeDelta& d : deltas) {
-    std::vector<ReverseAdjacency::InEdge>& in = rin.in[d.to];
-    if (!d.removed) {
-      in.push_back(ReverseAdjacency::InEdge{d.from, d.metric});
-      continue;
-    }
-    const auto it = std::find_if(in.begin(), in.end(), [&](const auto& e) {
-      return e.from == d.from && e.metric == d.metric;
-    });
-    FIB_ASSERT(it != in.end(), "patch_reverse: removed edge was never in");
-    *it = in.back();
-    in.pop_back();
-  }
-}
-
-}  // namespace
-
 RouterSpf::RouterSpf(topo::NodeId self, std::size_t node_count)
-    : self_(self), view_(node_count) {
-  rin_.in.resize(node_count);
-}
+    : self_(self), view_(node_count) {}
 
 RouterSpf::Run RouterSpf::run(Lsdb& lsdb) {
   Run run;
   run.origins_read = view_.patch_from_lsdb(lsdb, lsdb.drain_changes(), run.deltas);
-  patch_reverse(rin_, run.deltas);
-  if (!ran_ || run.deltas.size() > kMaxRouterSpfDeltas) {
+  if (!ran_) {
     spf_ = run_spf(view_, self_);
   } else {
     // The hold-down window's changes, repaired against the previous run.
-    SpfUpdate update = update_spf(view_, spf_, run.deltas, &rin_);
+    SpfUpdate update = update_spf(view_, spf_, run.deltas);
     switch (update.mode) {
       case SpfUpdate::Mode::kUnchanged:
         run.incremental = true;  // spf_ is already exact for the view
@@ -414,20 +358,20 @@ void RouterProcess::run_spf_now_() {
   FIB_LOG(kDebug, "igp") << "router " << self_ << " spf run #" << spf_runs_ << ", "
                          << table_.size() << " routes"
                          << (run.incremental ? " (incremental)" : "");
-  // This run consumed every traced lie installed since the previous run:
-  // stamp one kSpf per distinct trace (sorted lie order -- pending is a
-  // set -- so the stream is independent of install interleaving), and keep
-  // the ids for the table-flip stamp at flush time.
-  last_spf_lie_ids_.assign(pending_trace_lies_.begin(), pending_trace_lies_.end());
-  pending_trace_lies_.clear();
-  if (tracer_ != nullptr && tracer_->enabled() && !last_spf_lie_ids_.empty()) {
-    std::set<std::uint64_t> stamped;
-    for (const std::uint64_t lie : last_spf_lie_ids_) {
-      const std::uint64_t trace = tracer_->trace_for_lie(lie);
-      if (trace == 0 || !stamped.insert(trace).second) continue;
-      emit_trace_(trace, obs::Stage::kSpf, lie);
-    }
+  // This run consumed every traced lie installed since the previous run
+  // (pending is only filled while tracing is on): stamp one kSpf per
+  // distinct trace, then the table flip this run hands over, each trace
+  // with its first lie (sorted lie order -- pending is a set -- so the
+  // stream is independent of install interleaving).
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> traced;  // (trace, lie)
+  std::set<std::uint64_t> seen;
+  for (const std::uint64_t lie : pending_trace_lies_) {
+    const std::uint64_t trace = tracer_->trace_for_lie(lie);
+    if (trace != 0 && seen.insert(trace).second) traced.emplace_back(trace, lie);
   }
+  pending_trace_lies_.clear();
+  for (const auto& [trace, lie] : traced) emit_trace_(trace, obs::Stage::kSpf, lie);
+  for (const auto& [trace, lie] : traced) emit_trace_(trace, obs::Stage::kTableFlip, lie);
   if (on_table_) on_table_(self_, table_);
 }
 

@@ -41,10 +41,10 @@ struct IgpTiming {
   double ack_delay_s = 0.04;
 };
 
-/// One router's SPF state kept between runs: the graph of its LSDB, patched
-/// in place from the keys that changed since the previous run
-/// (NetworkView::patch_from_lsdb), that graph's reverse adjacency, kept in
-/// step with the same deltas, and the previous run's result.
+/// One router's SPF state kept between runs: the graph of its LSDB (in-edges
+/// included), patched in place from the keys that changed since the
+/// previous run (NetworkView::patch_from_lsdb), and the previous run's
+/// result.
 class RouterSpf {
  public:
   RouterSpf(topo::NodeId self, std::size_t node_count);
@@ -59,19 +59,17 @@ class RouterSpf {
     bool incremental = false;
   };
   /// Drain `lsdb`'s changes into the view, then bring the SPF up to date: a
-  /// full Dijkstra on the first run or past kMaxRouterSpfDeltas deltas, an
-  /// update_spf repair otherwise.
+  /// full Dijkstra on the first run, update_spf otherwise (which itself runs
+  /// the full Dijkstra on a bulk or non-local change).
   Run run(Lsdb& lsdb);
 
   [[nodiscard]] const NetworkView& view() const { return view_; }
-  [[nodiscard]] const ReverseAdjacency& reverse() const { return rin_; }
   [[nodiscard]] const SpfResult& result() const { return spf_; }
 
  private:
   topo::NodeId self_;
   bool ran_ = false;
   NetworkView view_;
-  ReverseAdjacency rin_;  ///< reverse_adjacency(view_), up to in-edge order
   SpfResult spf_;
 };
 
@@ -92,7 +90,10 @@ class RouterProcess final : private proto::DatabaseFacade {
   using SendFn =
       std::function<void(topo::NodeId from, topo::NodeId to, const BufferPtr&)>;
   /// Encoded packets (LS Acks, self-originated-LSA echoes) back to the
-  /// controller session.
+  /// controller session. Set only on the router carrying the controller
+  /// adjacency: it also echoes installed controller-originated externals
+  /// learned from *real* neighbors up the session, so the controller can
+  /// spot (and re-flush) resurrected lies.
   using ControllerSendFn = std::function<void(const BufferPtr&)>;
   /// Fired after each SPF run with the fresh routing table.
   using TableFn = std::function<void(topo::NodeId self, const RoutingTable&)>;
@@ -113,20 +114,12 @@ class RouterProcess final : private proto::DatabaseFacade {
     controller_send_ = std::move(fn);
   }
   void set_on_adjacency(AdjacencyFn fn) { on_adjacency_ = std::move(fn); }
-  /// Attach the control-loop trace recorder. The router may run on a shard
-  /// worker, so it hands each stamp to its scheduler's defer(), which
-  /// emits it on the driving thread (see util::ShardPool::defer).
+  /// Attach the control-loop trace recorder. The router stamps a traced
+  /// lie's install, the SPF that consumed it and the table flip that SPF
+  /// hands over. It may run on a shard worker, so it hands each stamp to
+  /// its scheduler's defer(), which emits it on the driving thread (see
+  /// util::ShardPool::defer).
   void set_tracer(obs::TraceRecorder* tracer) { tracer_ = tracer; }
-  /// Lie ids of controller-originated externals the most recent SPF run
-  /// consumed (installed since the previous run). The service reads this at
-  /// table-flush time to stamp the dataplane table flip on those traces.
-  [[nodiscard]] const std::vector<std::uint64_t>& last_spf_trace_lies() const {
-    return last_spf_lie_ids_;
-  }
-  /// This router carries the controller adjacency: installed controller
-  /// -originated externals learned from *real* neighbors are echoed up the
-  /// session so the controller can spot (and re-flush) resurrected lies.
-  void set_controller_peer(bool value) { controller_peer_ = value; }
 
   /// The interface toward `peer` exists (and, once the protocol has
   /// started, comes up: the session begins its Hello exchange and the
@@ -201,11 +194,11 @@ class RouterProcess final : private proto::DatabaseFacade {
   void on_flood_acked(const proto::LsaIdentity& id) override;
 
   void flood_(const proto::WireLsa& lsa, std::uint32_t except_router_id);
-  void store_wire_(const LsaKey& key, proto::WireLsa wire);
   void on_session_event_(topo::NodeId peer, proto::SessionEvent event);
   /// RFC 14 flush check for one MaxAge tombstone: erase it once no session
   /// is mid database exchange and none still references the instance.
   void maybe_flush_tombstone_(const proto::LsaIdentity& id);
+  /// Run the flush check for every stored MaxAge tombstone.
   void sweep_tombstones_();
   /// Echo an installed external LSA up to the controller session (if this
   /// router carries one): RFC 13.4 self-originated handling lets the
@@ -224,26 +217,29 @@ class RouterProcess final : private proto::DatabaseFacade {
   Lsdb lsdb_;
   RoutingTable table_;
   std::map<topo::NodeId, std::unique_ptr<proto::NeighborSession>> sessions_;
-  /// The finalized wire form of every LSDB entry: what DD summaries list,
-  /// LS Requests are answered from, and flooding re-sends byte-identical.
-  std::map<LsaKey, proto::WireLsa> wire_cache_;
-  std::map<proto::LsaIdentity, LsaKey> by_identity_;
-  /// Identities of stored MaxAge tombstones, awaiting their RFC 14 flush.
-  std::set<proto::LsaIdentity> tombstones_;
+  /// One LSDB entry in its finalized wire form: what DD summaries list, LS
+  /// Requests are answered from, and flooding re-sends byte-identical. A
+  /// key keeps its wire identity: a router id never changes, nor does a
+  /// lie's prefix (no caller re-injects a lie id under another prefix).
+  struct StoredLsa {
+    LsaKey key;
+    proto::WireLsa wire;
+  };
+  /// Every LSDB entry, MaxAge tombstones awaiting their RFC 14 flush
+  /// included, keyed by wire identity.
+  std::map<proto::LsaIdentity, StoredLsa> wire_store_;
   SendFn send_;
   ControllerSendFn controller_send_;
   TableFn on_table_;
   AdjacencyFn on_adjacency_;
   bool started_ = false;
   bool spf_pending_ = false;
-  bool controller_peer_ = false;
   /// Trace wiring (see set_tracer). pending_trace_lies_ accumulates traced
-  /// lie installs between SPF runs; run_spf_now_ drains it into
-  /// last_spf_lie_ids_ and stamps one kSpf per distinct trace. Both lists
-  /// are only touched from this router's shard worker.
+  /// lie installs between SPF runs; run_spf_now_ drains it, stamping one
+  /// kSpf and one kTableFlip per distinct trace. Only touched from this
+  /// router's shard worker.
   obs::TraceRecorder* tracer_ = nullptr;
   std::set<std::uint64_t> pending_trace_lies_;
-  std::vector<std::uint64_t> last_spf_lie_ids_;
   proto::SessionCounters retired_;  ///< counters of torn-down sessions
   proto::SessionCounters controller_io_;  ///< acks sent to the controller
   std::uint64_t spf_runs_ = 0;

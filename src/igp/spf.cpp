@@ -20,6 +20,11 @@ void merge_sorted(std::vector<topo::NodeId>& into, const std::vector<topo::NodeI
   into = std::move(merged);
 }
 
+/// Past this many directed deltas the change is a bulk transition (boot,
+/// partition heal): a repair would touch most of the graph, so update_spf
+/// runs the full Dijkstra directly.
+constexpr std::size_t kMaxRepairDeltas = 16;
+
 }  // namespace
 
 SpfResult run_spf(const NetworkView& view, topo::NodeId source) {
@@ -66,9 +71,7 @@ SpfResult run_spf(const NetworkView& view, topo::NodeId source) {
   return result;
 }
 
-SubnetRoute route_to_subnet(const NetworkView& view, const SpfResult& spf,
-                            const NetworkView::Subnet& subnet) {
-  (void)view;
+SubnetRoute route_to_subnet(const SpfResult& spf, const NetworkView::Subnet& subnet) {
   SubnetRoute out;
   struct Side {
     topo::NodeId endpoint;
@@ -127,7 +130,7 @@ RouteEntry compute_route_entry(
     // A lie whose forwarding address belongs to this very router would make
     // it forward to itself; routers ignore such self-pointing externals.
     if (match->pointed_router == spf.source) continue;
-    const SubnetRoute sub = route_to_subnet(view, spf, *match->subnet);
+    const SubnetRoute sub = route_to_subnet(spf, *match->subnet);
     if (sub.cost >= kInfMetric) continue;
     Candidate cand;
     cand.cost = sub.cost + ext->ext_metric;
@@ -180,23 +183,16 @@ RoutingTable compute_routes(const NetworkView& view, topo::NodeId source) {
   return compute_routes(view, run_spf(view, source));
 }
 
-ReverseAdjacency reverse_adjacency(const NetworkView& view) {
-  ReverseAdjacency rin;
-  rin.in.resize(view.node_count());
-  for (topo::NodeId u = 0; u < view.node_count(); ++u) {
-    for (const NetworkView::Edge& e : view.edges_from(u)) {
-      rin.in[e.to].push_back(ReverseAdjacency::InEdge{u, e.metric});
-    }
-  }
-  return rin;
-}
-
 SpfUpdate update_spf(const NetworkView& new_view, const SpfResult& old,
-                     const std::vector<EdgeDelta>& deltas,
-                     const ReverseAdjacency* rin_in) {
+                     const std::vector<EdgeDelta>& deltas) {
   const std::size_t n = new_view.node_count();
   FIB_ASSERT(old.dist.size() == n, "update_spf: view/result size mismatch");
   SpfUpdate out;
+  if (deltas.size() > kMaxRepairDeltas) {
+    out.mode = SpfUpdate::Mode::kFull;
+    out.result = run_spf(new_view, old.source);
+    return out;
+  }
 
   const auto reach_old = [&](topo::NodeId v) { return old.dist[v] < kInfMetric; };
   // Classify every delta under the *old* distances: only tight edges carry
@@ -227,19 +223,6 @@ SpfUpdate update_spf(const NetworkView& new_view, const SpfResult& old,
     return out;
   }
 
-  // Reverse adjacency of the new view (the update consults in-edges both
-  // for support checks and for first-hop reconstruction). Borrowed from
-  // the caller when provided -- one build can serve every source.
-  using InEdge = ReverseAdjacency::InEdge;
-  ReverseAdjacency local_rin;
-  if (rin_in == nullptr) {
-    local_rin = reverse_adjacency(new_view);
-  } else {
-    FIB_ASSERT(rin_in->in.size() == n, "update_spf: reverse adjacency mismatch");
-  }
-  const std::vector<std::vector<InEdge>>& rin =
-      rin_in == nullptr ? local_rin.in : rin_in->in;
-
   SpfResult res = old;
   std::vector<char> changed(n, 0);  // nodes whose distance was repaired
   std::vector<topo::NodeId> changed_list;
@@ -252,12 +235,12 @@ SpfUpdate update_spf(const NetworkView& new_view, const SpfResult& old,
     // affected node. Worklist with re-checks -- marking a node affected
     // re-enqueues its tight children, so a node supported only by later
     // casualties is eventually caught. Inserted edges already present in
-    // the new view's rin can legitimately provide support: an edge tight
+    // the new view's in-edges can legitimately provide support: an edge tight
     // under the old distances from an unaffected tail pins its head's
     // distance in the new view too.
     const auto has_support = [&](topo::NodeId v) {
       if (v == old.source) return true;
-      for (const InEdge& e : rin[v]) {
+      for (const NetworkView::InEdge& e : new_view.edges_into(v)) {
         if (!changed[e.from] && reach_old(e.from) &&
             old.dist[e.from] + e.metric == old.dist[v]) {
           return true;
@@ -294,7 +277,7 @@ SpfUpdate update_spf(const NetworkView& new_view, const SpfResult& old,
     // unaffected frontier, then run Dijkstra restricted to the region.
     for (const topo::NodeId v : changed_list) res.dist[v] = kInfMetric;
     for (const topo::NodeId v : changed_list) {
-      for (const InEdge& e : rin[v]) {
+      for (const NetworkView::InEdge& e : new_view.edges_into(v)) {
         if (changed[e.from] || !reach_old(e.from)) continue;
         const topo::Metric nd = old.dist[e.from] + e.metric;
         if (nd < res.dist[v]) {
@@ -406,7 +389,7 @@ SpfUpdate update_spf(const NetworkView& new_view, const SpfResult& old,
     if (v == res.source) continue;
     std::vector<topo::NodeId> hops;
     if (reach_new(v)) {
-      for (const InEdge& e : rin[v]) {
+      for (const NetworkView::InEdge& e : new_view.edges_into(v)) {
         if (!reach_new(e.from) || res.dist[e.from] + e.metric != res.dist[v]) {
           continue;
         }
@@ -421,7 +404,6 @@ SpfUpdate update_spf(const NetworkView& new_view, const SpfResult& old,
   }
 
   out.mode = SpfUpdate::Mode::kIncremental;
-  out.affected = changed_list.size();
   out.result = std::move(res);
   return out;
 }

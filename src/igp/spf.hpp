@@ -27,8 +27,7 @@ struct SubnetRoute {
   topo::Metric cost = kInfMetric;
   std::vector<topo::NodeId> first_hops;  // sorted
 };
-[[nodiscard]] SubnetRoute route_to_subnet(const NetworkView& view,
-                                          const SpfResult& spf,
+[[nodiscard]] SubnetRoute route_to_subnet(const SpfResult& spf,
                                           const NetworkView::Subnet& subnet);
 
 /// Build the full routing table of `source`: intra-area routes from prefix
@@ -63,28 +62,13 @@ struct SpfUpdate {
   enum class Mode {
     kUnchanged,    ///< no flipped adjacency was on any shortest path
     kIncremental,  ///< distances repaired from the affected region only
-    kFull,         ///< change was non-local; fell back to a fresh Dijkstra
+    kFull,         ///< change was bulk or non-local; ran a fresh Dijkstra
   };
   Mode mode = Mode::kFull;
   /// Valid for kIncremental and kFull; for kUnchanged the caller keeps the
   /// old result (its content is already exact for the new view).
   SpfResult result;
-  /// Nodes whose distance had to be repaired (kIncremental only).
-  std::size_t affected = 0;
 };
-
-/// Reverse adjacency (in-edges per node) of a view. update_spf consults it
-/// for support checks and first-hop reconstruction; it depends only on the
-/// view, so callers updating many sources against one view (the route
-/// cache refreshing a generation) build it once and pass it in.
-struct ReverseAdjacency {
-  struct InEdge {
-    topo::NodeId from;
-    topo::Metric metric;
-  };
-  std::vector<std::vector<InEdge>> in;  // index: edge head
-};
-[[nodiscard]] ReverseAdjacency reverse_adjacency(const NetworkView& view);
 
 /// Update `old` -- valid for the view *before* the given adjacency changes
 /// -- to the view *after* them all (`new_view`), in one batched repair:
@@ -92,16 +76,16 @@ struct ReverseAdjacency {
 /// style (seeded from the unaffected frontier), then one decrease-propagation
 /// pass seeded from every inserted edge restores exactness -- any path the
 /// removal repair could have missed must cross an inserted edge. First-hop
-/// sets are rebuilt only where they can differ. When no flipped edge touches
-/// a shortest path the old result is certified unchanged without touching
-/// the graph; when the removals' region exceeds a quarter of the nodes the
-/// update falls back to a full Dijkstra. Results are bit-identical to
-/// run_spf on the new view in every mode, for any number of simultaneous
-/// deltas (an SRLG failing 2-8 links stays one incremental repair). `rin`
-/// (optional) must be reverse_adjacency(new_view); when null it is built
-/// internally.
+/// sets are rebuilt only where they can differ, from new_view's in-edges.
+/// When no flipped edge touches a shortest path the old result is certified
+/// unchanged without touching the graph. Two cases run a full Dijkstra
+/// instead (kFull): more than 16 directed deltas (a bulk transition such as
+/// boot or a partition heal, whose repair would touch most of the graph),
+/// and a removals' region above a quarter of the nodes. Results are
+/// bit-identical to run_spf on the new view in every mode, for any number
+/// of simultaneous deltas (an SRLG failing 2-8 links stays one incremental
+/// repair).
 [[nodiscard]] SpfUpdate update_spf(const NetworkView& new_view, const SpfResult& old,
-                                   const std::vector<EdgeDelta>& deltas,
-                                   const ReverseAdjacency* rin = nullptr);
+                                   const std::vector<EdgeDelta>& deltas);
 
 }  // namespace fibbing::igp

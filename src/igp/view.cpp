@@ -63,13 +63,13 @@ NetworkView NetworkView::from_topology(const topo::Topology& topo,
   const auto down = [&](topo::LinkId lid) {
     return link_state != nullptr && link_state->is_down(lid);
   };
-  NetworkView view;
-  view.adj_.resize(topo.node_count());
+  NetworkView view(topo.node_count());
   for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
     for (const topo::LinkId lid : topo.out_links(n)) {
       if (down(lid)) continue;
       const topo::Link& link = topo.link(lid);
       view.adj_[n].push_back(Edge{link.to, link.metric});
+      view.in_[link.to].push_back(InEdge{n, link.metric});
     }
   }
   // One Subnet per bidirectional pair: take the direction with from < to.
@@ -91,8 +91,7 @@ NetworkView NetworkView::from_topology(const topo::Topology& topo,
 }
 
 NetworkView NetworkView::from_lsdb(const Lsdb& lsdb, std::size_t node_count) {
-  NetworkView view;
-  view.adj_.resize(node_count);
+  NetworkView view(node_count);
   // Collect both half-links of each subnet before emitting Subnet records.
   struct Half {
     topo::NodeId origin;
@@ -109,6 +108,7 @@ NetworkView NetworkView::from_lsdb(const Lsdb& lsdb, std::size_t node_count) {
         const Lsa* peer = lsdb.find(LsaKey{LsaType::kRouter, link.neighbor});
         if (peer == nullptr) continue;
         view.adj_[router->origin].push_back(Edge{link.neighbor, link.metric});
+        view.in_[link.neighbor].push_back(InEdge{router->origin, link.metric});
         halves[{link.subnet.network().bits(), link.subnet.length()}].push_back(
             Half{router->origin, link});
       }
@@ -176,6 +176,7 @@ std::size_t NetworkView::patch_from_lsdb(const Lsdb& lsdb,
     }
   }
 
+  const std::size_t first_delta = deltas.size();
   std::vector<Edge> fresh;
   for (const topo::NodeId u : origins) {
     fresh.clear();
@@ -189,6 +190,21 @@ std::size_t NetworkView::patch_from_lsdb(const Lsdb& lsdb,
     }
     diff_out_edges(u, adj_[u], fresh, deltas);
     adj_[u].assign(fresh.begin(), fresh.end());  // keeps u's own buffer
+  }
+  // The in-edges take the same multiset diff.
+  for (std::size_t i = first_delta; i < deltas.size(); ++i) {
+    const EdgeDelta& d = deltas[i];
+    std::vector<InEdge>& in = in_[d.to];
+    if (!d.removed) {
+      in.push_back(InEdge{d.from, d.metric});
+      continue;
+    }
+    const auto it = std::find_if(in.begin(), in.end(), [&](const InEdge& e) {
+      return e.from == d.from && e.metric == d.metric;
+    });
+    FIB_ASSERT(it != in.end(), "patch_from_lsdb: removed edge was never in");
+    *it = in.back();
+    in.pop_back();
   }
 
   pair_subnets_(lsdb, origins);
@@ -272,6 +288,11 @@ void NetworkView::patch_external_(const Lsdb& lsdb, std::uint64_t lie_id) {
 const std::vector<NetworkView::Edge>& NetworkView::edges_from(topo::NodeId n) const {
   FIB_ASSERT(n < adj_.size(), "edges_from: node out of range");
   return adj_[n];
+}
+
+const std::vector<NetworkView::InEdge>& NetworkView::edges_into(topo::NodeId n) const {
+  FIB_ASSERT(n < in_.size(), "edges_into: node out of range");
+  return in_[n];
 }
 
 std::optional<NetworkView::FwdAddrMatch> NetworkView::resolve_forwarding_address(

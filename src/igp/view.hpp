@@ -35,6 +35,11 @@ class NetworkView {
     topo::NodeId to = topo::kInvalidNode;
     topo::Metric metric = 1;
   };
+  /// The same edge seen from its head (edges_into).
+  struct InEdge {
+    topo::NodeId from = topo::kInvalidNode;
+    topo::Metric metric = 1;
+  };
 
   /// A transfer network (/30) between two routers, used to resolve external
   /// forwarding addresses. Directions matter: metric_ab is a's interface
@@ -76,7 +81,7 @@ class NetworkView {
 
   NetworkView() = default;
   /// `node_count` routers and nothing else: from_lsdb of an empty database.
-  explicit NetworkView(std::size_t node_count) : adj_(node_count) {}
+  explicit NetworkView(std::size_t node_count) : adj_(node_count), in_(node_count) {}
 
   /// Bring a view that equals from_lsdb(lsdb) as the database stood at its
   /// previous drain_changes() up to the database's current state, given what
@@ -96,13 +101,17 @@ class NetworkView {
   ///
   /// Appends to `deltas` the directed adjacency changes, exactly as a
   /// per-origin multiset diff of the old and new views lists them: origins
-  /// ascending, each origin's deltas ascending by (to, metric). Returns the
-  /// number of Router-LSA origins re-read.
+  /// ascending, each origin's deltas ascending by (to, metric), and applies
+  /// the same deltas to the in-edges. Returns the number of Router-LSA
+  /// origins re-read.
   std::size_t patch_from_lsdb(const Lsdb& lsdb, const std::vector<Lsdb::Change>& changes,
                               std::vector<EdgeDelta>& deltas);
 
   [[nodiscard]] std::size_t node_count() const { return adj_.size(); }
   [[nodiscard]] const std::vector<Edge>& edges_from(topo::NodeId n) const;
+  /// Every edge whose head is `n`: edges_from's edges regrouped by head, in
+  /// no particular order.
+  [[nodiscard]] const std::vector<InEdge>& edges_into(topo::NodeId n) const;
   [[nodiscard]] const std::vector<Subnet>& subnets() const { return subnets_; }
   [[nodiscard]] const std::vector<Attachment>& attachments() const {
     return attachments_;
@@ -132,6 +141,7 @@ class NetworkView {
   void patch_external_(const Lsdb& lsdb, std::uint64_t lie_id);
 
   std::vector<std::vector<Edge>> adj_;
+  std::vector<std::vector<InEdge>> in_;  ///< index: edge head
   std::vector<Subnet> subnets_;
   std::vector<Attachment> attachments_;
   std::vector<External> externals_;

@@ -51,14 +51,14 @@ struct TraceEvent {
 /// trace (bind_lie) *before* the LSA can reach any router (injections ride
 /// the message channel with a positive flood delay). Routers look the
 /// binding up (trace_for_lie) when the lie's External-LSA installs and when
-/// SPF consumes it; the dataplane table flip is stamped at the round
-/// barrier. The lie id travels in the External-LSA's route tag (appendix
-/// E), so the thread needs no side channel.
+/// SPF consumes it, and stamp the table flip that SPF hands over. The lie
+/// id travels in the External-LSA's route tag (appendix E), so the thread
+/// needs no side channel.
 ///
 /// Determinism contract (extends the repo's shard bit-identity guarantee):
 /// events enter the stream one way only, emit(), on the driving thread.
-/// Controller stages and table flips append between rounds in program
-/// order; a router on a shard worker defers its stamp through
+/// Controller stages append between rounds in program order; a router on
+/// a shard worker defers its stamps through
 /// util::ShardPool::defer, which replays the round's deferred callbacks in
 /// ascending router order, each router's in its own order. So the stream
 /// is bit-identical for every shard count. The canonical_dump() string is

@@ -34,6 +34,11 @@ std::uint16_t aged_for_transmit(std::uint16_t age) {
                                          : static_cast<std::uint16_t>(age + kInfTransDelay);
 }
 
+LsRequestEntry request_entry(const LsaIdentity& id) {
+  return LsRequestEntry{static_cast<std::uint32_t>(id.type), id.link_state_id,
+                        id.advertising_router};
+}
+
 }  // namespace
 
 const char* to_string(NeighborState state) {
@@ -117,7 +122,6 @@ void NeighborSession::reset_exchange_() {
   summary_pos_ = 0;
   last_dd_.reset();
   wanted_.clear();
-  wanted_ids_.clear();
   outstanding_.clear();
   rxmt_.clear();
   pending_flood_.clear();
@@ -379,11 +383,7 @@ void NeighborSession::process_summary_(const std::vector<LsaHeader>& headers) {
     const LsaIdentity id = identity_of(header);
     const WireLsa* mine = db_.lookup(id);
     if (mine != nullptr && compare_instances(header, mine->header) <= 0) continue;
-    if (wanted_ids_.contains(id) || outstanding_.contains(id)) continue;
-    wanted_.push_back(
-        LsRequestEntry{static_cast<std::uint32_t>(header.type), header.link_state_id,
-                       header.advertising_router});
-    wanted_ids_.insert(id);
+    if (!outstanding_.contains(id)) wanted_.insert(id);
   }
 }
 
@@ -403,13 +403,8 @@ void NeighborSession::send_next_requests_() {
   }
   LsRequestBody lsr;
   while (!wanted_.empty() && lsr.entries.size() < config_.max_request_entries) {
-    const LsRequestEntry entry = wanted_.front();
-    wanted_.pop_front();
-    const LsaIdentity id{static_cast<WireLsaType>(entry.type), entry.link_state_id,
-                         entry.advertising_router};
-    wanted_ids_.erase(id);
-    outstanding_.emplace(id, entry);
-    lsr.entries.push_back(entry);
+    lsr.entries.push_back(request_entry(*wanted_.begin()));
+    outstanding_.insert(wanted_.extract(wanted_.begin()));
   }
   counters_.ls_requests_sent += lsr.entries.size();
   ++counters_.lsrs_sent;
@@ -503,13 +498,7 @@ void NeighborSession::process_lsu_(const LsUpdateBody& lsu) {
     }
     // Loading bookkeeping: however the instance got here (response or
     // concurrent flood), it is no longer wanted.
-    if (wanted_ids_.erase(id) > 0) {
-      std::erase_if(wanted_, [&](const LsRequestEntry& e) {
-        return e.link_state_id == id.link_state_id &&
-               e.advertising_router == id.advertising_router &&
-               static_cast<WireLsaType>(e.type) == id.type;
-      });
-    }
+    wanted_.erase(id);
     outstanding_.erase(id);
   }
   if (config_.ack_delay_s <= 0.0) flush_pending_acks_();
@@ -636,9 +625,9 @@ void NeighborSession::on_watchdog_() {
     case NeighborState::kLoading: {
       if (outstanding_.empty()) break;
       LsRequestBody lsr;
-      for (const auto& [id, entry] : outstanding_) {
+      for (const LsaIdentity& id : outstanding_) {
         if (lsr.entries.size() >= config_.max_request_entries) break;
-        lsr.entries.push_back(entry);
+        lsr.entries.push_back(request_entry(id));
       }
       counters_.retransmissions += lsr.entries.size();
       ++counters_.lsrs_sent;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -177,7 +176,7 @@ class NeighborSession {
   /// tombstone cannot be flushed from the database while true.
   [[nodiscard]] bool references(const LsaIdentity& id) const {
     return rxmt_.contains(id) || pending_flood_.contains(id) ||
-           outstanding_.contains(id) || wanted_ids_.contains(id);
+           outstanding_.contains(id) || wanted_.contains(id);
   }
   /// Mid database exchange (ExStart..Loading): the RFC 14 flush guard.
   [[nodiscard]] bool in_exchange() const {
@@ -249,9 +248,10 @@ class NeighborSession {
   /// duplicate poll from the master (slave, RFC 10.8).
   std::optional<DatabaseDescriptionBody> last_dd_;
 
-  std::deque<LsRequestEntry> wanted_;       ///< newer instances to request
-  std::set<LsaIdentity> wanted_ids_;
-  std::map<LsaIdentity, LsRequestEntry> outstanding_;  ///< requested, not yet seen
+  /// Newer instances to request, sent in identity order. Summaries list
+  /// identities in ascending order, so that is the order they arrived in.
+  std::set<LsaIdentity> wanted_;
+  std::set<LsaIdentity> outstanding_;  ///< requested, not yet seen
 
   std::map<LsaIdentity, WireLsa> rxmt_;  ///< flooded, awaiting ack
   util::EventHandle rxmt_timer_;

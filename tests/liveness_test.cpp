@@ -82,6 +82,10 @@ TEST(Liveness, RouterCrashIsDetectedByHelloSilenceAlone) {
   EXPECT_TRUE(saw(seen, p.topo.link_between(p.a, p.r1), true));
   EXPECT_TRUE(saw(seen, p.topo.link_between(p.r4, p.r1), true));
   EXPECT_EQ(live.link_state().down_count(), 0u);  // still zero fail_link calls
+  // The corpse's own dead timers still fire, but it reports nothing.
+  for (const auto& [link, down] : seen) {
+    EXPECT_NE(p.topo.link(link).from, p.r1) << "link " << link;
+  }
 
   // Bit-identical to the same failure driven through the mask: a twin
   // domain where both of R1's links are failed administratively.
@@ -264,6 +268,33 @@ TEST(Liveness, WithdrawChurnFlushesTombstonesAndBoundsTheLsdb) {
   for (NodeId n = 0; n < p.topo.node_count(); ++n) {
     EXPECT_GE(domain.router(n).tombstones_flushed(), 10u) << "router " << n;
   }
+}
+
+TEST(Liveness, TombstoneHeldByADeadAdjacencyFlushesWhenItTimesOut) {
+  // R2 -> B loses every packet, so R2's acks of lie 1's withdrawal never
+  // reach B and the tombstone stays on B's retransmission list toward R2.
+  // When B's RouterDeadInterval for R2 expires the list is gone, and that
+  // adjacency loss alone must let B flush the tombstone.
+  const PaperTopology p = topo::make_paper_topology();
+  util::EventQueue events;
+  IgpDomain domain(p.topo, events, fast_timing());
+  domain.start();
+  domain.run_to_convergence();
+
+  ExternalLsa lie;
+  lie.lie_id = 1;
+  lie.prefix = p.p1;
+  lie.forwarding_address = fwd_addr(p.topo, p.b, p.r3);
+  domain.inject_external(p.r3, lie);
+  domain.run_to_convergence();
+
+  domain.set_link_loss(p.topo.link_between(p.r2, p.b), 1.0);
+  ASSERT_TRUE(domain.withdraw_external(p.r3, 1).ok());
+  events.run_until(events.now() + fast_timing().dead_interval_s + 1.0);
+  domain.run_to_convergence();
+
+  EXPECT_EQ(domain.router(p.b).lsdb().find(LsaKey{LsaType::kExternal, 1}), nullptr);
+  EXPECT_GE(domain.router(p.b).tombstones_flushed(), 1u);
 }
 
 }  // namespace

@@ -1159,15 +1159,15 @@ TEST_P(RouterViewPatchProperty, PatchedViewMatchesFromLsdbRebuild) {
           << "step " << step << " delta " << i;
     }
 
-    const igp::ReverseAdjacency rin = igp::reverse_adjacency(want);
+    // The patched in-edges equal a fresh view's, as multisets.
     for (topo::NodeId v = 0; v < n; ++v) {
-      const auto sorted = [](std::vector<igp::ReverseAdjacency::InEdge> in) {
+      const auto sorted = [](const std::vector<igp::NetworkView::InEdge>& in) {
         std::vector<std::pair<topo::NodeId, topo::Metric>> out;
         for (const auto& e : in) out.emplace_back(e.from, e.metric);
         std::sort(out.begin(), out.end());
         return out;
       };
-      ASSERT_EQ(sorted(spf.reverse().in[v]), sorted(rin.in[v]))
+      ASSERT_EQ(sorted(spf.view().edges_into(v)), sorted(want.edges_into(v)))
           << "step " << step << " node " << v;
     }
 

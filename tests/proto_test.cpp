@@ -508,6 +508,29 @@ TEST(NeighborFsm, DdSummaryPaginatesUnderSmallPageSize) {
   EXPECT_GE(pair.a->counters().dds_sent, 6u);   // ceil(11/2) summary pages
 }
 
+TEST(NeighborFsm, FloodedInstanceLeavesTheRequestList) {
+  // b requests one instance at a time. While it is Loading, a floods the
+  // last one b still wants: that arrival takes it off the request list, so
+  // b only ever asks for the other two.
+  SessionConfig config;
+  config.max_request_entries = 1;
+  SessionPair pair(config);
+  const WireLsa third = sample_router(303, 1);
+  pair.db_a.seed(sample_router(301, 1));
+  pair.db_a.seed(sample_router(302, 1));
+  pair.db_a.seed(third);
+  pair.a->start();
+  pair.b->start();
+  while (pair.b->state() != NeighborState::kLoading) ASSERT_TRUE(pair.events.step());
+  pair.a->flood(third);
+  pair.events.run();
+
+  ASSERT_TRUE(pair.a->synchronized());
+  ASSERT_TRUE(pair.b->synchronized());
+  EXPECT_EQ(pair.db_b.store.size(), 3u);
+  EXPECT_EQ(pair.b->counters().ls_requests_sent, 2u);
+}
+
 TEST(NeighborFsm, FloodIsAcknowledgedAndRetransmittedOnLoss) {
   SessionPair pair;
   pair.bring_up();

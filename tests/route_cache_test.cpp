@@ -1,7 +1,7 @@
 // RouteCache unit coverage: version-keyed invalidation, the exact memo,
 // lie-delta patching, incremental SPF (repair, no-op certification and the
-// non-local fallback) -- each checked for bit-identity against the fresh
-// compute_all_routes / run_spf path it replaces.
+// non-local and bulk fallbacks) -- each checked for bit-identity against
+// the fresh compute_all_routes / run_spf path it replaces.
 
 #include <gtest/gtest.h>
 
@@ -254,6 +254,37 @@ TEST_P(SpfUpdateProperty, RemovalAndInsertionMatchFreshEverywhere) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpfUpdateProperty,
                          ::testing::Range<std::uint64_t>(1, 7));
+
+TEST(SpfUpdate, BulkDeltasRunTheFullDijkstra) {
+  // Nine adjacencies off every shortest path from the source fail at once.
+  // Each alone would leave the result unchanged, but 18 directed deltas are
+  // a bulk transition, which update_spf answers with a full Dijkstra.
+  const topo::Topology t = test_topology(5, 40);
+  topo::LinkStateMask mask(t);
+  const igp::SpfResult before =
+      igp::run_spf(NetworkView::from_topology(t, {}, &mask), 0);
+  std::vector<igp::EdgeDelta> deltas;
+  for (topo::LinkId l = 0; l < t.link_count() && deltas.size() < 18; ++l) {
+    const topo::Link& link = t.link(l);
+    const topo::Link& rev = t.link(link.reverse);
+    if (link.from > link.to) continue;  // one flip per adjacency
+    if (before.dist[link.from] + link.metric == before.dist[link.to] ||
+        before.dist[link.to] + rev.metric == before.dist[link.from]) {
+      continue;  // on a shortest path
+    }
+    ASSERT_TRUE(mask.fail(l));
+    deltas.push_back(igp::EdgeDelta{link.from, link.to, link.metric, /*removed=*/true});
+    deltas.push_back(igp::EdgeDelta{link.to, link.from, rev.metric, /*removed=*/true});
+  }
+  ASSERT_EQ(deltas.size(), 18u);
+
+  const NetworkView after = NetworkView::from_topology(t, {}, &mask);
+  const igp::SpfUpdate update = igp::update_spf(after, before, deltas);
+  EXPECT_EQ(update.mode, igp::SpfUpdate::Mode::kFull);
+  const igp::SpfResult reference = igp::run_spf(after, 0);
+  EXPECT_EQ(update.result.dist, reference.dist);
+  EXPECT_EQ(update.result.first_hops, reference.first_hops);
+}
 
 }  // namespace
 }  // namespace fibbing

@@ -2,10 +2,16 @@
 // NetworkSim mutations the Fig. 2 loop drives most -- a video session
 // starting and stopping, and a router's table flip after an SPF run.
 //
-// Counters, per iteration: flow_walks and rate_solves, NetworkSim's own
-// work counters. A session start walks one flow and solves once, a stop
-// only solves; a table flip walks only the flows whose path visits the
-// router and whose entry there changed, and solves only if a path moved.
+// Counters, per iteration: flow_walks, rate_solves and max_min_solves,
+// NetworkSim's own work counters. A session start walks one flow and
+// updates rates once, a stop only updates rates; a table flip walks only
+// the flows whose path visits the router and whose entry there changed, and
+// updates rates only if a path moved. A rate update runs the full max-min
+// solve only while some link's offered load does not fit its capacity:
+// BM_SessionChurn's links are roomy (max_min_solves 0), and
+// BM_SessionChurnOversubscribed runs the same churn with a link on the
+// churned flow's path oversubscribed (max_min_solves 2), which times the
+// full path.
 
 #include <benchmark/benchmark.h>
 
@@ -28,18 +34,22 @@ using namespace fibbing;
 
 namespace {
 
-/// A Waxman graph with 12 client /24s, `flows` 25 Mb/s video-shaped flows
-/// from random ingress routers, and the graph's plain-IGP routing tables.
+/// A Waxman graph (1-10 Gb/s links, times `capacity_scale`) with 12 client
+/// /24s, `flows` 25 Mb/s video-shaped flows from random ingress routers, and
+/// the graph's plain-IGP routing tables. The scale changes no draw, so the
+/// graph, metrics and flows are the same at every scale.
 struct Scenario {
   topo::Topology topo;
   std::vector<dataplane::Flow> flows;
   std::vector<igp::RoutingTable> tables;
 };
 
-Scenario make_scenario(std::size_t routers, std::size_t flows) {
+Scenario make_scenario(std::size_t routers, std::size_t flows,
+                       double capacity_scale = 1.0) {
   util::Rng rng(7100 + routers);
   Scenario s;
-  s.topo = topo::make_waxman(routers, rng, 0.5, 0.5, 8, 1e9, 10e9);
+  s.topo = topo::make_waxman(routers, rng, 0.5, 0.5, 8, 1e9 * capacity_scale,
+                             10e9 * capacity_scale);
   std::vector<net::Prefix> prefixes;
   for (std::uint8_t i = 0; i < 12; ++i) {
     prefixes.emplace_back(net::Ipv4(203, 0, i, 0), 24);
@@ -70,16 +80,21 @@ benchmark::Counter per_iteration(std::uint64_t total) {
 class WorkCounters {
  public:
   explicit WorkCounters(const dataplane::NetworkSim& sim)
-      : sim_(sim), walks_(sim.flow_walks()), solves_(sim.rate_solves()) {}
+      : sim_(sim),
+        walks_(sim.flow_walks()),
+        solves_(sim.rate_solves()),
+        max_min_(sim.max_min_solves()) {}
   void report(benchmark::State& state) const {
     state.counters["flow_walks"] = per_iteration(sim_.flow_walks() - walks_);
     state.counters["rate_solves"] = per_iteration(sim_.rate_solves() - solves_);
+    state.counters["max_min_solves"] = per_iteration(sim_.max_min_solves() - max_min_);
   }
 
  private:
   const dataplane::NetworkSim& sim_;
   std::uint64_t walks_;
   std::uint64_t solves_;
+  std::uint64_t max_min_;
 };
 
 /// One max-min solve over the walked paths of range(0) flows on 120 routers.
@@ -103,9 +118,14 @@ void BM_MaxMinRates(benchmark::State& state) {
   }
 }
 
-/// One session starting and stopping on a 40-router sim holding 1000 flows.
-void BM_SessionChurn(benchmark::State& state) {
-  const Scenario s = make_scenario(40, 1001);
+/// The session churn scenario: 40 routers, 1000 standing flows and one more
+/// (the last) that starts and stops.
+constexpr std::size_t kChurnRouters = 40;
+constexpr std::size_t kChurnFlows = 1001;
+
+/// One session starting and stopping on a sim holding the scenario's other
+/// flows.
+void session_churn(benchmark::State& state, const Scenario& s) {
   util::EventQueue events;
   dataplane::NetworkSim sim(s.topo, events);
   sim.install_tables(s.tables);
@@ -117,6 +137,28 @@ void BM_SessionChurn(benchmark::State& state) {
     sim.remove_flow(id);
   }
   work.report(state);
+}
+
+/// Roomy links: every start and stop takes the shortcut.
+void BM_SessionChurn(benchmark::State& state) {
+  session_churn(state, make_scenario(kChurnRouters, kChurnFlows));
+}
+
+/// The same churn with capacities scaled so that the busiest link on the
+/// churned flow's path runs at 125 % of its capacity: every start and stop
+/// runs the full max-min solve.
+void BM_SessionChurnOversubscribed(benchmark::State& state) {
+  const Scenario roomy = make_scenario(kChurnRouters, kChurnFlows);
+  util::EventQueue events;
+  dataplane::NetworkSim sim(roomy.topo, events);
+  sim.install_tables(roomy.tables);
+  dataplane::FlowId churned = 0;
+  for (const dataplane::Flow& flow : roomy.flows) churned = sim.add_flow(flow);
+  double busiest = 0.0;
+  for (const topo::LinkId l : sim.flow_path(churned).links) {
+    busiest = std::max(busiest, sim.link_utilization(l));
+  }
+  session_churn(state, make_scenario(kChurnRouters, kChurnFlows, busiest / 1.25));
 }
 
 /// Every router of a 120-router graph carrying 120 flows compiles and
@@ -154,6 +196,7 @@ void BM_TableFlip(benchmark::State& state) {
 
 BENCHMARK(BM_MaxMinRates)->Arg(100)->Arg(1000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SessionChurn)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SessionChurnOversubscribed)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TableFlip)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

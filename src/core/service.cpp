@@ -106,6 +106,7 @@ std::map<std::string, double> FibbingService::telemetry_snapshot() {
       {"dataplane.looping_flows", sim_.looping_flows()},
       {"dataplane.blackholed_flows", sim_.blackholed_flows()},
       {"dataplane.rate_solves", sim_.rate_solves()},
+      {"dataplane.max_min_solves", sim_.max_min_solves()},
       {"shard.rounds", shard.rounds},
       {"shard.events_run", shard.events_run},
       {"shard.cross_shard_messages", shard.cross_shard_messages},

@@ -1,6 +1,8 @@
 #include "dataplane/network_sim.hpp"
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <utility>
 
 #include "dataplane/rate_solver.hpp"
@@ -17,6 +19,8 @@ NetworkSim::NetworkSim(const topo::Topology& topo, util::EventQueue& events,
       link_state_(link_state != nullptr
                       ? std::move(link_state)
                       : std::make_shared<topo::LinkStateMask>(topo)),
+      crossing_(topo.link_count()),
+      fits_(topo.link_count(), true),
       link_rates_(topo.link_count(), 0.0),
       link_bytes_(topo.link_count(), 0.0) {
   // A walk reads the down bit of every link it picks: re-walk everything.
@@ -37,6 +41,31 @@ bool same_entry(const FibEntry* a, const FibEntry* b) {
   return a == nullptr || b == nullptr ? a == b : *a == *b;
 }
 
+/// The fit rule. A link of `capacity` whose `n` delivered flows' demands,
+/// summed in id order, come to `offered` fits when
+///   offered <= capacity * (1 - (2n + 4) * DBL_EPSILON).
+/// When every link fits, every round of max_min_rates freezes flows at their
+/// demand. With u = DBL_EPSILON / 2 the unit roundoff:
+///  - the exact sum S of the n non-negative demands is at most (1 + n u)
+///    times their id-order sum, so a fitting link's exact slack,
+///    capacity - S, is at least (3n + 6) u * capacity, counting the
+///    rounding of the threshold itself;
+///  - in a round, max_min_rates' residual for the link is its capacity less
+///    the demands frozen so far, taken off one at a time: at most n - 1
+///    rounded subtractions of values no larger than capacity, so it is
+///    within n u * capacity of the exact residual. That is the slack plus
+///    the demands of the k flows still active on the link, each at least m,
+///    the smallest active demand;
+///  - the fair share divides the residual by k, rounding once more, by at
+///    most u * capacity / k.
+/// So every fair share is at least m + (2n + 5) u * capacity / k > m, and
+/// the round freezes flows at their demand. A NaN or infinite sum never
+/// fits, and neither does a link filled exactly to capacity.
+bool link_fits(double offered, std::size_t n, double capacity) {
+  const double margin = static_cast<double>(2 * n + 4) * DBL_EPSILON;
+  return std::isfinite(offered) && offered <= capacity * (1.0 - margin);
+}
+
 }  // namespace
 
 void NetworkSim::set_fib(topo::NodeId node, Fib fib) {
@@ -46,7 +75,7 @@ void NetworkSim::set_fib(topo::NodeId node, Fib fib) {
   // At each router it visits, a walk reads only that router's entry for the
   // flow's destination: a path through `node` can move only if that entry
   // changed.
-  bool moved = false;
+  std::vector<FlowId> moved;
   for (auto& [id, state] : flows_) {
     if (!visits(topo_, state.flow, state.path, node) ||
         same_entry(old.lookup(state.flow.dst), fibs_[node].lookup(state.flow.dst))) {
@@ -54,10 +83,12 @@ void NetworkSim::set_fib(topo::NodeId node, Fib fib) {
     }
     FlowPath path = walk_(state.flow);
     if (path == state.path) continue;
+    index_(state.flow, state.path, false);
     state.path = std::move(path);
-    moved = true;
+    index_(state.flow, state.path, true);
+    moved.push_back(id);
   }
-  if (moved) solve_rates_();
+  if (!moved.empty()) update_rates_(moved);
 }
 
 void NetworkSim::install_tables(const std::vector<igp::RoutingTable>& tables) {
@@ -96,16 +127,19 @@ FlowId NetworkSim::add_flow(Flow flow) {
   settle_();
   const FlowId id = flow.id;
   FlowPath path = walk_(flow);
+  index_(flow, path, true);
   flows_.emplace(id, FlowState{std::move(flow), std::move(path), 0.0});
-  solve_rates_();
+  update_rates_({id});
   return id;
 }
 
 void NetworkSim::remove_flow(FlowId id) {
-  const auto erased = flows_.erase(id);
-  FIB_ASSERT(erased == 1, "remove_flow: unknown flow");
+  const auto it = flows_.find(id);
+  FIB_ASSERT(it != flows_.end(), "remove_flow: unknown flow");
+  index_(it->second.flow, it->second.path, false);
+  flows_.erase(it);
   settle_();
-  solve_rates_();
+  update_rates_({});
 }
 
 double NetworkSim::flow_rate(FlowId id) const {
@@ -166,14 +200,79 @@ FlowPath NetworkSim::walk_(const Flow& flow) {
   return walk_flow(topo_, fibs_, flow, link_state_->bits());
 }
 
+void NetworkSim::index_(const Flow& flow, const FlowPath& path, bool add) {
+  if (!path.delivered()) return;
+  for (const topo::LinkId l : path.links) {
+    std::vector<Crossing>& on = crossing_[l];
+    const auto at = std::lower_bound(
+        on.begin(), on.end(), flow.id,
+        [](const Crossing& c, FlowId id) { return c.id < id; });
+    if (add) {
+      on.insert(at, Crossing{flow.id, flow.demand_bps});  // a fresh id appends
+    } else {
+      FIB_ASSERT(at != on.end() && at->id == flow.id, "index_: flow not on link");
+      on.erase(at);
+    }
+    touched_.push_back(l);
+  }
+}
+
 void NetworkSim::rewalk_all_() {
   settle_();
-  for (auto& [id, state] : flows_) state.path = walk_(state.flow);
-  solve_rates_();
+  // Rebuild the index from empty lists: walking in id order appends.
+  for (topo::LinkId l = 0; l < crossing_.size(); ++l) {
+    crossing_[l].clear();
+    touched_.push_back(l);
+  }
+  std::vector<FlowId> moved;
+  moved.reserve(flows_.size());
+  for (auto& [id, state] : flows_) {
+    state.path = walk_(state.flow);
+    index_(state.flow, state.path, true);
+    moved.push_back(id);
+  }
+  update_rates_(moved);
+}
+
+void NetworkSim::update_rates_(const std::vector<FlowId>& moved) {
+  ++rate_solves_;
+  const bool fit_before = oversubscribed_ == 0;
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
+  for (const topo::LinkId l : touched_) {
+    double offered = 0.0;
+    for (const Crossing& c : crossing_[l]) offered += c.demand_bps;
+    const bool fits = link_fits(offered, crossing_[l].size(), topo_.link(l).capacity_bps);
+    if (fits != fits_[l]) {
+      fits_[l] = fits;
+      if (fits) {
+        --oversubscribed_;
+      } else {
+        ++oversubscribed_;
+      }
+    }
+    // The id-order sum solve_rates_ produces when every flow gets its
+    // demand; a full solve below rewrites every link rate anyway.
+    link_rates_[l] = offered;
+  }
+  touched_.clear();
+  // Leaving oversubscription raises many rates: that takes the full solve.
+  if (!fit_before || oversubscribed_ > 0) {
+    solve_rates_();
+    return;
+  }
+  std::vector<std::pair<FlowId, double>> changed;
+  for (const FlowId id : moved) {
+    FlowState& state = flows_.find(id)->second;
+    const double rate = state.path.delivered() ? state.flow.demand_bps : 0.0;
+    if (state.rate_bps != rate) changed.emplace_back(id, rate);
+    state.rate_bps = rate;
+  }
+  notify_(changed);
 }
 
 void NetworkSim::solve_rates_() {
-  ++rate_solves_;
+  ++max_min_solves_;
   std::vector<RatedFlow> rated;
   rated.reserve(flows_.size());
   for (const auto& [id, state] : flows_) {
@@ -192,6 +291,10 @@ void NetworkSim::solve_rates_() {
       for (const topo::LinkId l : state.path.links) link_rates_[l] += rate;
     }
   }
+  notify_(changed);
+}
+
+void NetworkSim::notify_(const std::vector<std::pair<FlowId, double>>& changed) {
   for (const auto& [id, rate] : changed) {
     for (const auto& listener : listeners_) {
       // A listener may change the flow set (a finished video stops its

@@ -3,9 +3,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <vector>
-
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "dataplane/fib.hpp"
 #include "dataplane/flow.hpp"
@@ -29,10 +29,20 @@ namespace fibbing::dataplane {
 /// Invariant: every stored FlowPath equals walk_flow over the current FIBs
 /// and link mask, and every rate equals max_min_rates over all flows in id
 /// order. Each mutation does only the work that can break it:
-///  - add_flow walks the new flow and solves rates; remove_flow only solves;
+///  - add_flow walks the new flow and updates rates; remove_flow only
+///    updates rates;
 ///  - set_fib re-walks the flows whose path visits the router and whose
-///    FIB entry there changed, and solves only if one of those paths moved;
-///  - install_tables and link fail/restore re-walk every flow and solve.
+///    FIB entry there changed, and updates rates only if one of those paths
+///    moved;
+///  - install_tables and link fail/restore re-walk every flow and update
+///    rates.
+/// The sim indexes, per link, the delivered flows that cross it. While every
+/// link's offered load fits its capacity (see link_fits in the .cpp),
+/// max-min gives every delivered flow its demand, so a rate update that
+/// starts and ends with every link fitting sets only the changed flows'
+/// rates and re-sums only the links their paths cross. The full
+/// max_min_rates solve runs only when some link does not fit before or
+/// after the mutation.
 class NetworkSim {
  public:
   /// `link_state` is the live up/down mask consulted on every flow walk;
@@ -79,9 +89,11 @@ class NetworkSim {
   /// never survive a correct augmentation).
   [[nodiscard]] std::size_t looping_flows() const;
   [[nodiscard]] std::size_t blackholed_flows() const;
-  /// Work done so far: walk_flow calls and max_min_rates solves.
+  /// Work done so far: walk_flow calls; rate updates, counting every rate
+  /// update, shortcut or full; and the full max_min_rates solves among them.
   [[nodiscard]] std::uint64_t flow_walks() const { return flow_walks_; }
   [[nodiscard]] std::uint64_t rate_solves() const { return rate_solves_; }
+  [[nodiscard]] std::uint64_t max_min_solves() const { return max_min_solves_; }
 
   /// Rate-change notification: fired with (flow id, new rate) whenever the
   /// allocation changes a flow's rate (video clients track their buffers
@@ -96,11 +108,21 @@ class NetworkSim {
  private:
   void settle_();
   [[nodiscard]] FlowPath walk_(const Flow& flow);
-  /// Re-walk every flow, then solve rates.
+  /// Enter (`add`) or withdraw a flow in the crossing lists of the links on
+  /// its path, if it is delivered, and mark those links touched.
+  void index_(const Flow& flow, const FlowPath& path, bool add);
+  /// Re-walk every flow, then update rates.
   void rewalk_all_();
+  /// Bring rates up to date after the flows in `moved` (ascending id) joined
+  /// or changed path, and the touched links' crossing lists changed: the
+  /// shortcut if every link fits before and after, else solve_rates_().
+  void update_rates_(const std::vector<FlowId>& moved);
   /// Max-min rates over all flows in id order; refreshes the link rates and
   /// notifies listeners of every rate that changed.
   void solve_rates_();
+  /// Announce (flow, rate) pairs in order, dropping a notice a listener's
+  /// nested change made stale.
+  void notify_(const std::vector<std::pair<FlowId, double>>& changed);
 
   const topo::Topology& topo_;
   util::EventQueue& events_;
@@ -114,8 +136,19 @@ class NetworkSim {
   };
   std::map<FlowId, FlowState> flows_;  // ordered: deterministic iteration
   FlowId next_flow_id_ = 1;
-  std::uint64_t flow_walks_ = 0;   // obs:registered(dataplane.flow_walks)
-  std::uint64_t rate_solves_ = 0;  // obs:registered(dataplane.rate_solves)
+  std::uint64_t flow_walks_ = 0;      // obs:registered(dataplane.flow_walks)
+  std::uint64_t rate_solves_ = 0;     // obs:registered(dataplane.rate_solves)
+  std::uint64_t max_min_solves_ = 0;  // obs:registered(dataplane.max_min_solves)
+
+  /// A delivered flow crossing a link, with its demand.
+  struct Crossing {
+    FlowId id = 0;
+    double demand_bps = 0.0;
+  };
+  std::vector<std::vector<Crossing>> crossing_;  // per link, ascending id
+  std::vector<bool> fits_;              // per link: its offered load fits
+  std::size_t oversubscribed_ = 0;      // links whose fits_ is false
+  std::vector<topo::LinkId> touched_;   // links indexed since the last update
 
   std::vector<double> link_rates_;
   std::vector<double> link_bytes_;  // double to avoid quantization drift

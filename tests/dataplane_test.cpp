@@ -500,18 +500,21 @@ TEST(NetworkSim, FreshIdSkipsCallerChosenIds) {
 
 // ------------------------------------------------ work scoped to the change
 
-/// Flow walks and rate solves a mutation performed.
+/// Flow walks, rate updates and full max-min solves a mutation performed.
 struct Work {
   std::uint64_t walks = 0;
   std::uint64_t solves = 0;
+  std::uint64_t max_min = 0;
 };
 
 template <typename Fn>
 Work work_of(const NetworkSim& sim, Fn&& mutate) {
   const std::uint64_t walks = sim.flow_walks();
   const std::uint64_t solves = sim.rate_solves();
+  const std::uint64_t max_min = sim.max_min_solves();
   mutate();
-  return Work{sim.flow_walks() - walks, sim.rate_solves() - solves};
+  return Work{sim.flow_walks() - walks, sim.rate_solves() - solves,
+              sim.max_min_solves() - max_min};
 }
 
 /// Three flows through R2 (two B->P1 over B-R2-C, one A->P2 over
@@ -594,6 +597,130 @@ TEST(NetworkSim, LinkFailureWalksEveryFlow) {
   });
   EXPECT_EQ(w.walks, fx.flows.size());
   EXPECT_EQ(w.solves, 1u);
+}
+
+// ----------------------- max-min solves only while a link is oversubscribed
+
+/// The live flows' demands, by id.
+using Demands = std::map<FlowId, double>;
+
+/// Every flow's rate equals max_min_rates over all flows in id order, and
+/// every link rate the id-order sum of those rates over its delivered flows.
+void expect_max_min_rates(const NetworkSim& sim, const topo::Topology& topo,
+                          const Demands& demands) {
+  std::vector<RatedFlow> rated;
+  for (const auto& [id, demand] : demands) {
+    rated.push_back(RatedFlow{id, demand, &sim.flow_path(id)});
+  }
+  const std::vector<double> rates = max_min_rates(topo, rated);
+  std::vector<double> link_rates(topo.link_count(), 0.0);
+  for (std::size_t i = 0; i < rated.size(); ++i) {
+    EXPECT_EQ(sim.flow_rate(rated[i].id), rates[i]) << "flow " << rated[i].id;
+    if (!rated[i].path->delivered()) continue;
+    for (const topo::LinkId l : rated[i].path->links) link_rates[l] += rates[i];
+  }
+  for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
+    EXPECT_EQ(sim.link_rate(l), link_rates[l]) << "link " << l;
+  }
+}
+
+TEST(NetworkSim, RoomyLinksSkipTheMaxMinSolve) {
+  ScopedSim fx;  // 1 Mb/s flows on 40 Mb/s links
+  Demands demands;
+  for (const FlowId id : fx.flows) demands[id] = 1e6;
+  // Every link rate is the id-order sum of the demands crossing it.
+  const auto expect_demand_sums = [&] {
+    std::vector<double> sums(fx.p.topo.link_count(), 0.0);
+    for (const auto& [id, demand] : demands) {
+      const FlowPath& path = fx.sim.flow_path(id);
+      if (!path.delivered()) continue;
+      for (const topo::LinkId l : path.links) sums[l] += demand;
+    }
+    for (topo::LinkId l = 0; l < sums.size(); ++l) {
+      EXPECT_EQ(fx.sim.link_rate(l), sums[l]) << "link " << l;
+    }
+  };
+  FlowId added = 0;
+  Work w = work_of(fx.sim, [&] {
+    added = fx.sim.add_flow(make_flow(fx.p.a, fx.p.p1.host(5), 4005, 3e6));
+  });
+  demands[added] = 3e6;
+  EXPECT_EQ(w.solves, 1u);
+  EXPECT_EQ(w.max_min, 0u);
+  EXPECT_EQ(fx.sim.flow_rate(added), 3e6);
+  expect_demand_sums();
+  expect_max_min_rates(fx.sim, fx.p.topo, demands);
+
+  w = work_of(fx.sim, [&] { fx.sim.remove_flow(fx.flows[1]); });
+  demands.erase(fx.flows[1]);
+  EXPECT_EQ(w.solves, 1u);
+  EXPECT_EQ(w.max_min, 0u);
+  expect_demand_sums();
+  expect_max_min_rates(fx.sim, fx.p.topo, demands);
+}
+
+/// B->R2 carries three of ScopedSim's 1 Mb/s flows. Two 38.5 Mb/s B->P1
+/// flows push it past its 40 Mb/s; it stays past until the second small
+/// flow leaves (39.5 Mb/s), which raises the big flow's rate.
+TEST(NetworkSim, OversubscribedLinkSolvesUntilItFits) {
+  ScopedSim fx;
+  Demands demands;
+  for (const FlowId id : fx.flows) demands[id] = 1e6;
+  const auto add = [&](std::uint16_t port) {
+    const FlowId id =
+        fx.sim.add_flow(make_flow(fx.p.b, fx.p.p1.host(port - 4000u), port, 38.5e6));
+    demands[id] = 38.5e6;
+    return id;
+  };
+  const auto remove = [&](FlowId id) {
+    fx.sim.remove_flow(id);
+    demands.erase(id);
+  };
+  FlowId x = 0;
+  FlowId y = 0;
+  Work w = work_of(fx.sim, [&] { x = add(4010); });  // 41.5 Mb/s
+  EXPECT_EQ(w.max_min, 1u);
+  expect_max_min_rates(fx.sim, fx.p.topo, demands);
+  EXPECT_EQ(fx.sim.flow_rate(x), 37e6);
+  w = work_of(fx.sim, [&] { y = add(4011); });  // 80 Mb/s
+  EXPECT_EQ(w.max_min, 1u);
+  expect_max_min_rates(fx.sim, fx.p.topo, demands);
+  w = work_of(fx.sim, [&] { remove(y); });  // 41.5 Mb/s
+  EXPECT_EQ(w.max_min, 1u);
+  expect_max_min_rates(fx.sim, fx.p.topo, demands);
+  w = work_of(fx.sim, [&] { remove(fx.flows[0]); });  // 40.5 Mb/s
+  EXPECT_EQ(w.max_min, 1u);
+  expect_max_min_rates(fx.sim, fx.p.topo, demands);
+  EXPECT_EQ(fx.sim.flow_rate(x), 38e6);
+  // Back under capacity: this update still takes the full solve, since the
+  // big flow's rate rises to its demand.
+  w = work_of(fx.sim, [&] { remove(fx.flows[1]); });  // 39.5 Mb/s
+  EXPECT_EQ(w.solves, 1u);
+  EXPECT_EQ(w.max_min, 1u);
+  expect_max_min_rates(fx.sim, fx.p.topo, demands);
+  EXPECT_EQ(fx.sim.flow_rate(x), 38.5e6);
+  // Every link fits before and after the next change.
+  w = work_of(fx.sim, [&] { remove(fx.flows[3]); });
+  EXPECT_EQ(w.solves, 1u);
+  EXPECT_EQ(w.max_min, 0u);
+  expect_max_min_rates(fx.sim, fx.p.topo, demands);
+}
+
+TEST(NetworkSim, LinkFilledExactlyToCapacityRunsTheFullSolve) {
+  support::PaperSimHarness fx;  // 40 Mb/s links
+  Demands demands;
+  std::vector<Work> work;
+  for (std::uint16_t port = 4001; port <= 4004; ++port) {
+    work.push_back(work_of(fx.sim, [&] {
+      const Flow flow = make_flow(fx.p.b, fx.p.p1.host(port - 4000u), port, 10e6);
+      demands[fx.sim.add_flow(flow)] = 10e6;
+    }));
+  }
+  EXPECT_EQ(work[2].max_min, 0u);  // 30 Mb/s on B->R2 fits
+  EXPECT_EQ(work[3].solves, 1u);   // 40 Mb/s: exactly full
+  EXPECT_EQ(work[3].max_min, 1u);
+  expect_max_min_rates(fx.sim, fx.p.topo, demands);
+  EXPECT_EQ(fx.sim.link_rate(fx.p.topo.link_between(fx.p.b, fx.p.r2)), 40e6);
 }
 
 }  // namespace

@@ -154,7 +154,8 @@ TEST(MetricsRegistry, HistogramExpandsToPercentileKeys) {
       "controller.mitigations", "controller.placement_solves",
       "controller.relaxed_placements", "controller.retractions",
       "controller.topology_events", "dataplane.blackholed_flows", "dataplane.flow_walks",
-      "dataplane.flows", "dataplane.looping_flows", "dataplane.rate_solves",
+      "dataplane.flows", "dataplane.looping_flows", "dataplane.max_min_solves",
+      "dataplane.rate_solves",
       "igp.lsas_sent", "igp.spf_incremental_runs", "igp.spf_origins_read", "igp.spf_runs",
       "poller.polls", "proto.bytes_sent", "proto.hellos_sent", "proto.lsas_sent",
       "proto.lsus_sent", "proto.packets_sent", "proto.retransmissions",
@@ -162,7 +163,7 @@ TEST(MetricsRegistry, HistogramExpandsToPercentileKeys) {
       "southbound.acks_received", "southbound.alias_rejections", "southbound.lsas_sent",
       "southbound.lsus_sent", "southbound.packets_sent", "southbound.reflushes",
   };
-  EXPECT_EQ(expected.size(), 36u);
+  EXPECT_EQ(expected.size(), 37u);
   EXPECT_EQ(counter_keys, expected);
   // igp.lsas_sent is the domain's flooding volume, the same aggregate as
   // proto.lsas_sent.

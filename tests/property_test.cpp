@@ -234,16 +234,27 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RateSolverProperty,
 
 // ------------------------------- scoped data-plane updates vs full recompute
 
-/// NetworkSim re-walks only the flows a mutation can move and solves rates
-/// only when a path moved. Reference: after every step, walk every flow
-/// from scratch over a mirror of the FIBs and solve max-min rates over all
-/// flows in id order; paths, flow rates and link rates must match exactly.
+/// NetworkSim re-walks only the flows a mutation can move, updates rates
+/// only when a path moved, and runs the full max-min solve only while a link
+/// does not fit. Reference: after every step, walk every flow from scratch
+/// over a mirror of the FIBs and solve max-min rates over all flows in id
+/// order; paths, flow rates and link rates must match exactly.
 class DataplaneIncrementalProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(DataplaneIncrementalProperty, ScopedUpdatesMatchFullRecompute) {
-  util::Rng rng(GetParam() ^ 0xda7a);
+/// Rate updates of one run, and the full max-min solves among them.
+struct RateWork {
+  std::uint64_t updates = 0;
+  std::uint64_t max_min_solves = 0;
+};
+
+/// One seeded run of random add/remove/fail/restore/set_fib steps on a
+/// Waxman graph whose link capacities (50-200 Mb/s) are multiplied by
+/// `capacity_scale`, checked against the reference after every step.
+void check_scoped_updates(std::uint64_t seed, double capacity_scale, RateWork* work) {
+  util::Rng rng(seed ^ 0xda7a);
   topo::Topology t = topo::make_waxman(
-      static_cast<std::size_t>(rng.uniform_int(30, 60)), rng, 0.5, 0.5, 8, 50e6, 200e6);
+      static_cast<std::size_t>(rng.uniform_int(30, 60)), rng, 0.5, 0.5, 8,
+      50e6 * capacity_scale, 200e6 * capacity_scale);
   std::vector<net::Prefix> used;
   for (std::uint8_t i = 0; i < 4; ++i) {
     used.emplace_back(net::Ipv4(203, 0, i, 0), 24);
@@ -412,6 +423,27 @@ TEST_P(DataplaneIncrementalProperty, ScopedUpdatesMatchFullRecompute) {
   EXPECT_GT(quiet_swaps, 0);
   EXPECT_GT(still_swaps, 0);
   EXPECT_GT(moving_swaps, 0);
+  *work = RateWork{sim.rate_solves(), sim.max_min_solves()};
+}
+
+TEST_P(DataplaneIncrementalProperty, ScopedUpdatesMatchFullRecompute) {
+  RateWork work;
+  check_scoped_updates(GetParam(), 1.0, &work);
+}
+
+/// At x4 some links fill and drain, so updates mix the shortcut and the
+/// full solve; at x100 no link ever fills, so no update runs the full solve.
+TEST_P(DataplaneIncrementalProperty, UncongestedShortcutMatchesFullRecompute) {
+  RateWork mixed;
+  check_scoped_updates(GetParam(), 4.0, &mixed);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(mixed.max_min_solves, 0u);
+  EXPECT_LT(mixed.max_min_solves, mixed.updates);
+  RateWork roomy;
+  check_scoped_updates(GetParam(), 100.0, &roomy);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(roomy.updates, 0u);
+  EXPECT_EQ(roomy.max_min_solves, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DataplaneIncrementalProperty,

@@ -51,8 +51,10 @@ int main() {
   const auto tables0 = igp::compute_all_routes(base);
   std::vector<double> loads_b(t.link_count(), 0.0);
   {
-    const auto l1 = core::loads_from_routes(t, tables0, p.p1, {{p.b, 100.0}});
-    const auto l2 = core::loads_from_routes(t, tables0, p.p2, {{p.a, 100.0}});
+    const auto l1 = core::loads_from_routes(t, igp::column_of(tables0, p.p1), p.p1,
+                                            {{p.b, 100.0}});
+    const auto l2 = core::loads_from_routes(t, igp::column_of(tables0, p.p2), p.p2,
+                                            {{p.a, 100.0}});
     for (topo::LinkId l = 0; l < t.link_count(); ++l) loads_b[l] = l1[l] + l2[l];
   }
   print_loads(t, loads_b);
@@ -93,8 +95,10 @@ int main() {
       igp::NetworkView::from_topology(t, core::to_externals(lies)));
   std::vector<double> loads_d(t.link_count(), 0.0);
   {
-    const auto l1 = core::loads_from_routes(t, tables1, p.p1, {{p.b, 100.0}});
-    const auto l2 = core::loads_from_routes(t, tables1, p.p2, {{p.a, 100.0}});
+    const auto l1 = core::loads_from_routes(t, igp::column_of(tables1, p.p1), p.p1,
+                                            {{p.b, 100.0}});
+    const auto l2 = core::loads_from_routes(t, igp::column_of(tables1, p.p2), p.p2,
+                                            {{p.a, 100.0}});
     for (topo::LinkId l = 0; l < t.link_count(); ++l) loads_d[l] = l1[l] + l2[l];
   }
   print_loads(t, loads_d);

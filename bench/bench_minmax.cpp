@@ -155,8 +155,8 @@ void BM_C2_OptimizeCompileVerify(benchmark::State& state) {
       core::verify_augmentation(inst.topo, req, aug.value().lies).ok() ? 1.0 : 0.0;
   const auto tables = igp::compute_all_routes(
       igp::NetworkView::from_topology(inst.topo, core::to_externals(aug.value().lies)));
-  const auto load = core::loads_from_routes(inst.topo, tables, inst.prefix,
-                                            inst.demands);
+  const auto load = core::loads_from_routes(
+      inst.topo, igp::column_of(tables, inst.prefix), inst.prefix, inst.demands);
   double fib_theta = 0.0;
   for (topo::LinkId l = 0; l < inst.topo.link_count(); ++l) {
     fib_theta = std::max(fib_theta, load[l] / inst.topo.link(l).capacity_bps);

@@ -70,7 +70,8 @@ int main(int argc, char** argv) {
   // Utilization achieved by the verified lie set (weighted-ECMP fluid).
   const auto tables = igp::compute_all_routes(
       igp::NetworkView::from_topology(wan, core::to_externals(compiled.value().lies)));
-  const auto load = core::loads_from_routes(wan, tables, viral, demands);
+  const auto load =
+      core::loads_from_routes(wan, igp::column_of(tables, viral), viral, demands);
   double fib_theta = 0.0;
   for (topo::LinkId l = 0; l < wan.link_count(); ++l) {
     fib_theta = std::max(fib_theta, load[l] / wan.link(l).capacity_bps);

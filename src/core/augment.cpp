@@ -55,8 +55,8 @@ CompileResult compile_lies(const topo::Topology& topo,
   PlanningCache planning(topo, config.link_state, config.route_cache);
   igp::RouteCache& cache = planning.get();
   const igp::NetworkView& view = cache.view();
-  const igp::RouteCache::TablesPtr baseline_ptr = cache.baseline();
-  const std::vector<igp::RoutingTable>& baseline = *baseline_ptr;
+  const igp::RouteCache::TablesPtr baseline_tables = cache.baseline();
+  const igp::RouteColumn& baseline = *cache.column(*baseline_tables, req.prefix);
 
   // Distance from u to the transfer subnet of link u<->via, and the check
   // that the subnet route actually steers out of that interface.
@@ -109,14 +109,13 @@ CompileResult compile_lies(const topo::Topology& topo,
     std::uint64_t next_id = config.first_lie_id;
 
     for (auto& [u, node_plan] : plan) {
-      const auto base_it = baseline[u].find(req.prefix);
-      if (base_it == baseline[u].end() || !base_it->second.reachable()) {
+      const igp::RouteEntry& base = baseline[u];
+      if (!base.reachable()) {
         return R::failure(K::kUnreachable,
                           "prefix " + req.prefix.to_string() + " unreachable at " +
                               node_name(topo, u),
                           u);
       }
-      const igp::RouteEntry& base = base_it->second;
       if (base.local) {
         return R::failure(K::kBadRequirement,
                           "cannot place next-hop requirements at " +
@@ -216,10 +215,9 @@ CompileResult compile_lies(const topo::Topology& topo,
       if (issue.kind == VerifyIssueKind::kLoop) continue;  // fixed by pins
       const auto plan_it = plan.find(issue.node);
       if (plan_it == plan.end()) {
-        const auto base_it = baseline[issue.node].find(req.prefix);
-        if (base_it == baseline[issue.node].end()) continue;
+        if (!baseline[issue.node].reachable()) continue;
         NodePlan pin;
-        pin.hops = normalize(base_it->second);
+        pin.hops = normalize(baseline[issue.node]);
         pin.strict = true;
         plan.emplace(issue.node, std::move(pin));
         ++out.pinned_nodes;

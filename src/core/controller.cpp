@@ -81,6 +81,7 @@ void Controller::on_notice_(const monitor::DemandNotice& notice) {
   entry.sessions += notice.delta_sessions;
   entry.rate_bps += notice.bitrate_bps * notice.delta_sessions;
   if (entry.sessions <= 0) ledger_[notice.prefix].erase(notice.ingress);
+  load_memo_.erase(notice.prefix);  // the prefix's demand moved
   dirty_.insert(notice.prefix);
   if (!config_.enabled) return;
   if (config_.proactive) {
@@ -117,7 +118,7 @@ void Controller::on_topology_change_(topo::LinkId link, bool down) {
   const igp::RouteCache::TablesPtr new_tables =
       cache_.tables(to_externals(all_lies_()));
   for (const auto& [prefix, lies] : active_) {
-    if (forwarding_loops(topo_, *new_tables, prefix)) {
+    if (forwarding_loops(topo_, *cache_.column(*new_tables, prefix))) {
       stranded_.insert(prefix);
       dirty_.insert(prefix);
       continue;
@@ -144,7 +145,8 @@ void Controller::on_topology_change_(topo::LinkId link, bool down) {
     for (const auto& [prefix, ingresses] : ledger_) candidates.insert(prefix);
     for (const net::Prefix& prefix : candidates) {
       if (dirty_.contains(prefix)) continue;  // already slated for re-plan
-      if (forwarding_changed_(prefix, *last_tables_, *new_tables)) {
+      if (forwarding_changed_(prefix, *cache_.column(*last_tables_, prefix),
+                              *cache_.column(*new_tables, prefix))) {
         dirty_.insert(prefix);
       }
     }
@@ -162,8 +164,8 @@ void Controller::on_topology_change_(topo::LinkId link, bool down) {
 }
 
 bool Controller::forwarding_changed_(const net::Prefix& prefix,
-                                     const igp::RouteCache::Tables& before,
-                                     const igp::RouteCache::Tables& after) const {
+                                     const igp::RouteColumn& before,
+                                     const igp::RouteColumn& after) const {
   // Only the nodes the prefix's traffic traverses matter for its placement:
   // walk the old forwarding graph from the demand ingresses, diffing each
   // visited node's entry. If every traffic-carrying node forwards exactly
@@ -185,15 +187,11 @@ bool Controller::forwarding_changed_(const net::Prefix& prefix,
   }
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const topo::NodeId n = queue[head];
-    const auto was = before[n].find(prefix);
-    const auto now = after[n].find(prefix);
-    const bool had = was != before[n].end();
-    const bool has = now != after[n].end();
-    if (had != has) return true;
-    if (!had) continue;  // blackholed before and after: nothing moved
-    if (!(was->second == now->second)) return true;
-    if (was->second.local) continue;  // delivered here
-    for (const auto& nh : was->second.next_hops) {
+    const igp::RouteEntry& was = before[n];
+    const igp::RouteEntry& now = after[n];
+    if (!(was == now)) return true;
+    if (was.local) continue;  // delivered here (a blackhole has no next hops)
+    for (const auto& nh : was.next_hops) {
       if (!seen[nh.via]) {
         seen[nh.via] = 1;
         queue.push_back(nh.via);
@@ -210,20 +208,10 @@ void Controller::refresh_forwarding_snapshot_() {
 const std::vector<double>& Controller::prefix_loads_(
     const net::Prefix& prefix, const igp::RouteCache::TablesPtr& tables) {
   PrefixLoadMemo& memo = load_memo_[prefix];
-  std::vector<std::pair<topo::NodeId, double>> fingerprint;
-  const auto it = ledger_.find(prefix);
-  if (it != ledger_.end()) {
-    fingerprint.reserve(it->second.size());
-    for (const auto& [ingress, demand] : it->second) {
-      if (demand.rate_bps > 0.0) fingerprint.emplace_back(ingress, demand.rate_bps);
-    }
-  }
-  if (memo.tables.get() == tables.get() && memo.demands == fingerprint) {
-    return memo.loads;
-  }
-  memo.tables = tables;
-  memo.demands = std::move(fingerprint);
-  memo.loads = loads_from_routes(topo_, *tables, prefix, demands_of_(prefix));
+  const igp::RouteCache::ColumnPtr& column = cache_.column(*tables, prefix);
+  if (memo.column == column) return memo.loads;
+  memo.column = column;
+  memo.loads = loads_from_routes(topo_, *column, prefix, demands_of_(prefix));
   return memo.loads;
 }
 

@@ -150,10 +150,10 @@ class Controller {
   void evaluate_();
   void mitigate_();
   void maybe_retract_();
-  /// Did `prefix`'s realized forwarding change between two table sets?
+  /// Did `prefix`'s realized forwarding change between two of its columns?
   [[nodiscard]] bool forwarding_changed_(const net::Prefix& prefix,
-                                         const igp::RouteCache::Tables& before,
-                                         const igp::RouteCache::Tables& after) const;
+                                         const igp::RouteColumn& before,
+                                         const igp::RouteColumn& after) const;
   /// Re-snapshot the realized forwarding of the current lie set (consulted
   /// by the next topology event to scope re-planning).
   void refresh_forwarding_snapshot_();
@@ -165,12 +165,14 @@ class Controller {
   /// predicted overload) becomes the trace's t=0; mitigate_() adopts it.
   void trace_root_(obs::Stage stage, std::uint64_t detail);
 
-  /// Per-link load of `prefix`'s ledger demand on its routes in `tables`,
-  /// memoized on (tables identity, demand fingerprint). A prefix's routes
-  /// depend only on its *own* externals, so the loads computed on any table
-  /// set containing its current lies are identical -- every background /
-  /// evaluation sum can therefore share one full-lie-set table build
-  /// instead of a per-prefix O(prefixes) rebuild.
+  /// Per-link load of `prefix`'s ledger demand on its column in `tables`,
+  /// memoized on the column's identity until a demand notice for the prefix
+  /// drops the memo entry. A prefix's routes depend only on its *own*
+  /// externals, so the loads computed on any table set containing its
+  /// current lies are identical -- every background / evaluation sum can
+  /// therefore share one full-lie-set table build instead of a per-prefix
+  /// O(prefixes) rebuild, and a prefix without lies keeps one baseline
+  /// column across every lie set.
   [[nodiscard]] const std::vector<double>& prefix_loads_(
       const net::Prefix& prefix, const igp::RouteCache::TablesPtr& tables);
   /// Per-link load `prefix`'s placement must leave room for: the sum of
@@ -214,11 +216,12 @@ class Controller {
   std::set<net::Prefix> stranded_;
   bool eval_pending_ = false;
   std::map<net::Prefix, std::vector<Lie>> active_;
-  /// prefix_loads_'s memo. Holding the TablesPtr pins the table set so the
-  /// identity check can never alias a recycled allocation.
+  /// prefix_loads_'s memo, one entry per prefix whose ledger demand has not
+  /// moved since the loads were computed (on_notice_ erases the entry).
+  /// Holding the ColumnPtr pins the column so the identity check can never
+  /// alias a recycled allocation.
   struct PrefixLoadMemo {
-    igp::RouteCache::TablesPtr tables;
-    std::vector<std::pair<topo::NodeId, double>> demands;
+    igp::RouteCache::ColumnPtr column;
     std::vector<double> loads;
   };
   std::map<net::Prefix, PrefixLoadMemo> load_memo_;

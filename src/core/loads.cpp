@@ -10,21 +10,16 @@ namespace fibbing::core {
 
 namespace {
 
-/// Topological order of the forwarding graph for `prefix` (Kahn). Nodes on
-/// a directed cycle never enter the order; a complete order (size ==
-/// node_count) certifies loop freedom.
-std::vector<topo::NodeId> forwarding_order(
-    const topo::Topology& topo, const std::vector<igp::RoutingTable>& tables,
-    const net::Prefix& prefix) {
+/// Topological order of the forwarding graph `column` realizes (Kahn).
+/// Nodes on a directed cycle never enter the order; a complete order (size
+/// == node_count) certifies loop freedom. An unreachable entry has no next
+/// hops, so a router without a route is a sink.
+std::vector<topo::NodeId> forwarding_order(const topo::Topology& topo,
+                                           const igp::RouteColumn& column) {
   std::vector<int> indegree(topo.node_count(), 0);
-  const auto entry_of = [&](topo::NodeId n) -> const igp::RouteEntry* {
-    const auto it = tables[n].find(prefix);
-    return it == tables[n].end() ? nullptr : &it->second;
-  };
   for (topo::NodeId u = 0; u < topo.node_count(); ++u) {
-    const igp::RouteEntry* entry = entry_of(u);
-    if (entry == nullptr || entry->local) continue;
-    for (const auto& nh : entry->next_hops) ++indegree[nh.via];
+    if (column[u].local) continue;
+    for (const auto& nh : column[u].next_hops) ++indegree[nh.via];
   }
   std::vector<topo::NodeId> order;
   order.reserve(topo.node_count());
@@ -32,9 +27,9 @@ std::vector<topo::NodeId> forwarding_order(
     if (indegree[n] == 0) order.push_back(n);
   }
   for (std::size_t head = 0; head < order.size(); ++head) {
-    const igp::RouteEntry* entry = entry_of(order[head]);
-    if (entry == nullptr || entry->local) continue;
-    for (const auto& nh : entry->next_hops) {
+    const igp::RouteEntry& entry = column[order[head]];
+    if (entry.local) continue;
+    for (const auto& nh : entry.next_hops) {
       if (--indegree[nh.via] == 0) order.push_back(nh.via);
     }
   }
@@ -43,18 +38,16 @@ std::vector<topo::NodeId> forwarding_order(
 
 }  // namespace
 
-bool forwarding_loops(const topo::Topology& topo,
-                      const std::vector<igp::RoutingTable>& tables,
-                      const net::Prefix& prefix) {
-  FIB_ASSERT(tables.size() == topo.node_count(), "forwarding_loops: table mismatch");
-  return forwarding_order(topo, tables, prefix).size() != topo.node_count();
+bool forwarding_loops(const topo::Topology& topo, const igp::RouteColumn& column) {
+  FIB_ASSERT(column.size() == topo.node_count(), "forwarding_loops: column mismatch");
+  return forwarding_order(topo, column).size() != topo.node_count();
 }
 
 std::vector<double> loads_from_routes(const topo::Topology& topo,
-                                      const std::vector<igp::RoutingTable>& tables,
+                                      const igp::RouteColumn& column,
                                       const net::Prefix& prefix,
                                       const std::vector<te::Demand>& demands) {
-  FIB_ASSERT(tables.size() == topo.node_count(), "loads_from_routes: table mismatch");
+  FIB_ASSERT(column.size() == topo.node_count(), "loads_from_routes: column mismatch");
   std::vector<double> load(topo.link_count(), 0.0);
   std::vector<double> node_in(topo.node_count(), 0.0);
   for (const te::Demand& d : demands) {
@@ -67,15 +60,13 @@ std::vector<double> loads_from_routes(const topo::Topology& topo,
   // before stale lies are re-placed -- where the graph may contain a
   // cycle. Cycle nodes (and everything only reachable through them) are
   // absent from `order`; their inflow is walked separately below.
-  const std::vector<topo::NodeId> order = forwarding_order(topo, tables, prefix);
+  const std::vector<topo::NodeId> order = forwarding_order(topo, column);
   for (const topo::NodeId u : order) {
     if (node_in[u] <= 0.0) continue;
-    const auto it = tables[u].find(prefix);
-    if (it == tables[u].end()) continue;          // blackhole: load vanishes
-    const igp::RouteEntry& entry = it->second;
+    const igp::RouteEntry& entry = column[u];
     if (entry.local) continue;                    // delivered here
     const std::uint32_t total = entry.total_weight();
-    if (total == 0) continue;
+    if (total == 0) continue;                     // blackhole: load vanishes
     for (const auto& nh : entry.next_hops) {
       const topo::LinkId l = topo.link_between(u, nh.via);
       FIB_ASSERT(l != topo::kInvalidLink, "loads_from_routes: non-adjacent hop");
@@ -104,12 +95,10 @@ std::vector<double> loads_from_routes(const topo::Topology& topo,
           for (;;) {
             if (visited[u]) return;  // loop closed: the lap is charged
             visited[u] = 1;
-            const auto it = tables[u].find(prefix);
-            if (it == tables[u].end()) return;  // blackhole
-            const igp::RouteEntry& entry = it->second;
+            const igp::RouteEntry& entry = column[u];
             if (entry.local) return;  // delivered after all
             const std::uint32_t total = entry.total_weight();
-            if (total == 0) return;
+            if (total == 0) return;  // blackhole
             if (entry.next_hops.size() == 1) {
               const auto& nh = entry.next_hops.front();
               const topo::LinkId l = topo.link_between(u, nh.via);

@@ -9,8 +9,9 @@
 
 namespace fibbing::core {
 
-/// Expected per-link load (bps) when `demands` toward `prefix` follow the
-/// given routing tables, splitting at every hop proportionally to FIB
+/// Expected per-link load (bps) when `demands` toward `prefix` follow
+/// `column`, the prefix's route at every router (igp::column_of converts
+/// router-major tables), splitting at every hop proportionally to FIB
 /// weights (the fluid expectation of hash-based splitting). Used by the
 /// controller to account for traffic it is not currently re-optimizing.
 /// Transient forwarding cycles (stale lies right after a topology change)
@@ -22,15 +23,14 @@ namespace fibbing::core {
 /// links really do carry the looping bytes, so predictions that ignored
 /// them undercounted exactly when the network was most stressed.
 [[nodiscard]] std::vector<double> loads_from_routes(
-    const topo::Topology& topo, const std::vector<igp::RoutingTable>& tables,
+    const topo::Topology& topo, const igp::RouteColumn& column,
     const net::Prefix& prefix, const std::vector<te::Demand>& demands);
 
-/// True when the forwarding graph the routing tables realize for `prefix`
-/// contains a directed cycle. The controller uses this to detect lie sets
-/// that a topology change has turned into loops (they must be re-placed or
+/// True when the forwarding graph `column` realizes for its prefix contains
+/// a directed cycle. The controller uses this to detect lie sets that a
+/// topology change has turned into loops (they must be re-placed or
 /// retracted, never left standing).
 [[nodiscard]] bool forwarding_loops(const topo::Topology& topo,
-                                    const std::vector<igp::RoutingTable>& tables,
-                                    const net::Prefix& prefix);
+                                    const igp::RouteColumn& column);
 
 }  // namespace fibbing::core

@@ -84,23 +84,38 @@ VerifyReport verify_augmentation(const topo::Topology& topo,
   }
 
   PlanningCache planning(topo, link_state, cache);
-  const auto baseline_ptr = planning.get().tables(to_externals(other));
-  const auto augmented_ptr = planning.get().tables(to_externals(lies));
-  const auto& baseline = *baseline_ptr;
-  const auto& augmented = *augmented_ptr;
+  igp::RouteCache& routes = planning.get();
+  const igp::RouteCache::TablesPtr baseline = routes.tables(to_externals(other));
+  const igp::RouteCache::TablesPtr augmented = routes.tables(to_externals(lies));
+  const igp::RouteColumn& base_col = *routes.column(*baseline, req.prefix);
+  const igp::RouteColumn& aug_col = *routes.column(*augmented, req.prefix);
+
+  // Isolation compares only the other prefixes' columns the two table sets
+  // do not share: a shared column is the same routes at every router.
+  struct Unshared {
+    const net::Prefix* prefix;
+    const igp::RouteColumn* before;
+    const igp::RouteColumn* after;
+  };
+  std::vector<Unshared> unshared;
+  for (const auto& [prefix, column] : *baseline) {
+    if (prefix == req.prefix) continue;
+    const igp::RouteCache::ColumnPtr& after = routes.column(*augmented, prefix);
+    if (after != column) unshared.push_back({&prefix, column.get(), after.get()});
+  }
 
   for (topo::NodeId n = 0; n < topo.node_count(); ++n) {
     // --- requirement / pollution for req.prefix --------------------------
-    const auto base_it = baseline[n].find(req.prefix);
-    const auto aug_it = augmented[n].find(req.prefix);
+    const igp::RouteEntry& base = base_col[n];
+    const igp::RouteEntry& aug = aug_col[n];
     const auto req_it = req.nodes.find(n);
     if (req_it != req.nodes.end()) {
-      if (aug_it == augmented[n].end()) {
+      if (!aug.reachable()) {
         report.issues.push_back(
             {VerifyIssueKind::kNoRoute, n, "required prefix has no route"});
       } else {
         const Distribution want = normalize(req_it->second);
-        const Distribution got = normalize(aug_it->second);
+        const Distribution got = normalize(aug);
         if (want != got) {
           report.issues.push_back(
               {VerifyIssueKind::kRequirementNotMet, n,
@@ -108,14 +123,12 @@ VerifyReport verify_augmentation(const topo::Topology& topo,
                    ", got " + format_distribution(got, topo)});
         }
       }
-    } else {
-      const Distribution before =
-          base_it == baseline[n].end() ? Distribution{} : normalize(base_it->second);
-      const Distribution after =
-          aug_it == augmented[n].end() ? Distribution{} : normalize(aug_it->second);
-      const bool was_local = base_it != baseline[n].end() && base_it->second.local;
-      const bool is_local = aug_it != augmented[n].end() && aug_it->second.local;
-      if (before != after || was_local != is_local) {
+    } else if (!(aug == base)) {
+      // An unreachable entry has no next hops and is not local, so it
+      // normalizes to the empty distribution.
+      const Distribution before = normalize(base);
+      const Distribution after = normalize(aug);
+      if (before != after || base.local != aug.local) {
         report.issues.push_back(
             {VerifyIssueKind::kPolluted, n,
              "polluted: forwarding changed from " + format_distribution(before, topo) +
@@ -124,20 +137,20 @@ VerifyReport verify_augmentation(const topo::Topology& topo,
     }
 
     // --- per-destination isolation ----------------------------------------
-    for (const auto& [prefix, entry] : baseline[n]) {
-      if (prefix == req.prefix) continue;
-      const auto other_it = augmented[n].find(prefix);
-      if (other_it == augmented[n].end() || !(other_it->second == entry)) {
-        report.issues.push_back(
-            {VerifyIssueKind::kIsolationViolated, n,
-             "isolation violated: route for " + prefix.to_string() + " changed"});
+    // Only a router with a baseline route for the other prefix is checked.
+    for (const Unshared& other_prefix : unshared) {
+      const igp::RouteEntry& entry = (*other_prefix.before)[n];
+      if (entry.reachable() && !((*other_prefix.after)[n] == entry)) {
+        report.issues.push_back({VerifyIssueKind::kIsolationViolated, n,
+                                 "isolation violated: route for " +
+                                     other_prefix.prefix->to_string() + " changed"});
       }
     }
   }
 
   // --- loop freedom ---------------------------------------------------------
   // Follow every achieved next hop; the union must be a DAG.
-  if (forwarding_loops(topo, augmented, req.prefix)) {
+  if (forwarding_loops(topo, aug_col)) {
     report.issues.push_back(
         {VerifyIssueKind::kLoop, topo::kInvalidNode,
          "forwarding loop detected for " + req.prefix.to_string()});

@@ -10,6 +10,7 @@ RouteCache::RouteCache(const topo::Topology& topo, const topo::LinkStateMask& ma
                        std::size_t memo_capacity)
     : topo_(&topo),
       mask_(&mask),
+      unreachable_(std::make_shared<const RouteColumn>(topo.node_count())),
       version_seen_(mask.version()),
       bits_(mask.bits()),
       spf_(topo.node_count()),
@@ -120,16 +121,21 @@ RouteCache::TablesPtr RouteCache::baseline() {
 RouteCache::TablesPtr RouteCache::baseline_locked_() {
   refresh_();
   if (baseline_ == nullptr) {
-    const NetworkView& current = view_locked_();
+    (void)view_locked_();  // buckets attachments_ for this generation
     auto tables = std::make_shared<Tables>();
-    tables->reserve(topo_->node_count());
-    for (topo::NodeId n = 0; n < topo_->node_count(); ++n) {
-      tables->push_back(compute_routes(current, spf_locked_(n)));
+    for (const auto& [prefix, atts] : attachments_) {
+      tables->emplace(prefix, build_column_(prefix, {}));
     }
     baseline_ = std::move(tables);
     ++stats_.baseline_builds;
   }
   return baseline_;
+}
+
+const RouteCache::ColumnPtr& RouteCache::column(const Tables& tables,
+                                                const net::Prefix& prefix) const {
+  const auto it = tables.find(prefix);
+  return it == tables.end() ? unreachable_ : it->second;
 }
 
 RouteCache::TablesPtr RouteCache::tables(
@@ -167,33 +173,33 @@ RouteCache::TablesPtr RouteCache::tables(
 RouteCache::TablesPtr RouteCache::build_(
     const std::vector<NetworkView::External>& externals) {
   // Lie-delta recomputation: externals for prefix p only influence routes
-  // for p, so start from the externals-free baseline and rewrite exactly
-  // the affected prefixes' entries from the memoized SPFs.
-  const NetworkView& current = view_locked_();
-  auto tables = std::make_shared<Tables>(*baseline_locked_());
-
+  // for p, so the variant shares every baseline column it does not patch
+  // and computes only the patched prefixes' columns from the memoized SPFs.
   std::map<net::Prefix, std::vector<const NetworkView::External*>> by_prefix;
   for (const NetworkView::External& ext : externals) {
     by_prefix[ext.prefix].push_back(&ext);
   }
-  static const std::vector<const NetworkView::Attachment*> kNoAttachments;
-
-  for (topo::NodeId n = 0; n < topo_->node_count(); ++n) {
-    const SpfResult& source_spf = spf_locked_(n);
-    RoutingTable& table = (*tables)[n];
-    for (const auto& [prefix, exts] : by_prefix) {
-      const auto att_it = attachments_.find(prefix);
-      const auto& atts = att_it == attachments_.end() ? kNoAttachments : att_it->second;
-      RouteEntry entry = compute_route_entry(current, source_spf, atts, exts);
-      if (entry.cost >= kInfMetric) {
-        table.erase(prefix);
-      } else {
-        table.insert_or_assign(prefix, std::move(entry));
-      }
-    }
+  auto tables = std::make_shared<Tables>(*baseline_locked_());
+  for (const auto& [prefix, exts] : by_prefix) {
+    (*tables)[prefix] = build_column_(prefix, exts);
   }
   ++stats_.table_builds;
   return tables;
+}
+
+RouteCache::ColumnPtr RouteCache::build_column_(
+    const net::Prefix& prefix,
+    const std::vector<const NetworkView::External*>& externals) {
+  const NetworkView& current = view_locked_();
+  static const std::vector<const NetworkView::Attachment*> kNoAttachments;
+  const auto att_it = attachments_.find(prefix);
+  const auto& atts = att_it == attachments_.end() ? kNoAttachments : att_it->second;
+  auto column = std::make_shared<RouteColumn>();
+  column->reserve(topo_->node_count());
+  for (topo::NodeId n = 0; n < topo_->node_count(); ++n) {
+    column->push_back(compute_route_entry(current, spf_locked_(n), atts, externals));
+  }
+  return column;
 }
 
 }  // namespace fibbing::igp

@@ -47,17 +47,21 @@ struct RouteCacheStats {
 ///      key is the canonical lie-set fingerprint (sorted (prefix, metric,
 ///      forwarding address) tuples; External-LSA ids do not influence
 ///      routes, so re-injected lies still hit).
-///   2. Lie-delta patching -- an External-LSA for prefix p can only change
-///      routes *for p*, so a miss copies the memoized externals-free
-///      baseline and recomputes only the affected prefixes' entries from
-///      the memoized per-source SPFs (no Dijkstra at all).
+///   2. Lie-delta patching -- table sets are prefix-major, one immutable
+///      column per prefix. An External-LSA for prefix p can only change
+///      routes *for p*, so a miss shares every column of the memoized
+///      externals-free baseline that it does not patch and computes only
+///      the patched prefixes' columns from the memoized per-source SPFs (no
+///      Dijkstra at all). A memo entry therefore owns only its patched
+///      columns.
 ///   3. Incremental SPF -- on a link fail/restore the per-source SPFs are
 ///      repaired from the affected subtree (igp::update_spf, reading the
 ///      view's in-edges), which itself falls back to a full Dijkstra when
 ///      the change is bulk or non-local. A fail/restore pair that nets out
 ///      to no change revalidates everything in O(links).
 ///
-/// Everything returned is bit-identical to a fresh
+/// Every column is bit-identical to the same prefix's column
+/// (igp::column_of) of a fresh
 /// igp::compute_all_routes(NetworkView::from_topology(topo, externals,
 /// &mask)) -- the ChurnProperty suite asserts exactly that across random
 /// fail/restore/inject/retract interleavings.
@@ -74,7 +78,7 @@ struct RouteCacheStats {
 /// queries it from one thread. Returned references stay valid after the
 /// lock drops: per-source SPFs and the view are written exactly once per
 /// generation, and generations only turn over on a mask-version change.
-/// Tables are immutable shared_ptrs throughout.
+/// Table sets and their columns are immutable shared_ptrs throughout.
 class RouteCache {
  public:
   /// `memo_capacity` bounds the exact memo (layer 1): at capacity the
@@ -86,10 +90,15 @@ class RouteCache {
 
   static constexpr std::size_t kDefaultMemoCapacity = 64;
 
-  using Tables = std::vector<RoutingTable>;
+  /// One prefix's routes at every router, shared by every table set that
+  /// does not patch the prefix.
+  using ColumnPtr = std::shared_ptr<const RouteColumn>;
+  /// A table set, prefix-major: one column per prefix that has a source (an
+  /// attachment or an external), in prefix order.
+  using Tables = std::map<net::Prefix, ColumnPtr>;
   using TablesPtr = std::shared_ptr<const Tables>;
 
-  /// Routing tables of every router for the current topology state plus
+  /// Routes of every router for the current topology state plus
   /// `externals`. Immutable and shared: callers may hold the pointer across
   /// later topology changes (it stays internally consistent; it just no
   /// longer describes the live state).
@@ -98,6 +107,11 @@ class RouteCache {
 
   /// Externals-free tables for the current topology state.
   [[nodiscard]] TablesPtr baseline() FIB_EXCLUDES(mu_);
+
+  /// `prefix`'s column in `tables`; a prefix that no router has a source for
+  /// reads as a column of unreachable entries.
+  [[nodiscard]] const ColumnPtr& column(const Tables& tables,
+                                        const net::Prefix& prefix) const;
 
   /// Memoized SPF from `source` over the current (degraded) topology.
   [[nodiscard]] const SpfResult& spf(topo::NodeId source) FIB_EXCLUDES(mu_);
@@ -131,9 +145,15 @@ class RouteCache {
   [[nodiscard]] TablesPtr baseline_locked_() FIB_REQUIRES(mu_);
   [[nodiscard]] TablesPtr build_(const std::vector<NetworkView::External>& externals)
       FIB_REQUIRES(mu_);
+  /// `prefix`'s column given its attachments and exactly these externals.
+  [[nodiscard]] ColumnPtr build_column_(
+      const net::Prefix& prefix,
+      const std::vector<const NetworkView::External*>& externals) FIB_REQUIRES(mu_);
 
   const topo::Topology* topo_;
   const topo::LinkStateMask* mask_;
+  /// Every router unreachable: what column() reads for an absent prefix.
+  const ColumnPtr unreachable_;
 
   /// One lock for all mutable state: queries are cheap relative to the
   /// solver work done between them, so a coarse capability keeps the

@@ -41,6 +41,14 @@ struct RouteEntry {
 /// iteration order for tests and dumps.
 using RoutingTable = std::map<net::Prefix, RouteEntry>;
 
+/// One prefix's routes at every router, indexed by router id; a router with
+/// no route to the prefix holds RouteEntry{} (unreachable, no next hops).
+using RouteColumn = std::vector<RouteEntry>;
+
+/// `prefix`'s column of router-major `tables` (one RoutingTable per router).
+[[nodiscard]] RouteColumn column_of(const std::vector<RoutingTable>& tables,
+                                    const net::Prefix& prefix);
+
 [[nodiscard]] std::string to_string(const RouteEntry& entry, const topo::Topology& topo);
 
 }  // namespace fibbing::igp

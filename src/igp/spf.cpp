@@ -417,6 +417,17 @@ std::vector<RoutingTable> compute_all_routes(const NetworkView& view) {
   return tables;
 }
 
+RouteColumn column_of(const std::vector<RoutingTable>& tables,
+                      const net::Prefix& prefix) {
+  RouteColumn column(tables.size());
+  for (std::size_t n = 0; n < tables.size(); ++n) {
+    if (const auto it = tables[n].find(prefix); it != tables[n].end()) {
+      column[n] = it->second;
+    }
+  }
+  return column;
+}
+
 std::string to_string(const RouteEntry& entry, const topo::Topology& topo) {
   std::ostringstream out;
   out << "cost=" << entry.cost;

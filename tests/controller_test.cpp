@@ -198,7 +198,8 @@ TEST(Controller, DegenerateOptimumCompilesViaFallbackLadder) {
   const VerifyReport report = verify_augmentation(p.topo, req, lies, &mask, &cache);
   EXPECT_TRUE(report.ok()) << report.to_string(p.topo);
   const igp::RouteCache::TablesPtr tables = cache.tables(to_externals(lies));
-  const std::vector<double> mine = loads_from_routes(p.topo, *tables, p.p1, demands);
+  const std::vector<double> mine =
+      loads_from_routes(p.topo, *cache.column(*tables, p.p1), p.p1, demands);
   for (topo::LinkId l = 0; l < p.topo.link_count(); ++l) {
     EXPECT_LE((mine[l] + background[l]) / p.topo.link(l).capacity_bps, bound + 1e-3)
         << p.topo.link_name(l);

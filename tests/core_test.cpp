@@ -541,7 +541,7 @@ TEST(Loads, PropagatesWeightedSplits) {
   const auto tables = igp::compute_all_routes(
       igp::NetworkView::from_topology(p.topo, to_externals(aug.value().lies)));
   const auto load =
-      loads_from_routes(p.topo, tables, p.p2, {{p.a, 99e6}});
+      loads_from_routes(p.topo, igp::column_of(tables, p.p2), p.p2, {{p.a, 99e6}});
   // Fig. 1d fractions: 33 via A-B then split at B; 66 via A-R1-R4.
   EXPECT_NEAR(load[p.topo.link_between(p.a, p.b)], 33e6, 1e-3);
   EXPECT_NEAR(load[p.topo.link_between(p.a, p.r1)], 66e6, 1e-3);
@@ -560,9 +560,10 @@ TEST(Loads, TransientCycleChargesItsLinksInsteadOfStranding) {
   tables[p.a][p.p1] = igp::RouteEntry{10, false, {{p.b, 1}}};
   tables[p.b][p.p1] = igp::RouteEntry{10, false, {{p.a, 1}}};
   tables[p.c][p.p1] = igp::RouteEntry{0, true, {}};
-  ASSERT_TRUE(forwarding_loops(p.topo, tables, p.p1));
+  ASSERT_TRUE(forwarding_loops(p.topo, igp::column_of(tables, p.p1)));
 
-  const auto load = loads_from_routes(p.topo, tables, p.p1, {{p.a, 50e6}});
+  const auto load =
+      loads_from_routes(p.topo, igp::column_of(tables, p.p1), p.p1, {{p.a, 50e6}});
   // One lap: A's 50 Mb/s crosses A->B, comes back B->A, and stops when the
   // walk revisits A (the deterministic lower bound on the circulating load).
   EXPECT_NEAR(load[p.topo.link_between(p.a, p.b)], 50e6, 1e-3);
@@ -580,7 +581,8 @@ TEST(Loads, InflowFromOrderedRegionIntoCycleIsCharged) {
   tables[p.b][p.p1] = igp::RouteEntry{10, false, {{p.a, 1}}};
   tables[p.c][p.p1] = igp::RouteEntry{0, true, {}};
 
-  const auto load = loads_from_routes(p.topo, tables, p.p1, {{p.r1, 30e6}});
+  const auto load =
+      loads_from_routes(p.topo, igp::column_of(tables, p.p1), p.p1, {{p.r1, 30e6}});
   EXPECT_NEAR(load[p.topo.link_between(p.r1, p.a)], 30e6, 1e-3);
   EXPECT_NEAR(load[p.topo.link_between(p.a, p.b)], 30e6, 1e-3);
   EXPECT_NEAR(load[p.topo.link_between(p.b, p.a)], 30e6, 1e-3);
@@ -597,7 +599,8 @@ TEST(Loads, CycleEscapePathStillDeliversAndSplitsProportionally) {
   tables[p.r3][p.p1] = igp::RouteEntry{4, false, {{p.c, 1}}};
   tables[p.c][p.p1] = igp::RouteEntry{0, true, {}};
 
-  const auto load = loads_from_routes(p.topo, tables, p.p1, {{p.a, 40e6}});
+  const auto load =
+      loads_from_routes(p.topo, igp::column_of(tables, p.p1), p.p1, {{p.a, 40e6}});
   EXPECT_NEAR(load[p.topo.link_between(p.a, p.b)], 40e6, 1e-3);
   // At B: 20 escapes via R3 to C, 20 loops back to A and dies there (the
   // walk revisits A). R3 is downstream of the cycle, so it is unordered

@@ -764,7 +764,8 @@ void run_churn_scenario(std::uint64_t seed, const core::ServiceConfig& config,
         service.controller().route_cache().tables(core::to_externals(lies));
     const auto fresh = igp::compute_all_routes(igp::NetworkView::from_topology(
         t, core::to_externals(lies), &service.link_state()));
-    ASSERT_EQ(*cached, fresh) << "cache diverged from fresh routes at step " << step;
+    ASSERT_EQ(support::routing_tables(*cached, t.node_count()), fresh)
+        << "cache diverged from fresh routes at step " << step;
   }
 
   // Drain: all links back up, all clients gone.
@@ -877,7 +878,7 @@ TEST_P(RouteCacheChurnProperty, CacheMatchesFreshAcrossInterleavings) {
     const auto cached = cache.tables(externals);
     const auto fresh = igp::compute_all_routes(
         igp::NetworkView::from_topology(t, externals, &mask));
-    ASSERT_EQ(*cached, fresh) << "step " << step;
+    ASSERT_EQ(support::routing_tables(*cached, t.node_count()), fresh) << "step " << step;
   }
   // The run must have exercised every cache layer.
   EXPECT_GT(cache.stats().table_builds, 0u);
@@ -949,7 +950,7 @@ TEST_P(RouteCacheSrlgProperty, GroupedDeltasMatchFreshViaBatchedRepairs) {
     const auto cached = cache.tables(externals);
     const auto fresh = igp::compute_all_routes(
         igp::NetworkView::from_topology(t, externals, &mask));
-    ASSERT_EQ(*cached, fresh) << "step " << step;
+    ASSERT_EQ(support::routing_tables(*cached, t.node_count()), fresh) << "step " << step;
   }
   EXPECT_GT(cache.stats().spf_batched, 0u);
   EXPECT_GT(cache.stats().spf_incremental + cache.stats().spf_unchanged, 0u);
@@ -1222,6 +1223,217 @@ TEST_P(RouterViewPatchProperty, PatchedViewMatchesFromLsdbRebuild) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouterViewPatchProperty,
+                         ::testing::Range<std::uint64_t>(1, 4));
+
+// ----------------------------------- verify report vs per-router reference
+
+/// The verifier's checks as a per-router loop over fresh router-major
+/// compute_all_routes tables: the reference the column-reading verifier must
+/// reproduce issue for issue (kind, node, text and order).
+core::VerifyReport reference_verify(const topo::Topology& t,
+                                    const core::DestRequirement& req,
+                                    const std::vector<core::Lie>& lies,
+                                    const topo::LinkStateMask& mask) {
+  std::vector<core::Lie> other;
+  for (const core::Lie& lie : lies) {
+    if (lie.prefix != req.prefix) other.push_back(lie);
+  }
+  const auto baseline = igp::compute_all_routes(
+      igp::NetworkView::from_topology(t, core::to_externals(other), &mask));
+  const auto augmented = igp::compute_all_routes(
+      igp::NetworkView::from_topology(t, core::to_externals(lies), &mask));
+  const auto format = [&](const core::Distribution& dist) {
+    std::string out = "{";
+    for (const auto& [via, w] : dist) {
+      if (out.size() > 1) out += ", ";
+      out += t.node(via).name + ":" + std::to_string(w);
+    }
+    return out + "}";
+  };
+
+  core::VerifyReport report;
+  for (topo::NodeId n = 0; n < t.node_count(); ++n) {
+    const auto base_it = baseline[n].find(req.prefix);
+    const auto aug_it = augmented[n].find(req.prefix);
+    const auto req_it = req.nodes.find(n);
+    if (req_it != req.nodes.end()) {
+      if (aug_it == augmented[n].end()) {
+        report.issues.push_back(
+            {core::VerifyIssueKind::kNoRoute, n, "required prefix has no route"});
+      } else {
+        const core::Distribution want = core::normalize(req_it->second);
+        const core::Distribution got = core::normalize(aug_it->second);
+        if (want != got) {
+          report.issues.push_back({core::VerifyIssueKind::kRequirementNotMet, n,
+                                   "requirement not met: want " + format(want) +
+                                       ", got " + format(got)});
+        }
+      }
+    } else {
+      const core::Distribution before = base_it == baseline[n].end()
+                                            ? core::Distribution{}
+                                            : core::normalize(base_it->second);
+      const core::Distribution after = aug_it == augmented[n].end()
+                                           ? core::Distribution{}
+                                           : core::normalize(aug_it->second);
+      const bool was_local = base_it != baseline[n].end() && base_it->second.local;
+      const bool is_local = aug_it != augmented[n].end() && aug_it->second.local;
+      if (before != after || was_local != is_local) {
+        report.issues.push_back({core::VerifyIssueKind::kPolluted, n,
+                                 "polluted: forwarding changed from " + format(before) +
+                                     " to " + format(after)});
+      }
+    }
+    for (const auto& [prefix, entry] : baseline[n]) {
+      if (prefix == req.prefix) continue;
+      const auto other_it = augmented[n].find(prefix);
+      if (other_it == augmented[n].end() || !(other_it->second == entry)) {
+        report.issues.push_back(
+            {core::VerifyIssueKind::kIsolationViolated, n,
+             "isolation violated: route for " + prefix.to_string() + " changed"});
+      }
+    }
+  }
+
+  // Loop check by repeated sink removal over the router-major entries.
+  std::vector<int> indegree(t.node_count(), 0);
+  const auto hops = [&](topo::NodeId n) {
+    const auto it = augmented[n].find(req.prefix);
+    return it == augmented[n].end() || it->second.local
+               ? std::vector<igp::WeightedNextHop>{}
+               : it->second.next_hops;
+  };
+  for (topo::NodeId n = 0; n < t.node_count(); ++n) {
+    for (const auto& nh : hops(n)) ++indegree[nh.via];
+  }
+  std::vector<topo::NodeId> order;
+  for (topo::NodeId n = 0; n < t.node_count(); ++n) {
+    if (indegree[n] == 0) order.push_back(n);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const auto& nh : hops(order[head])) {
+      if (--indegree[nh.via] == 0) order.push_back(nh.via);
+    }
+  }
+  if (order.size() != t.node_count()) {
+    report.issues.push_back({core::VerifyIssueKind::kLoop, topo::kInvalidNode,
+                             "forwarding loop detected for " + req.prefix.to_string()});
+  }
+  return report;
+}
+
+std::vector<std::string> describe(const core::VerifyReport& report) {
+  std::vector<std::string> out;
+  for (const core::VerifyIssue& issue : report.issues) {
+    out.push_back(std::to_string(static_cast<int>(issue.kind)) + " @" +
+                  std::to_string(issue.node) + " " + issue.what);
+  }
+  return out;
+}
+
+/// Compiled lie sets on random Waxman graphs (pristine and with one link
+/// down), each perturbed by dropping a lie, adding a rogue lie for the
+/// prefix, or adding an environment lie for another prefix: the verifier
+/// (through a shared route cache and through a local one) must report
+/// exactly what the per-router reference reports.
+class VerifyReportProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(VerifyReportProperty, IssuesMatchPerRouterReference) {
+  util::Rng rng(GetParam() ^ 0x7e51f);
+  int compiled = 0;
+  int with_issues = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const topo::Topology base =
+        topo::make_waxman(14, rng, 0.5, 0.5, /*max_metric=*/6, 100.0, 300.0);
+    topo::Topology t;  // metrics x4 for granularity headroom
+    for (topo::NodeId n = 0; n < base.node_count(); ++n) t.add_node(base.node(n).name);
+    for (topo::LinkId l = 0; l < base.link_count(); ++l) {
+      const topo::Link& link = base.link(l);
+      if (link.from < link.to) {
+        t.add_link(link.from, link.to, link.metric * 4, link.capacity_bps);
+      }
+    }
+    const auto dest = static_cast<topo::NodeId>(rng.pick_index(t.node_count()));
+    const net::Prefix prefix(net::Ipv4(203, 0, 0, 0), 24);
+    t.attach_prefix(dest, prefix, 16);
+    std::vector<net::Prefix> others;
+    for (std::uint8_t i = 1; i <= 2; ++i) {
+      others.emplace_back(net::Ipv4(203, 0, i, 0), 24);
+      t.attach_prefix(static_cast<topo::NodeId>(rng.pick_index(t.node_count())),
+                      others.back());
+    }
+    others.emplace_back(net::Ipv4(198, 51, 100, 0), 24);  // announced by lies only
+
+    topo::LinkStateMask mask(t);
+    if (trial % 2 == 1) {
+      const topo::LinkId l = static_cast<topo::LinkId>(rng.pick_index(t.link_count()));
+      ASSERT_TRUE(mask.fail(l));
+    }
+    std::vector<te::Demand> demands;
+    for (int d = 0; d < 3; ++d) {
+      topo::NodeId ingress = static_cast<topo::NodeId>(rng.pick_index(t.node_count()));
+      if (ingress == dest) ingress = (ingress + 1) % t.node_count();
+      demands.push_back(te::Demand{ingress, rng.uniform(80.0, 250.0)});
+    }
+    te::MinMaxConfig mm;
+    mm.max_stretch = 2.0;
+    mm.link_state = &mask;
+    const auto solution = te::solve_min_max(t, dest, demands, {}, mm);
+    if (!solution.ok()) continue;
+    const core::DestRequirement req =
+        core::requirement_from_splits(prefix, solution.value().splits, 8);
+    if (req.nodes.empty()) continue;
+    igp::RouteCache cache(t, mask);
+    core::AugmentConfig config;
+    config.link_state = &mask;
+    config.route_cache = &cache;
+    const auto result = core::compile_lies(t, req, config);
+    if (!result.ok()) continue;
+    ++compiled;
+
+    const auto random_lie = [&](const net::Prefix& p, std::uint64_t id) {
+      const topo::LinkId l = static_cast<topo::LinkId>(rng.pick_index(t.link_count()));
+      core::Lie lie;
+      lie.id = id;
+      lie.prefix = p;
+      lie.attach = t.link(l).from;
+      lie.via = t.link(l).to;
+      lie.ext_metric = static_cast<topo::Metric>(rng.uniform_int(0, 40));
+      lie.forwarding_address = core::lie_forwarding_address(t, lie.attach, lie.via);
+      return lie;
+    };
+    const std::vector<core::Lie>& lies = result.value().lies;
+    std::vector<std::vector<core::Lie>> cases{lies};
+    for (std::size_t drop = 0; drop < lies.size(); ++drop) {
+      std::vector<core::Lie> dropped = lies;
+      dropped.erase(dropped.begin() + static_cast<long>(drop));
+      cases.push_back(std::move(dropped));
+    }
+    for (int k = 0; k < 6; ++k) {
+      std::vector<core::Lie> rogue = lies;
+      rogue.push_back(random_lie(prefix, 1000 + k));
+      cases.push_back(std::move(rogue));
+      std::vector<core::Lie> environment = lies;
+      environment.push_back(random_lie(others[rng.pick_index(others.size())], 2000 + k));
+      if (k % 2 == 1) environment.push_back(random_lie(prefix, 3000 + k));
+      cases.push_back(std::move(environment));
+    }
+
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      const std::vector<std::string> want =
+          describe(reference_verify(t, req, cases[c], mask));
+      if (!want.empty()) ++with_issues;
+      EXPECT_EQ(describe(core::verify_augmentation(t, req, cases[c], &mask, &cache)), want)
+          << "trial " << trial << " case " << c;
+      EXPECT_EQ(describe(core::verify_augmentation(t, req, cases[c], &mask)), want)
+          << "trial " << trial << " case " << c;
+    }
+  }
+  EXPECT_GE(compiled, 2);
+  EXPECT_GT(with_issues, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, VerifyReportProperty,
                          ::testing::Range<std::uint64_t>(1, 4));
 
 }  // namespace

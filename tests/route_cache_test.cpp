@@ -1,7 +1,8 @@
 // RouteCache unit coverage: version-keyed invalidation, the exact memo,
-// lie-delta patching, incremental SPF (repair, no-op certification and the
-// non-local and bulk fallbacks) -- each checked for bit-identity against
-// the fresh compute_all_routes / run_spf path it replaces.
+// lie-delta patching and its column sharing, incremental SPF (repair, no-op
+// certification and the non-local and bulk fallbacks) -- each checked for
+// bit-identity against the fresh compute_all_routes / run_spf path it
+// replaces.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "igp/spf.hpp"
 #include "igp/view.hpp"
 #include "net/prefix.hpp"
+#include "support/probes.hpp"
 #include "topo/generators.hpp"
 #include "topo/link_state.hpp"
 #include "util/rng.hpp"
@@ -25,6 +27,12 @@ std::vector<igp::RoutingTable> fresh_tables(
     const topo::Topology& t, const topo::LinkStateMask& mask,
     const std::vector<NetworkView::External>& externals) {
   return igp::compute_all_routes(NetworkView::from_topology(t, externals, &mask));
+}
+
+/// The cache's prefix-major table set in the reference's router-major form.
+std::vector<igp::RoutingTable> router_major(const topo::Topology& t,
+                                            const igp::RouteCache::TablesPtr& tables) {
+  return support::routing_tables(*tables, t.node_count());
 }
 
 /// A random connected topology with a few prefixes attached.
@@ -52,7 +60,7 @@ TEST(RouteCache, BaselineMatchesFreshComputation) {
   const topo::Topology t = test_topology(1);
   const topo::LinkStateMask mask(t);
   igp::RouteCache cache(t, mask);
-  EXPECT_EQ(*cache.tables({}), fresh_tables(t, mask, {}));
+  EXPECT_EQ(router_major(t, cache.tables({})), fresh_tables(t, mask, {}));
   EXPECT_EQ(cache.stats().baseline_builds, 1u);
   // Baseline requests share the same immutable table set.
   EXPECT_EQ(cache.tables({}).get(), cache.baseline().get());
@@ -73,7 +81,7 @@ TEST(RouteCache, LieDeltaPatchingMatchesFresh) {
       lie_external(t, 2, unknown, 1, 3),
       NetworkView::External{4, unknown, 1, net::Ipv4(192, 0, 2, 1)},  // dangling
   };
-  EXPECT_EQ(*cache.tables(externals), fresh_tables(t, mask, externals));
+  EXPECT_EQ(router_major(t, cache.tables(externals)), fresh_tables(t, mask, externals));
   EXPECT_EQ(cache.stats().table_builds, 1u);
   // The patch path starts from the baseline, so that was built too.
   EXPECT_EQ(cache.stats().baseline_builds, 1u);
@@ -123,6 +131,57 @@ TEST(RouteCache, MemoEvictsLeastRecentlyUsedNotOldest) {
   // v3 would have evicted v1 (the oldest insertion) instead of v2.
 }
 
+TEST(RouteCache, VariantsShareEveryColumnTheyDoNotPatch) {
+  const topo::Topology t = test_topology(12);
+  const topo::LinkStateMask mask(t);
+  igp::RouteCache cache(t, mask);
+  const net::Prefix p = t.prefixes()[0].prefix;
+  const net::Prefix q = t.prefixes()[1].prefix;
+  ASSERT_NE(p, q);
+
+  const auto base = cache.baseline();
+  const auto with_p = cache.tables({lie_external(t, 2, p, 1, 1)});
+  const auto with_q = cache.tables({lie_external(t, 5, q, 1, 2)});
+  for (const auto& [variant, patched] : {std::pair{with_p, p}, std::pair{with_q, q}}) {
+    ASSERT_EQ(variant->size(), base->size());
+    for (const auto& [prefix, column] : *base) {
+      if (prefix == patched) {
+        EXPECT_NE(variant->at(prefix).get(), column.get()) << prefix.to_string();
+      } else {
+        EXPECT_EQ(variant->at(prefix).get(), column.get()) << prefix.to_string();
+      }
+    }
+  }
+  // A prefix no router has a source for reads as unreachable everywhere.
+  const igp::RouteColumn& absent =
+      *cache.column(*base, net::Prefix(net::Ipv4(198, 51, 100, 0), 24));
+  EXPECT_EQ(absent, igp::RouteColumn(t.node_count()));
+}
+
+TEST(RouteCache, EvictedVariantRebuildsToEqualColumns) {
+  const topo::Topology t = test_topology(13);
+  const topo::LinkStateMask mask(t);
+  igp::RouteCache cache(t, mask, /*memo_capacity=*/1);
+  const net::Prefix p = t.prefixes().front().prefix;
+  const std::vector<NetworkView::External> v1{lie_external(t, 2, p, 2, 1)};
+  const std::vector<NetworkView::External> v2{lie_external(t, 4, p, 2, 1)};
+
+  const auto first = cache.tables(v1);
+  (void)cache.tables(v2);  // evicts v1
+  const auto rebuilt = cache.tables(v1);
+  EXPECT_EQ(cache.stats().memo_evictions, 2u);
+  EXPECT_EQ(cache.stats().table_builds, 3u);
+  EXPECT_NE(rebuilt.get(), first.get());
+  ASSERT_EQ(rebuilt->size(), first->size());
+  const auto base = cache.baseline();
+  for (const auto& [prefix, column] : *first) {
+    EXPECT_EQ(*rebuilt->at(prefix), *column) << prefix.to_string();
+    if (prefix != p) {
+      EXPECT_EQ(rebuilt->at(prefix).get(), base->at(prefix).get()) << prefix.to_string();
+    }
+  }
+}
+
 TEST(RouteCache, VersionKeyedInvalidationOnFailure) {
   const topo::Topology t = test_topology(4);
   topo::LinkStateMask mask(t);
@@ -133,11 +192,11 @@ TEST(RouteCache, VersionKeyedInvalidationOnFailure) {
   // New version, new tables; both match their own topology state.
   const auto after = cache.tables({});
   EXPECT_NE(before.get(), after.get());
-  EXPECT_EQ(*after, fresh_tables(t, mask, {}));
+  EXPECT_EQ(router_major(t, after), fresh_tables(t, mask, {}));
   EXPECT_EQ(cache.stats().generations, 1u);
 
   ASSERT_TRUE(mask.restore(0));
-  EXPECT_EQ(*cache.tables({}), *before);
+  EXPECT_EQ(router_major(t, cache.tables({})), router_major(t, before));
   EXPECT_EQ(cache.stats().generations, 2u);
 }
 

@@ -111,4 +111,15 @@ RouteSnapshot::RouteSnapshot(core::FibbingService& service, const net::Prefix& p
   return ::testing::AssertionSuccess();
 }
 
+std::vector<igp::RoutingTable> routing_tables(const igp::RouteCache::Tables& tables,
+                                              std::size_t node_count) {
+  std::vector<igp::RoutingTable> out(node_count);
+  for (const auto& [prefix, column] : tables) {
+    for (std::size_t n = 0; n < node_count; ++n) {
+      if ((*column)[n].reachable()) out[n].emplace(prefix, (*column)[n]);
+    }
+  }
+  return out;
+}
+
 }  // namespace fibbing::support

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/service.hpp"
+#include "igp/route_cache.hpp"
 #include "igp/routes.hpp"
 #include "net/prefix.hpp"
 #include "topo/topology.hpp"
@@ -66,5 +67,11 @@ class RouteSnapshot {
 /// plane may not lose or duplicate traffic crossing `node`.
 [[nodiscard]] ::testing::AssertionResult transit_conserved(
     core::FibbingService& service, topo::NodeId node, double tol_bps = 1e3);
+
+/// A route cache's prefix-major table set as router-major routing tables,
+/// one per router with unreachable routes omitted: the form
+/// igp::compute_all_routes returns, so the two compare with ==.
+[[nodiscard]] std::vector<igp::RoutingTable> routing_tables(
+    const igp::RouteCache::Tables& tables, std::size_t node_count);
 
 }  // namespace fibbing::support

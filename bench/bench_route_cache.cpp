@@ -14,6 +14,9 @@
 // Counters: table sets served per second (both), and for the cached
 // variant the memo hits, patch builds, and full / incremental / no-op SPF
 // work actually performed.
+//
+// BM_ColumnBuild times the kernel under one patch build alone: one prefix's
+// column for a k-lie set, every router's route entry.
 
 #include <benchmark/benchmark.h>
 
@@ -224,6 +227,37 @@ void BM_SrlgFailoverCached(benchmark::State& state) {
 }
 
 BENCHMARK(BM_SrlgFailoverCached)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+/// One memo-miss column build on a 60-router graph: a lie set of `k` lies
+/// for one prefix alternates with a variant one ext metric apart through a
+/// one-entry memo, so every query builds exactly that prefix's column
+/// (resolving the k forwarding addresses, then one route entry per router)
+/// from the memoized SPFs. This is the kernel inside every placement
+/// attempt's verify rounds; `table_builds` per query must stay 1.
+void BM_ColumnBuild(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const Scenario s = make_scenario(60);
+  topo::LinkStateMask mask(s.topo);
+  igp::RouteCache cache(s.topo, mask, /*memo_capacity=*/1);
+  Externals variants[2];
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto l = static_cast<topo::LinkId>((i * 37) % s.topo.link_count());
+    variants[0].push_back(lie_toward(s, l, s.prefixes[0],
+                                     static_cast<topo::Metric>(2 + i % 4), i + 1));
+  }
+  variants[1] = variants[0];
+  variants[1].back().ext_metric += 1;
+
+  benchmark::DoNotOptimize(cache.tables(variants[1]));  // SPFs and baseline
+  const std::uint64_t builds_before = cache.stats().table_builds;
+  std::size_t i = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(cache.tables(variants[i++ % 2]));
+  state.counters["table_builds"] =
+      benchmark::Counter(static_cast<double>(cache.stats().table_builds - builds_before),
+                         benchmark::Counter::kAvgIterations);
+}
+
+BENCHMARK(BM_ColumnBuild)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

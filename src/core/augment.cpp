@@ -76,7 +76,13 @@ CompileResult compile_lies(const topo::Topology& topo,
     for (const auto& s : view.subnets()) {
       if (s.prefix != subnet) continue;
       const igp::SubnetRoute route = igp::route_to_subnet(cache.spf(u), s);
-      if (route.first_hops != std::vector<topo::NodeId>{via}) {
+      std::size_t hops = 0;
+      bool only_via = true;
+      route.for_each_hop([&](topo::NodeId hop) {
+        ++hops;
+        only_via = only_via && hop == via;
+      });
+      if (hops != 1 || !only_via) {
         return SubnetCost{CompileErrorKind::kWrongInterface,
                           "lie at " + node_name(topo, u) + " toward " +
                               node_name(topo, via) +
@@ -91,12 +97,13 @@ CompileResult compile_lies(const topo::Topology& topo,
                           " not in the (degraded) view; lie cannot steer there"};
   };
 
-  // The plan starts from the requirement; repair rounds add pins and
-  // escalate modes.
+  // The plan starts from the requirement, normalized once for every
+  // verification below; repair rounds add pins and escalate modes.
+  const RequiredDistributions want = normalize(req);
   std::map<topo::NodeId, NodePlan> plan;
-  for (const auto& [node, hops] : req.nodes) {
+  for (const auto& [node, hops] : want) {
     NodePlan p;
-    p.hops = normalize(hops);
+    p.hops = hops;
     plan.emplace(node, std::move(p));
   }
 
@@ -196,7 +203,7 @@ CompileResult compile_lies(const topo::Topology& topo,
     }
 
     const VerifyReport report =
-        verify_augmentation(topo, req, out.lies, &cache.link_state(), &cache);
+        verify_normalized(topo, req, want, out.lies, &cache.link_state(), &cache);
     if (report.ok()) {
       out.naive_lie_count = out.lies.size();
       break;
@@ -244,7 +251,7 @@ CompileResult compile_lies(const topo::Topology& topo,
     for (std::size_t i = out.lies.size(); i-- > 0;) {
       std::vector<Lie> candidate = out.lies;
       candidate.erase(candidate.begin() + static_cast<long>(i));
-      if (verify_augmentation(topo, req, candidate, &cache.link_state(), &cache)
+      if (verify_normalized(topo, req, want, candidate, &cache.link_state(), &cache)
               .ok()) {
         out.lies = std::move(candidate);
       }

@@ -44,6 +44,12 @@ Distribution normalize(const std::vector<NextHopReq>& hops) {
   return reduce(std::move(dist));
 }
 
+RequiredDistributions normalize(const DestRequirement& req) {
+  RequiredDistributions want;
+  for (const auto& [node, hops] : req.nodes) want.emplace(node, normalize(hops));
+  return want;
+}
+
 std::string VerifyReport::to_string(const topo::Topology& topo) const {
   if (ok()) return "augmentation verified";
   std::ostringstream out;
@@ -73,6 +79,14 @@ VerifyReport verify_augmentation(const topo::Topology& topo,
                                  const std::vector<Lie>& lies,
                                  const topo::LinkStateMask* link_state,
                                  igp::RouteCache* cache) {
+  return verify_normalized(topo, req, normalize(req), lies, link_state, cache);
+}
+
+VerifyReport verify_normalized(const topo::Topology& topo, const DestRequirement& req,
+                               const RequiredDistributions& want,
+                               const std::vector<Lie>& lies,
+                               const topo::LinkStateMask* link_state,
+                               igp::RouteCache* cache) {
   VerifyReport report;
 
   // Split lies: those for req.prefix shape the target; all others belong to
@@ -108,18 +122,17 @@ VerifyReport verify_augmentation(const topo::Topology& topo,
     // --- requirement / pollution for req.prefix --------------------------
     const igp::RouteEntry& base = base_col[n];
     const igp::RouteEntry& aug = aug_col[n];
-    const auto req_it = req.nodes.find(n);
-    if (req_it != req.nodes.end()) {
+    const auto want_it = want.find(n);
+    if (want_it != want.end()) {
       if (!aug.reachable()) {
         report.issues.push_back(
             {VerifyIssueKind::kNoRoute, n, "required prefix has no route"});
       } else {
-        const Distribution want = normalize(req_it->second);
         const Distribution got = normalize(aug);
-        if (want != got) {
+        if (want_it->second != got) {
           report.issues.push_back(
               {VerifyIssueKind::kRequirementNotMet, n,
-               "requirement not met: want " + format_distribution(want, topo) +
+               "requirement not met: want " + format_distribution(want_it->second, topo) +
                    ", got " + format_distribution(got, topo)});
         }
       }

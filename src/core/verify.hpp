@@ -22,6 +22,10 @@ using Distribution = std::map<topo::NodeId, std::uint32_t>;
 [[nodiscard]] Distribution normalize(const igp::RouteEntry& entry);
 [[nodiscard]] Distribution normalize(const std::vector<NextHopReq>& hops);
 
+/// Every required router's distribution of a requirement, normalized.
+using RequiredDistributions = std::map<topo::NodeId, Distribution>;
+[[nodiscard]] RequiredDistributions normalize(const DestRequirement& req);
+
 /// What went wrong at one verification site. The repair loop branches on
 /// this (loops are fixed by the pins the other kinds request; they carry no
 /// node to pin), and compile_lies maps terminal reports into its own
@@ -66,6 +70,16 @@ struct VerifyReport {
     const std::vector<Lie>& lies,
     const topo::LinkStateMask* link_state = nullptr,
     igp::RouteCache* cache = nullptr);
+
+/// verify_augmentation with `want` == normalize(req) built by the caller:
+/// compile_lies verifies one requirement in every repair round and
+/// reduction probe, and normalizes it once.
+[[nodiscard]] VerifyReport verify_normalized(const topo::Topology& topo,
+                                             const DestRequirement& req,
+                                             const RequiredDistributions& want,
+                                             const std::vector<Lie>& lies,
+                                             const topo::LinkStateMask* link_state,
+                                             igp::RouteCache* cache);
 
 /// The route cache one compile_lies or verify_augmentation call plans on:
 /// `shared` when it describes `topo` under `link_state`, otherwise a local

@@ -19,6 +19,7 @@ NetworkSim::NetworkSim(const topo::Topology& topo, util::EventQueue& events,
       link_state_(link_state != nullptr
                       ? std::move(link_state)
                       : std::make_shared<topo::LinkStateMask>(topo)),
+      entering_(topo.node_count()),
       crossing_(topo.link_count()),
       fits_(topo.link_count(), true),
       link_rates_(topo.link_count(), 0.0),
@@ -74,9 +75,20 @@ void NetworkSim::set_fib(topo::NodeId node, Fib fib) {
   const Fib old = std::exchange(fibs_[node], std::move(fib));
   // At each router it visits, a walk reads only that router's entry for the
   // flow's destination: a path through `node` can move only if that entry
-  // changed.
+  // changed. The flows visiting `node` enter there, or are delivered over
+  // one of its in-links, or are undelivered; visit them in id order.
+  std::vector<FlowId> candidates = entering_[node];
+  candidates.insert(candidates.end(), undelivered_.begin(), undelivered_.end());
+  for (const topo::LinkId out : topo_.out_links(node)) {
+    for (const Crossing& c : crossing_[topo_.link(out).reverse]) {
+      candidates.push_back(c.id);
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
   std::vector<FlowId> moved;
-  for (auto& [id, state] : flows_) {
+  for (const FlowId id : candidates) {
+    FlowState& state = flows_.find(id)->second;
     if (!visits(topo_, state.flow, state.path, node) ||
         same_entry(old.lookup(state.flow.dst), fibs_[node].lookup(state.flow.dst))) {
       continue;
@@ -126,6 +138,8 @@ FlowId NetworkSim::add_flow(Flow flow) {
   next_flow_id_ = std::max(next_flow_id_, flow.id + 1);
   settle_();
   const FlowId id = flow.id;
+  std::vector<FlowId>& entering = entering_[flow.ingress];
+  entering.insert(std::lower_bound(entering.begin(), entering.end(), id), id);
   FlowPath path = walk_(flow);
   index_(flow, path, true);
   flows_.emplace(id, FlowState{std::move(flow), std::move(path), 0.0});
@@ -136,6 +150,10 @@ FlowId NetworkSim::add_flow(Flow flow) {
 void NetworkSim::remove_flow(FlowId id) {
   const auto it = flows_.find(id);
   FIB_ASSERT(it != flows_.end(), "remove_flow: unknown flow");
+  std::vector<FlowId>& entering = entering_[it->second.flow.ingress];
+  const auto at = std::lower_bound(entering.begin(), entering.end(), id);
+  FIB_ASSERT(at != entering.end() && *at == id, "remove_flow: flow not entering");
+  entering.erase(at);
   index_(it->second.flow, it->second.path, false);
   flows_.erase(it);
   settle_();
@@ -201,7 +219,17 @@ FlowPath NetworkSim::walk_(const Flow& flow) {
 }
 
 void NetworkSim::index_(const Flow& flow, const FlowPath& path, bool add) {
-  if (!path.delivered()) return;
+  if (!path.delivered()) {
+    const auto at = std::lower_bound(undelivered_.begin(), undelivered_.end(), flow.id);
+    if (add) {
+      undelivered_.insert(at, flow.id);
+    } else {
+      FIB_ASSERT(at != undelivered_.end() && *at == flow.id,
+                 "index_: flow not undelivered");
+      undelivered_.erase(at);
+    }
+    return;
+  }
   for (const topo::LinkId l : path.links) {
     std::vector<Crossing>& on = crossing_[l];
     const auto at = std::lower_bound(
@@ -224,6 +252,7 @@ void NetworkSim::rewalk_all_() {
     crossing_[l].clear();
     touched_.push_back(l);
   }
+  undelivered_.clear();
   std::vector<FlowId> moved;
   moved.reserve(flows_.size());
   for (auto& [id, state] : flows_) {

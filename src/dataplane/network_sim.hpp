@@ -33,7 +33,9 @@ namespace fibbing::dataplane {
 ///    updates rates;
 ///  - set_fib re-walks the flows whose path visits the router and whose
 ///    FIB entry there changed, and updates rates only if one of those paths
-///    moved;
+///    moved. It finds them without scanning every flow: a flow visiting the
+///    router enters there, crosses one of its in-links delivered, or is
+///    undelivered (looping or blackholed);
 ///  - install_tables and link fail/restore re-walk every flow and update
 ///    rates.
 /// The sim indexes, per link, the delivered flows that cross it. While every
@@ -109,7 +111,8 @@ class NetworkSim {
   void settle_();
   [[nodiscard]] FlowPath walk_(const Flow& flow);
   /// Enter (`add`) or withdraw a flow in the crossing lists of the links on
-  /// its path, if it is delivered, and mark those links touched.
+  /// its path, and mark those links touched, if it is delivered; else in
+  /// the undelivered list.
   void index_(const Flow& flow, const FlowPath& path, bool add);
   /// Re-walk every flow, then update rates.
   void rewalk_all_();
@@ -135,6 +138,8 @@ class NetworkSim {
     double rate_bps = 0.0;
   };
   std::map<FlowId, FlowState> flows_;  // ordered: deterministic iteration
+  std::vector<std::vector<FlowId>> entering_;  // per ingress router, ascending id
+  std::vector<FlowId> undelivered_;  // flows that loop or blackhole, ascending id
   FlowId next_flow_id_ = 1;
   std::uint64_t flow_walks_ = 0;      // obs:registered(dataplane.flow_walks)
   std::uint64_t rate_solves_ = 0;     // obs:registered(dataplane.rate_solves)

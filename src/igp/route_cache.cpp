@@ -194,10 +194,16 @@ RouteCache::ColumnPtr RouteCache::build_column_(
   static const std::vector<const NetworkView::Attachment*> kNoAttachments;
   const auto att_it = attachments_.find(prefix);
   const auto& atts = att_it == attachments_.end() ? kNoAttachments : att_it->second;
+  // A forwarding address resolves the same at every router: once per column.
+  std::vector<ResolvedExternal> resolved;
+  resolved.reserve(externals.size());
+  for (const NetworkView::External* ext : externals) {
+    if (const auto r = resolve_external(current, *ext)) resolved.push_back(*r);
+  }
   auto column = std::make_shared<RouteColumn>();
   column->reserve(topo_->node_count());
   for (topo::NodeId n = 0; n < topo_->node_count(); ++n) {
-    column->push_back(compute_route_entry(current, spf_locked_(n), atts, externals));
+    column->push_back(compute_route_entry(spf_locked_(n), atts, resolved));
   }
   return column;
 }

@@ -73,85 +73,80 @@ SpfResult run_spf(const NetworkView& view, topo::NodeId source) {
 
 SubnetRoute route_to_subnet(const SpfResult& spf, const NetworkView::Subnet& subnet) {
   SubnetRoute out;
-  struct Side {
-    topo::NodeId endpoint;
-    topo::Metric iface_cost;
-    topo::NodeId other;
-  };
-  const Side sides[2] = {{subnet.a, subnet.metric_ab, subnet.b},
-                         {subnet.b, subnet.metric_ba, subnet.a}};
-  for (const Side& side : sides) {
-    if (!spf.reaches(side.endpoint)) continue;
-    const topo::Metric cost = spf.dist[side.endpoint] + side.iface_cost;
-    std::vector<topo::NodeId> hops;
-    if (side.endpoint == spf.source) {
-      // Directly connected: traffic exits the interface; the only device
-      // across the transfer network is the other endpoint.
-      hops = {side.other};
-    } else {
-      hops = spf.first_hops[side.endpoint];
-    }
+  const auto side = [&](topo::NodeId endpoint, topo::Metric iface_cost,
+                        const topo::NodeId& other) {
+    if (!spf.reaches(endpoint)) return;
+    const topo::Metric cost = spf.dist[endpoint] + iface_cost;
+    // Directly connected: traffic exits the interface; the only device
+    // across the transfer network is the other endpoint.
+    const std::span<const topo::NodeId> hops =
+        endpoint == spf.source ? std::span<const topo::NodeId>(&other, 1)
+                               : std::span<const topo::NodeId>(spf.first_hops[endpoint]);
     if (cost < out.cost) {
       out.cost = cost;
-      out.first_hops = std::move(hops);
+      out.sides[0] = hops;
+      out.sides[1] = {};
     } else if (cost == out.cost) {
-      merge_sorted(out.first_hops, hops);
+      out.sides[1] = hops;
     }
-  }
+  };
+  side(subnet.a, subnet.metric_ab, subnet.b);
+  side(subnet.b, subnet.metric_ba, subnet.a);
   return out;
 }
 
+std::optional<ResolvedExternal> resolve_external(const NetworkView& view,
+                                                 const NetworkView::External& ext) {
+  const auto match = view.resolve_forwarding_address(ext.forwarding_address);
+  if (!match) return std::nullopt;
+  return ResolvedExternal{ext.ext_metric, match->subnet, match->pointed_router};
+}
+
 RouteEntry compute_route_entry(
-    const NetworkView& view, const SpfResult& spf,
-    const std::vector<const NetworkView::Attachment*>& attachments,
-    const std::vector<const NetworkView::External*>& externals) {
-  struct Candidate {
-    topo::Metric cost = kInfMetric;
-    bool local = false;
-    std::vector<topo::NodeId> first_hops;  // each contributes weight 1
+    const SpfResult& spf, const std::vector<const NetworkView::Attachment*>& attachments,
+    const std::vector<ResolvedExternal>& externals) {
+  RouteEntry entry;
+  // True when a candidate at `cost` belongs in the entry; a strictly cheaper
+  // one first drops everything the entry held.
+  const auto admit = [&](topo::Metric cost) {
+    if (cost >= kInfMetric || cost > entry.cost) return false;
+    if (cost < entry.cost) {
+      entry.cost = cost;
+      entry.local = false;
+      entry.next_hops.clear();
+    }
+    return true;
   };
-  std::vector<Candidate> cands;
+  // Every minimal candidate (intra route or individual lie) contributes one
+  // FIB slot per first hop; replicated lies therefore accumulate weight on
+  // their shared physical next hop -- uneven splitting.
+  const auto add_slot = [&](topo::NodeId hop) {
+    const auto it = std::lower_bound(
+        entry.next_hops.begin(), entry.next_hops.end(), hop,
+        [](const WeightedNextHop& nh, topo::NodeId via) { return nh.via < via; });
+    if (it != entry.next_hops.end() && it->via == hop) {
+      ++it->weight;
+    } else {
+      entry.next_hops.insert(it, WeightedNextHop{hop, 1});
+    }
+  };
 
   for (const NetworkView::Attachment* att : attachments) {
-    if (!spf.reaches(att->node)) continue;
-    Candidate cand;
-    cand.cost = spf.dist[att->node] + att->metric;
+    if (!spf.reaches(att->node) || !admit(spf.dist[att->node] + att->metric)) continue;
     if (att->node == spf.source) {
-      cand.local = true;
+      entry.local = true;
     } else {
-      cand.first_hops = spf.first_hops[att->node];
+      for (const topo::NodeId hop : spf.first_hops[att->node]) add_slot(hop);
     }
-    cands.push_back(std::move(cand));
   }
 
-  for (const NetworkView::External* ext : externals) {
-    const auto match = view.resolve_forwarding_address(ext->forwarding_address);
-    if (!match) continue;  // dangling forwarding address: route unusable
+  for (const ResolvedExternal& ext : externals) {
     // A lie whose forwarding address belongs to this very router would make
     // it forward to itself; routers ignore such self-pointing externals.
-    if (match->pointed_router == spf.source) continue;
-    const SubnetRoute sub = route_to_subnet(spf, *match->subnet);
-    if (sub.cost >= kInfMetric) continue;
-    Candidate cand;
-    cand.cost = sub.cost + ext->ext_metric;
-    cand.first_hops = sub.first_hops;
-    cands.push_back(std::move(cand));
-  }
-
-  RouteEntry entry;
-  for (const Candidate& cand : cands) entry.cost = std::min(entry.cost, cand.cost);
-  if (entry.cost >= kInfMetric) return entry;
-  std::map<topo::NodeId, std::uint32_t> weights;
-  for (const Candidate& cand : cands) {
-    if (cand.cost != entry.cost) continue;
-    if (cand.local) entry.local = true;
-    // Every minimal candidate (intra route or individual lie) contributes
-    // one FIB slot per first hop; replicated lies therefore accumulate
-    // weight on their shared physical next hop -- uneven splitting.
-    for (const topo::NodeId hop : cand.first_hops) weights[hop] += 1;
-  }
-  for (const auto& [via, weight] : weights) {
-    entry.next_hops.push_back(WeightedNextHop{via, weight});
+    if (ext.pointed_router == spf.source) continue;
+    const SubnetRoute sub = route_to_subnet(spf, *ext.subnet);
+    if (sub.cost >= kInfMetric || !admit(sub.cost + ext.ext_metric)) continue;
+    sub.for_each_hop(add_slot);
   }
   return entry;
 }
@@ -159,20 +154,21 @@ RouteEntry compute_route_entry(
 RoutingTable compute_routes(const NetworkView& view, const SpfResult& spf) {
   struct Sources {
     std::vector<const NetworkView::Attachment*> attachments;
-    std::vector<const NetworkView::External*> externals;
+    std::vector<ResolvedExternal> externals;
   };
   std::map<net::Prefix, Sources> by_prefix;
   for (const NetworkView::Attachment& att : view.attachments()) {
     by_prefix[att.prefix].attachments.push_back(&att);
   }
   for (const NetworkView::External& ext : view.externals()) {
-    by_prefix[ext.prefix].externals.push_back(&ext);
+    if (const auto resolved = resolve_external(view, ext)) {
+      by_prefix[ext.prefix].externals.push_back(*resolved);
+    }
   }
 
   RoutingTable table;
   for (const auto& [prefix, sources] : by_prefix) {
-    RouteEntry entry =
-        compute_route_entry(view, spf, sources.attachments, sources.externals);
+    RouteEntry entry = compute_route_entry(spf, sources.attachments, sources.externals);
     if (entry.cost >= kInfMetric) continue;
     table.emplace(prefix, std::move(entry));
   }

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "igp/routes.hpp"
@@ -20,15 +22,58 @@ struct SpfResult {
 /// Dijkstra with ECMP first-hop propagation over a NetworkView.
 [[nodiscard]] SpfResult run_spf(const NetworkView& view, topo::NodeId source);
 
-/// Distance and first hops from `source` toward a transfer subnet, OSPF
+/// Distance and first hops from `spf.source` toward a transfer subnet, OSPF
 /// stub-network style: min over both endpoint announcements of
-/// dist(source, endpoint) + endpoint interface cost.
+/// dist(source, endpoint) + endpoint interface cost. When both sides attain
+/// the min, the route's first hops are the union of the two sides' sets.
+/// Nothing is copied: a side's set is read in place from spf.first_hops, or,
+/// for a side at the source itself (traffic exits the interface), is the
+/// other endpoint's id inside the subnet. Valid while `spf` and the subnet
+/// it was computed for are.
 struct SubnetRoute {
   topo::Metric cost = kInfMetric;
-  std::vector<topo::NodeId> first_hops;  // sorted
+  /// Each sorted; the second is empty unless both sides attain `cost`.
+  std::span<const topo::NodeId> sides[2];
+
+  /// Calls `visit(hop)` for every first hop of the route in ascending order,
+  /// once each: a hop both sides share is one hop of the route.
+  template <typename Visit>
+  void for_each_hop(Visit&& visit) const {
+    const std::span<const topo::NodeId>& a = sides[0];
+    const std::span<const topo::NodeId>& b = sides[1];
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < a.size() || j < b.size()) {
+      if (j == b.size() || (i < a.size() && a[i] < b[j])) {
+        visit(a[i++]);
+      } else if (i == a.size() || b[j] < a[i]) {
+        visit(b[j++]);
+      } else {
+        visit(a[i++]);
+        ++j;
+      }
+    }
+  }
 };
 [[nodiscard]] SubnetRoute route_to_subnet(const SpfResult& spf,
                                           const NetworkView::Subnet& subnet);
+
+/// An external route with its forwarding address resolved in a view: what
+/// compute_route_entry reads of it. The resolution depends only on the
+/// external and the view, so a caller building one prefix's entries at
+/// every router resolves each external once.
+struct ResolvedExternal {
+  topo::Metric ext_metric = 0;
+  /// The transfer subnet owning the forwarding address.
+  const NetworkView::Subnet* subnet = nullptr;
+  /// The router whose interface holds the forwarding address.
+  topo::NodeId pointed_router = topo::kInvalidNode;
+};
+
+/// `ext` resolved in `view`; nullopt when its forwarding address dangles,
+/// which makes the route unusable at every router.
+[[nodiscard]] std::optional<ResolvedExternal> resolve_external(
+    const NetworkView& view, const NetworkView::External& ext);
 
 /// Build the full routing table of `source`: intra-area routes from prefix
 /// attachments plus external routes (lies) resolved through forwarding
@@ -44,15 +89,18 @@ struct SubnetRoute {
                                           const SpfResult& spf);
 
 /// The route entry `spf.source` would install for one prefix given exactly
-/// these candidate sources (all must announce the same prefix). This is the
-/// per-prefix kernel of compute_routes, exposed so the route cache's
-/// lie-delta patching produces bit-identical entries by construction.
-/// The result is unreachable (cost >= kInfMetric, no next hops) when no
-/// candidate qualifies -- such entries are omitted from routing tables.
+/// these candidate sources (all must announce the same prefix; dangling
+/// externals are already left out). This is the per-prefix kernel of
+/// compute_routes, exposed so the route cache's lie-delta patching produces
+/// bit-identical entries by construction. One pass, nothing allocated per
+/// candidate: a strictly cheaper candidate restarts the entry, and each
+/// candidate at the entry's cost merges its first hops into
+/// entry.next_hops. The result is unreachable (cost >= kInfMetric, no next
+/// hops) when no candidate qualifies -- such entries are omitted from
+/// routing tables.
 [[nodiscard]] RouteEntry compute_route_entry(
-    const NetworkView& view, const SpfResult& spf,
-    const std::vector<const NetworkView::Attachment*>& attachments,
-    const std::vector<const NetworkView::External*>& externals);
+    const SpfResult& spf, const std::vector<const NetworkView::Attachment*>& attachments,
+    const std::vector<ResolvedExternal>& externals);
 
 /// Convenience: routing tables for every router in the view.
 [[nodiscard]] std::vector<RoutingTable> compute_all_routes(const NetworkView& view);

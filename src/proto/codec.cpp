@@ -15,25 +15,24 @@ DecodeError err(DecodeErrorKind kind, std::string detail) {
 
 // ---------------------------------------------------------- checksum helpers
 
-/// RFC 1071 ones'-complement sum over [begin, end), skipping [skip_begin,
-/// skip_end) -- the authentication field is excluded from the packet
-/// checksum (RFC 2328 D.4.1).
-std::uint16_t internet_checksum(const std::uint8_t* data, std::size_t size,
-                                std::size_t skip_begin, std::size_t skip_end,
-                                std::size_t zero_begin, std::size_t zero_end) {
-  std::uint32_t sum = 0;
-  for (std::size_t i = 0; i < size; i += 2) {
-    const auto byte_at = [&](std::size_t pos) -> std::uint32_t {
-      if (pos >= size) return 0;  // odd length: virtual zero pad
-      if (pos >= skip_begin && pos < skip_end) return 0;
-      if (pos >= zero_begin && pos < zero_end) return 0;
-      return data[pos];
-    };
-    if (i >= skip_begin && i < skip_end) continue;
-    sum += (byte_at(i) << 8) | byte_at(i + 1);
+/// RFC 1071 sum of data[begin, end) as 16-bit big-endian words, `begin`
+/// even; an odd `end` pads the last byte with a zero. Read one 32-bit word
+/// at a time: a 32-bit word is its two 16-bit halves, the high one times
+/// 2^16, and 2^16 == 1 in the ones'-complement sum, so the folded results
+/// agree.
+std::uint64_t ones_sum(const std::uint8_t* data, std::size_t begin, std::size_t end) {
+  std::uint64_t sum = 0;
+  std::size_t i = begin;
+  for (; i + 4 <= end; i += 4) {
+    sum += (std::uint32_t{data[i]} << 24) | (std::uint32_t{data[i + 1]} << 16) |
+           (std::uint32_t{data[i + 2]} << 8) | data[i + 3];
   }
-  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
-  return static_cast<std::uint16_t>(~sum & 0xffff);
+  if (i + 2 <= end) {
+    sum += (std::uint32_t{data[i]} << 8) | data[i + 1];
+    i += 2;
+  }
+  if (i < end) sum += std::uint32_t{data[i]} << 8;
+  return sum;
 }
 
 // ------------------------------------------------------------- LSA encoding
@@ -176,17 +175,37 @@ PacketType type_of(const Packet& packet) {
   return static_cast<PacketType>(packet.body.index() + 1);
 }
 
+std::uint16_t packet_checksum(const std::uint8_t* data, std::size_t size) {
+  // Sum the three regions around the checksum field [12, 14) and the
+  // authentication field [16, 24); each starts at an even offset.
+  std::uint64_t sum = ones_sum(data, 0, std::min<std::size_t>(size, 12));
+  if (size > 14) sum += ones_sum(data, 14, std::min<std::size_t>(size, 16));
+  if (size > 24) sum += ones_sum(data, 24, size);
+  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xffff);
+}
+
 std::uint16_t fletcher_checksum(const std::uint8_t* data, std::size_t size,
                                 std::size_t checksum_offset) {
   // RFC 905 Annex B, as applied by RFC 2328 12.1.7: the check bytes
-  // themselves count as zero.
-  std::int32_t c0 = 0;
-  std::int32_t c1 = 0;
-  for (std::size_t i = 0; i < size; ++i) {
-    const bool is_check_byte = i == checksum_offset || i == checksum_offset + 1;
-    c0 = (c0 + (is_check_byte ? 0 : data[i])) % 255;
-    c1 = (c1 + c0) % 255;
-  }
+  // themselves count as zero. The running sums stay far below 2^64 for any
+  // LSA, so one reduction mod 255 at the end gives the c0 and c1 that
+  // reducing after every byte does.
+  std::uint64_t sum0 = 0;
+  std::uint64_t sum1 = 0;
+  const auto run = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      sum0 += data[i];
+      sum1 += sum0;
+    }
+  };
+  const std::size_t check_begin = std::min(checksum_offset, size);
+  const std::size_t check_end = std::min(checksum_offset + 2, size);
+  run(0, check_begin);
+  sum1 += sum0 * (check_end - check_begin);  // each check byte adds 0 to sum0
+  run(check_end, size);
+  const auto c0 = static_cast<std::int32_t>(sum0 % 255);
+  const auto c1 = static_cast<std::int32_t>(sum1 % 255);
   std::int32_t x = static_cast<std::int32_t>(
                        (static_cast<std::int64_t>(size) - checksum_offset - 1) * c0 -
                        c1) %
@@ -289,8 +308,7 @@ Buffer encode_packet(const Packet& packet) {
   w.patch_u16(2, static_cast<std::uint16_t>(w.size()));
   Buffer bytes = w.take();
   // D.4.1: checksum of the whole packet excluding the authentication field.
-  const std::uint16_t checksum =
-      internet_checksum(bytes.data(), bytes.size(), 16, 24, 12, 14);
+  const std::uint16_t checksum = packet_checksum(bytes.data(), bytes.size());
   bytes[12] = static_cast<std::uint8_t>(checksum >> 8);
   bytes[13] = static_cast<std::uint8_t>(checksum);
   return bytes;
@@ -325,7 +343,7 @@ Decoded<Packet> decode_packet(const std::uint8_t* data, std::size_t size) {
   }
   if (length > size) return err(DecodeErrorKind::kTruncated, "packet body");
   if (length < size) return err(DecodeErrorKind::kTrailingBytes, "after packet");
-  if (internet_checksum(data, length, 16, 24, 12, 14) != checksum) {
+  if (packet_checksum(data, length) != checksum) {
     return err(DecodeErrorKind::kBadChecksum, "packet checksum");
   }
   if (autype != 0) {

@@ -237,10 +237,16 @@ struct Packet {
 
 /// RFC 905 Annex B Fletcher checksum with the check bytes at
 /// `checksum_offset` within `data` (the LSA layout passes the bytes after
-/// the age field with offset 14).
+/// the age field with offset 14). `size` is at most 65535, an LSA's length.
 [[nodiscard]] std::uint16_t fletcher_checksum(const std::uint8_t* data,
                                               std::size_t size,
                                               std::size_t checksum_offset);
+
+/// RFC 2328 D.4.1 packet checksum: the RFC 1071 ones'-complement sum of an
+/// encoded packet with the checksum field (bytes 12-13) counted as zero and
+/// the authentication field (bytes 16-23) left out; an odd length is padded
+/// with a zero byte. `size` is at most 65535, a packet's length.
+[[nodiscard]] std::uint16_t packet_checksum(const std::uint8_t* data, std::size_t size);
 
 // --------------------------------------------------- instance ordering rules
 

@@ -27,6 +27,18 @@ std::size_t MaxFlow::add_edge(std::size_t from, std::size_t to, double capacity)
   return edge_refs_.size() - 1;
 }
 
+void MaxFlow::set_capacities(const std::vector<double>& capacity) {
+  FIB_ASSERT(capacity.size() == edge_refs_.size(), "set_capacities: one per edge");
+  for (std::size_t e = 0; e < edge_refs_.size(); ++e) {
+    FIB_ASSERT(capacity[e] >= 0.0, "set_capacities: negative capacity");
+    const auto [node, index] = edge_refs_[e];
+    Edge& edge = graph_[node][index];
+    edge.capacity = capacity[e];
+    graph_[edge.to][edge.rev].capacity = 0.0;
+    original_capacity_[e] = capacity[e];
+  }
+}
+
 bool MaxFlow::bfs_(std::size_t s, std::size_t t) {
   level_.assign(graph_.size(), -1);
   std::queue<std::size_t> queue;

@@ -16,8 +16,16 @@ class MaxFlow {
   /// Add a directed edge; returns an edge id usable with flow_on().
   std::size_t add_edge(std::size_t from, std::size_t to, double capacity);
 
-  /// Compute the max flow from s to t. May be called once per instance.
+  /// Compute the max flow from s to t. Call it once per capacitation: after
+  /// set_capacities() the network solves afresh.
   double solve(std::size_t s, std::size_t t);
+
+  /// Set every added edge's capacity (`capacity` in edge-id order) and clear
+  /// all flow. The network is then exactly the one a fresh instance given
+  /// the same add_edge() calls at these capacities would be, so solve()
+  /// pushes bit-identical flows; the min-max search re-capacitates one
+  /// network per probe instead of rebuilding it.
+  void set_capacities(const std::vector<double>& capacity);
 
   /// Flow routed on a previously added edge (valid after solve()).
   [[nodiscard]] double flow_on(std::size_t edge_id) const;

@@ -57,13 +57,32 @@ double feasibility_slack(double total_demand, double scale) {
   return scale * std::max(total_demand * 1e-9, 1e-6);
 }
 
-/// One solved feasibility instance at a fixed theta: the Dinic state is kept
-/// so the degeneracy-breaking refinement can reroute over its residual
-/// graph instead of re-deriving it.
+/// The feasibility network of one solve: an edge per directed link, in link
+/// order, then one per demand from a super source. Every theta the search
+/// probes re-capacitates the same network; the Dinic state of the last
+/// probe is kept so the degeneracy-breaking refinement can reroute over its
+/// residual graph instead of re-deriving it.
 struct ThetaOracle {
+  ThetaOracle(const topo::Topology& topo, const std::vector<Demand>& demands)
+      : mf(topo.node_count() + 1) {
+    const std::size_t super = topo.node_count();
+    edge_of_link.reserve(topo.link_count());
+    for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
+      const topo::Link& link = topo.link(l);
+      edge_of_link.push_back(mf.add_edge(link.from, link.to, 0.0));
+    }
+    source_edges.reserve(demands.size());
+    for (const Demand& d : demands) {
+      source_edges.push_back(mf.add_edge(super, d.ingress, d.rate_bps));
+    }
+    capacity.assign(edge_of_link.size(), 0.0);
+    for (const Demand& d : demands) capacity.push_back(d.rate_bps);
+  }
+
   MaxFlow mf;
   std::vector<std::size_t> edge_of_link;
   std::vector<std::size_t> source_edges;
+  std::vector<double> capacity;  ///< per edge id: the last probe's capacities
   double pushed = 0.0;
 
   [[nodiscard]] bool feasible(double total_demand, double slack_scale = 1.0) const {
@@ -78,25 +97,19 @@ double link_cap_at(const topo::Link& link, double bg, double theta, bool allowed
   return std::max(theta * link.capacity_bps - bg, 0.0);
 }
 
-ThetaOracle solve_at_theta(const topo::Topology& topo, topo::NodeId dest,
-                           const std::vector<Demand>& demands,
-                           const std::vector<double>& background, double theta,
-                           const std::vector<bool>& allowed) {
-  const std::size_t n = topo.node_count();
-  const std::size_t super = n;
-  ThetaOracle oracle{MaxFlow(n + 1), {}, {}, 0.0};
-  oracle.edge_of_link.resize(topo.link_count());
+/// Solve `oracle` at utilization bound `theta` (the demand edges keep their
+/// capacities); returns it.
+const ThetaOracle& solve_at_theta(ThetaOracle& oracle, const topo::Topology& topo,
+                                  topo::NodeId dest,
+                                  const std::vector<double>& background, double theta,
+                                  const std::vector<bool>& allowed) {
   for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
-    const topo::Link& link = topo.link(l);
     const double bg = background.empty() ? 0.0 : background[l];
-    const double cap = link_cap_at(link, bg, theta, allowed.empty() || allowed[l]);
-    oracle.edge_of_link[l] = oracle.mf.add_edge(link.from, link.to, cap);
+    oracle.capacity[oracle.edge_of_link[l]] =
+        link_cap_at(topo.link(l), bg, theta, allowed.empty() || allowed[l]);
   }
-  oracle.source_edges.reserve(demands.size());
-  for (const Demand& d : demands) {
-    oracle.source_edges.push_back(oracle.mf.add_edge(super, d.ingress, d.rate_bps));
-  }
-  oracle.pushed = oracle.mf.solve(super, dest);
+  oracle.mf.set_capacities(oracle.capacity);
+  oracle.pushed = oracle.mf.solve(topo.node_count(), dest);
   return oracle;
 }
 
@@ -342,6 +355,7 @@ util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
   std::vector<topo::Metric> dist;
   std::vector<bool> allowed;
   double hi = 1.0;
+  ThetaOracle oracle(topo, demands);
   if (search != nullptr && search->solved_) {
     // Ladder-rung reuse: the pruning and the binary search depend only on
     // inputs the contract fixes, so pick up the solved bound directly. The
@@ -409,7 +423,7 @@ util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
     }
 
     // Find a feasible upper bound by doubling, then binary search.
-    while (!solve_at_theta(topo, dest, demands, background_bps, hi, allowed)
+    while (!solve_at_theta(oracle, topo, dest, background_bps, hi, allowed)
                 .feasible(total)) {
       hi *= 2.0;
       if (hi > kThetaCeiling) {
@@ -421,7 +435,7 @@ util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
     double lo = 0.0;
     while (hi - lo > kPrecision * std::max(hi, 1.0)) {
       const double mid = 0.5 * (lo + hi);
-      if (solve_at_theta(topo, dest, demands, background_bps, mid, allowed)
+      if (solve_at_theta(oracle, topo, dest, background_bps, mid, allowed)
               .feasible(total)) {
         hi = mid;
       } else {
@@ -441,8 +455,7 @@ util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
       }
     }
   }
-  ThetaOracle oracle =
-      solve_at_theta(topo, dest, demands, background_bps, hi, allowed);
+  solve_at_theta(oracle, topo, dest, background_bps, hi, allowed);
   if (!oracle.feasible(total)) {
     // The oracle is deterministic, so hi re-solves the way the search saw
     // it; still, never abort on an input (controllers must fail soft). A

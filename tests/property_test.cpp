@@ -498,6 +498,45 @@ TEST_P(MaxFlowProperty, FlowConservationAndCutBound) {
   }
 }
 
+/// The min-max search re-capacitates one network per probe: through a
+/// sequence of thetas (with widened edges and residual pushes in between, as
+/// the refinement leaves them), every solve and every edge's flow must be
+/// bit-identical to a fresh network built at that theta.
+TEST_P(MaxFlowProperty, RecapacitatedNetworkMatchesFreshOne) {
+  util::Rng rng(GetParam() ^ 0xf10e);
+  const std::size_t n = 10;
+  struct E {
+    std::size_t from, to;
+    double cap;
+  };
+  std::vector<E> edges;
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (u != v && rng.chance(0.3)) edges.push_back(E{u, v, rng.uniform(1.0, 20.0)});
+    }
+  }
+  te::MaxFlow reused(n);
+  for (const E& e : edges) reused.add_edge(e.from, e.to, e.cap);
+  std::vector<double> thetas{1.0, 2.0, 0.5, 0.75, 0.625, 0.0, 3.0};
+  for (int k = 0; k < 6; ++k) thetas.push_back(rng.uniform(0.05, 4.0));
+  for (const double theta : thetas) {
+    te::MaxFlow fresh(n);
+    std::vector<double> caps;
+    for (const E& e : edges) {
+      caps.push_back(theta * e.cap);
+      fresh.add_edge(e.from, e.to, theta * e.cap);
+    }
+    reused.set_capacities(caps);
+    EXPECT_EQ(reused.solve(0, n - 1), fresh.solve(0, n - 1)) << "theta " << theta;
+    EXPECT_EQ(reused.flows(), fresh.flows()) << "theta " << theta;
+    if (!edges.empty()) {
+      // Leave state behind that the next set_capacities must clear.
+      reused.widen(rng.pick_index(edges.size()), 1.5);
+      (void)reused.push_residual(0, n - 1, 0.25);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxFlowProperty,
                          ::testing::Range<std::uint64_t>(1, 9));
 
@@ -1434,6 +1473,201 @@ TEST_P(VerifyReportProperty, IssuesMatchPerRouterReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VerifyReportProperty,
+                         ::testing::Range<std::uint64_t>(1, 4));
+
+// ------------------------- route entries vs the allocating per-candidate kernel
+
+/// What the reference saw while computing entries: how often each case the
+/// one-pass kernel must get right reached a computed entry.
+struct EntryCases {
+  int two_sided_ties = 0;  ///< minimal lie candidates whose subnet sides tie
+  int shared_hops = 0;     ///< ... and whose two sides share a first hop
+  int self_pointing = 0;   ///< externals skipped at their own router
+  int dangling = 0;        ///< externals whose forwarding address resolves nowhere
+  int local = 0;           ///< entries delivered at the router itself
+  int replicated = 0;      ///< entries with a next hop of weight > 1
+};
+
+/// The allocating per-candidate route-entry kernel: each candidate copies
+/// its first hops, a transfer subnet whose two sides tie builds their union
+/// with std::set_union, and the weights of the minimal candidates are
+/// gathered in a std::map.
+igp::RouteEntry reference_route_entry(
+    const igp::NetworkView& view, const igp::SpfResult& spf,
+    const std::vector<const igp::NetworkView::Attachment*>& attachments,
+    const std::vector<const igp::NetworkView::External*>& externals,
+    EntryCases& cases) {
+  struct Candidate {
+    topo::Metric cost = igp::kInfMetric;
+    bool local = false;
+    bool two_sided = false;
+    bool shared = false;
+    std::vector<topo::NodeId> first_hops;
+  };
+  std::vector<Candidate> cands;
+  for (const igp::NetworkView::Attachment* att : attachments) {
+    if (!spf.reaches(att->node)) continue;
+    Candidate cand;
+    cand.cost = spf.dist[att->node] + att->metric;
+    if (att->node == spf.source) {
+      cand.local = true;
+    } else {
+      cand.first_hops = spf.first_hops[att->node];
+    }
+    cands.push_back(std::move(cand));
+  }
+  for (const igp::NetworkView::External* ext : externals) {
+    const auto match = view.resolve_forwarding_address(ext->forwarding_address);
+    if (!match) {
+      ++cases.dangling;
+      continue;
+    }
+    if (match->pointed_router == spf.source) {
+      ++cases.self_pointing;
+      continue;
+    }
+    const igp::NetworkView::Subnet& subnet = *match->subnet;
+    Candidate cand;
+    std::vector<std::vector<topo::NodeId>> tied;
+    topo::Metric best = igp::kInfMetric;
+    const std::pair<topo::NodeId, topo::Metric> sides[2] = {
+        {subnet.a, subnet.metric_ab}, {subnet.b, subnet.metric_ba}};
+    for (int side = 0; side < 2; ++side) {
+      const auto [endpoint, iface_cost] = sides[side];
+      if (!spf.reaches(endpoint)) continue;
+      const topo::Metric cost = spf.dist[endpoint] + iface_cost;
+      std::vector<topo::NodeId> hops =
+          endpoint == spf.source
+              ? std::vector<topo::NodeId>{side == 0 ? subnet.b : subnet.a}
+              : spf.first_hops[endpoint];
+      if (cost < best) {
+        best = cost;
+        tied = {std::move(hops)};
+      } else if (cost == best) {
+        tied.push_back(std::move(hops));
+      }
+    }
+    if (best >= igp::kInfMetric) continue;
+    for (const std::vector<topo::NodeId>& hops : tied) {
+      std::vector<topo::NodeId> merged;
+      std::set_union(cand.first_hops.begin(), cand.first_hops.end(), hops.begin(),
+                     hops.end(), std::back_inserter(merged));
+      cand.first_hops = std::move(merged);
+    }
+    cand.two_sided = tied.size() == 2;
+    cand.shared = cand.two_sided &&
+                  cand.first_hops.size() < tied[0].size() + tied[1].size();
+    cand.cost = best + ext->ext_metric;
+    cands.push_back(std::move(cand));
+  }
+
+  igp::RouteEntry entry;
+  for (const Candidate& cand : cands) entry.cost = std::min(entry.cost, cand.cost);
+  if (entry.cost >= igp::kInfMetric) return entry;
+  std::map<topo::NodeId, std::uint32_t> weights;
+  for (const Candidate& cand : cands) {
+    if (cand.cost != entry.cost) continue;
+    if (cand.local) entry.local = true;
+    if (cand.two_sided) ++cases.two_sided_ties;
+    if (cand.shared) ++cases.shared_hops;
+    for (const topo::NodeId hop : cand.first_hops) weights[hop] += 1;
+  }
+  for (const auto& [via, weight] : weights) {
+    entry.next_hops.push_back(igp::WeightedNextHop{via, weight});
+  }
+  if (entry.local) ++cases.local;
+  if (std::any_of(entry.next_hops.begin(), entry.next_hops.end(),
+                  [](const igp::WeightedNextHop& nh) { return nh.weight > 1; })) {
+    ++cases.replicated;
+  }
+  return entry;
+}
+
+/// Every router's routing table through reference_route_entry.
+std::vector<igp::RoutingTable> reference_all_routes(const igp::NetworkView& view,
+                                                    EntryCases& cases) {
+  struct Sources {
+    std::vector<const igp::NetworkView::Attachment*> attachments;
+    std::vector<const igp::NetworkView::External*> externals;
+  };
+  std::map<net::Prefix, Sources> by_prefix;
+  for (const auto& att : view.attachments()) {
+    by_prefix[att.prefix].attachments.push_back(&att);
+  }
+  for (const auto& ext : view.externals()) {
+    by_prefix[ext.prefix].externals.push_back(&ext);
+  }
+  std::vector<igp::RoutingTable> tables(view.node_count());
+  for (topo::NodeId n = 0; n < view.node_count(); ++n) {
+    const igp::SpfResult spf = igp::run_spf(view, n);
+    for (const auto& [prefix, sources] : by_prefix) {
+      igp::RouteEntry entry = reference_route_entry(view, spf, sources.attachments,
+                                                    sources.externals, cases);
+      if (entry.reachable()) tables[n].emplace(prefix, std::move(entry));
+    }
+  }
+  return tables;
+}
+
+/// Seeded Waxman graphs with small metrics (many equal-cost ties), prefixes
+/// attached once, twice (anycast) and not at all, and lie sets with
+/// replicated lies, lies into failed links and lies to addresses no subnet
+/// owns: compute_all_routes and the route cache's columns must equal the
+/// allocating reference entry for entry, and every case above must occur.
+class RouteEntryProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RouteEntryProperty, EntriesMatchAllocatingReference) {
+  util::Rng rng(GetParam() ^ 0x5e77e);
+  EntryCases cases;
+  for (int trial = 0; trial < 6; ++trial) {
+    topo::Topology t = topo::make_waxman(16, rng, 0.6, 0.5, /*max_metric=*/2);
+    std::vector<net::Prefix> prefixes;
+    for (std::uint8_t i = 0; i < 3; ++i) {
+      prefixes.emplace_back(net::Ipv4(203, 0, i, 0), 24);
+      const int announcers = i;  // 0: announced by lies only; 2: anycast
+      for (int k = 0; k < announcers; ++k) {
+        t.attach_prefix(static_cast<topo::NodeId>(rng.pick_index(t.node_count())),
+                        prefixes.back(),
+                        static_cast<topo::Metric>(rng.uniform_int(0, 3)));
+      }
+    }
+    topo::LinkStateMask mask(t);
+    if (trial % 2 == 1) {
+      ASSERT_TRUE(mask.fail(static_cast<topo::LinkId>(rng.pick_index(t.link_count()))));
+    }
+
+    std::vector<igp::NetworkView::External> externals;
+    std::uint64_t next_id = 1;
+    for (int k = 0; k < 14; ++k) {
+      const topo::LinkId l = static_cast<topo::LinkId>(rng.pick_index(t.link_count()));
+      const net::Ipv4 fwd = rng.chance(0.1) ? net::Ipv4(10, 99, 0, 1)
+                                            : t.link(t.link(l).reverse).local_addr;
+      const igp::NetworkView::External ext{
+          next_id++, prefixes[rng.pick_index(prefixes.size())],
+          static_cast<topo::Metric>(rng.uniform_int(0, 3)), fwd};
+      externals.push_back(ext);
+      for (int copy = 0; copy < 2 && rng.chance(0.4); ++copy) {
+        externals.push_back(ext);
+        externals.back().lie_id = next_id++;
+      }
+    }
+
+    const igp::NetworkView view = igp::NetworkView::from_topology(t, externals, &mask);
+    const std::vector<igp::RoutingTable> want = reference_all_routes(view, cases);
+    EXPECT_EQ(igp::compute_all_routes(view), want) << "trial " << trial;
+    igp::RouteCache cache(t, mask);
+    EXPECT_EQ(support::routing_tables(*cache.tables(externals), t.node_count()), want)
+        << "trial " << trial;
+  }
+  EXPECT_GT(cases.two_sided_ties, 0);
+  EXPECT_GT(cases.shared_hops, 0);
+  EXPECT_GT(cases.self_pointing, 0);
+  EXPECT_GT(cases.dangling, 0);
+  EXPECT_GT(cases.local, 0);
+  EXPECT_GT(cases.replicated, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RouteEntryProperty,
                          ::testing::Range<std::uint64_t>(1, 4));
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "igp/domain.hpp"
 #include "igp/lsa.hpp"
 #include "proto/codec.hpp"
 #include "proto/controller_session.hpp"
@@ -352,6 +353,109 @@ TEST(CodecFuzz, RandomGarbageNeverCrashes) {
     for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     (void)decode_packet(garbage);  // must return, never crash (ASan-checked)
   }
+}
+
+// --------------------------------------------------------- checksum kernels
+
+/// The RFC 1071 packet checksum one 16-bit word at a time: bytes 12-13 (the
+/// checksum) and 16-23 (authentication) read as zero, an odd length pads a
+/// zero byte.
+std::uint16_t reference_packet_checksum(const std::uint8_t* data, std::size_t size) {
+  const auto byte_at = [&](std::size_t pos) -> std::uint32_t {
+    if (pos >= size || (pos >= 12 && pos < 14) || (pos >= 16 && pos < 24)) return 0;
+    return data[pos];
+  };
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; i < size; i += 2) sum += (byte_at(i) << 8) | byte_at(i + 1);
+  while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xffff);
+}
+
+/// The RFC 905 Fletcher checksum reducing both sums mod 255 after every
+/// byte.
+std::uint16_t reference_fletcher(const std::uint8_t* data, std::size_t size,
+                                 std::size_t checksum_offset) {
+  std::int32_t c0 = 0;
+  std::int32_t c1 = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    const bool is_check_byte = i == checksum_offset || i == checksum_offset + 1;
+    c0 = (c0 + (is_check_byte ? 0 : data[i])) % 255;
+    c1 = (c1 + c0) % 255;
+  }
+  std::int32_t x = static_cast<std::int32_t>(
+                       (static_cast<std::int64_t>(size) - checksum_offset - 1) * c0 -
+                       c1) %
+                   255;
+  if (x <= 0) x += 255;
+  std::int32_t y = 510 - c0 - x;
+  if (y > 255) y -= 255;
+  return static_cast<std::uint16_t>((x << 8) | y);
+}
+
+TEST(CodecChecksum, KernelsMatchByteWiseReferencesOnRandomBuffers) {
+  util::Rng rng(20261019);
+  for (int trial = 0; trial < 3000; ++trial) {
+    // A third under 24 bytes (shorter than a packet header), the rest up to
+    // a large LS Update; odd and even lengths alike.
+    const auto size = static_cast<std::size_t>(
+        trial % 3 == 0 ? rng.uniform_int(0, 23) : rng.uniform_int(24, 1500));
+    Buffer bytes(size);
+    const int fill = trial % 10;  // mostly random; some all-0xff, some all-zero
+    for (auto& b : bytes) {
+      b = fill == 0   ? 0xff
+          : fill == 1 ? 0
+                      : static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    }
+    EXPECT_EQ(packet_checksum(bytes.data(), size),
+              reference_packet_checksum(bytes.data(), size))
+        << "trial " << trial << " size " << size;
+    const std::size_t offset =
+        trial % 2 == 0 ? 14 : static_cast<std::size_t>(rng.uniform_int(0, 1600));
+    EXPECT_EQ(fletcher_checksum(bytes.data(), size, offset),
+              reference_fletcher(bytes.data(), size, offset))
+        << "trial " << trial << " size " << size << " offset " << offset;
+  }
+}
+
+TEST(CodecChecksum, KernelsMatchByteWiseReferencesOnAConvergedLsdb) {
+  util::Rng rng(25);
+  topo::Topology t = topo::make_waxman(40, rng, 0.4, 0.4, 10);
+  const net::Prefix prefix(net::Ipv4(203, 0, 113, 0), 24);
+  t.attach_prefix(3, prefix, 0);
+  util::EventQueue events;
+  igp::IgpDomain domain(t, events);
+  domain.start();
+  domain.run_to_convergence();
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    const topo::Link& link = t.link(t.out_links(static_cast<topo::NodeId>(id)).front());
+    igp::ExternalLsa lie;
+    lie.lie_id = id;
+    lie.prefix = prefix;
+    lie.ext_metric = static_cast<topo::Metric>(id);
+    lie.forwarding_address = t.link(link.reverse).local_addr;
+    domain.inject_external(static_cast<topo::NodeId>(id + 10), lie);
+  }
+  domain.run_to_convergence();
+
+  const AddressMap addrs(t);
+  LsUpdateBody lsu;
+  for (const igp::LsaPtr& lsa : domain.router(0).lsdb().all()) {
+    const WireLsa wire = to_wire(*lsa, addrs);
+    const Buffer bytes = encode_lsa(wire);
+    const std::uint16_t want = reference_fletcher(bytes.data() + 2, bytes.size() - 2, 14);
+    EXPECT_EQ(wire.header.checksum, want);
+    EXPECT_EQ(fletcher_checksum(bytes.data() + 2, bytes.size() - 2, 14), want);
+    lsu.lsas.push_back(wire);
+  }
+  EXPECT_EQ(lsu.lsas.size(), t.node_count() + 3);
+  Packet packet;
+  packet.router_id = addrs.router_id(0);
+  packet.body = std::move(lsu);
+  const Buffer encoded = encode_packet(packet);
+  const std::uint16_t want = reference_packet_checksum(encoded.data(), encoded.size());
+  EXPECT_EQ((encoded[12] << 8) | encoded[13], want);
+  EXPECT_EQ(packet_checksum(encoded.data(), encoded.size()), want);
+  EXPECT_TRUE(decode_packet(encoded).ok());
 }
 
 // --------------------------------------------------------------- session FSM

@@ -64,11 +64,11 @@ int main() {
   std::printf("\n=== Fig. 1c: compiled lies ===\n");
   core::DestRequirement req1;
   req1.prefix = p.p1;
-  req1.nodes[p.b] = {core::NextHopReq{p.r2, 1}, core::NextHopReq{p.r3, 1}};
+  req1.nodes[p.b] = {igp::WeightedNextHop{p.r2, 1}, igp::WeightedNextHop{p.r3, 1}};
   core::DestRequirement req2;
   req2.prefix = p.p2;
-  req2.nodes[p.a] = {core::NextHopReq{p.b, 1}, core::NextHopReq{p.r1, 2}};
-  req2.nodes[p.b] = {core::NextHopReq{p.r2, 1}, core::NextHopReq{p.r3, 1}};
+  req2.nodes[p.a] = {igp::WeightedNextHop{p.b, 1}, igp::WeightedNextHop{p.r1, 2}};
+  req2.nodes[p.b] = {igp::WeightedNextHop{p.r2, 1}, igp::WeightedNextHop{p.r3, 1}};
 
   const auto aug1 = core::compile_lies(t, req1);
   core::AugmentConfig cfg2;

@@ -44,7 +44,7 @@ bool parse_node_req(const topo::Topology& topo, const std::string& spec,
     error = "unknown router: " + parts[0];
     return false;
   }
-  std::vector<core::NextHopReq> hops;
+  std::vector<igp::WeightedNextHop> hops;
   for (const auto& hop_spec : util::split(parts[1], ',')) {
     const auto hop_parts = util::split(hop_spec, ':');
     const topo::NodeId via = topo.find_node(hop_parts[0]);
@@ -60,7 +60,7 @@ bool parse_node_req(const topo::Topology& topo, const std::string& spec,
         return false;
       }
     }
-    hops.push_back(core::NextHopReq{via, static_cast<std::uint32_t>(copies)});
+    hops.push_back(igp::WeightedNextHop{via, static_cast<std::uint32_t>(copies)});
   }
   req.nodes[node] = std::move(hops);
   return true;
@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
     const topo::PaperTopology p = topo::make_paper_topology();
     topology = p.topo;
     req.prefix = p.p2;
-    req.nodes[p.a] = {core::NextHopReq{p.b, 1}, core::NextHopReq{p.r1, 2}};
-    req.nodes[p.b] = {core::NextHopReq{p.r2, 1}, core::NextHopReq{p.r3, 1}};
+    req.nodes[p.a] = {igp::WeightedNextHop{p.b, 1}, igp::WeightedNextHop{p.r1, 2}};
+    req.nodes[p.b] = {igp::WeightedNextHop{p.r2, 1}, igp::WeightedNextHop{p.r3, 1}};
   } else {
     std::ifstream file(argv[1]);
     if (!file) return fail(std::string("cannot open ") + argv[1]);
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     std::printf("  %s ->", topology.node(node).name.c_str());
     for (const auto& nh : hops) {
       std::printf(" %s", topology.node(nh.via).name.c_str());
-      if (nh.copies > 1) std::printf("x%u", nh.copies);
+      if (nh.weight > 1) std::printf("x%u", nh.weight);
     }
     std::printf("\n");
   }

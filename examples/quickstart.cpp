@@ -37,7 +37,8 @@ int main() {
   // 3. Express the goal declaratively: B must split P1 evenly over R2/R3.
   core::DestRequirement requirement;
   requirement.prefix = p.p1;
-  requirement.nodes[p.b] = {core::NextHopReq{p.r2, 1}, core::NextHopReq{p.r3, 1}};
+  requirement.nodes[p.b] = {igp::WeightedNextHop{p.r2, 1},
+                            igp::WeightedNextHop{p.r3, 1}};
 
   // 4. Compile it into lies (fake nodes encoded as External-LSAs).
   const auto compiled = core::compile_lies(p.topo, requirement);

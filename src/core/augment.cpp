@@ -29,13 +29,20 @@ using util::Result;
 /// Per-router compilation plan: desired weighted next hops plus the mode
 /// the repair loop has escalated it to.
 struct NodePlan {
-  Distribution hops;    // via -> copies, already in lowest terms
+  std::vector<igp::WeightedNextHop> hops;  // in igp::lowest_terms
   bool strict = false;  // lies strictly beat the real route
   topo::Metric extra = 0;  // additional target decrements from repair rounds
 };
 
 std::string node_name(const topo::Topology& topo, topo::NodeId n) {
   return topo.node(n).name;
+}
+
+/// Weight of `via` in `hops` (sorted by via), 0 when absent.
+std::uint32_t weight_of(const std::vector<igp::WeightedNextHop>& hops,
+                        topo::NodeId via) {
+  const auto it = std::ranges::lower_bound(hops, via, {}, &igp::WeightedNextHop::via);
+  return it != hops.end() && it->via == via ? it->weight : 0;
 }
 
 }  // namespace
@@ -97,14 +104,11 @@ CompileResult compile_lies(const topo::Topology& topo,
                           " not in the (degraded) view; lie cannot steer there"};
   };
 
-  // The plan starts from the requirement, normalized once for every
-  // verification below; repair rounds add pins and escalate modes.
-  const RequiredDistributions want = normalize(req);
+  // The plan starts from the requirement in lowest terms; repair rounds add
+  // pins and escalate modes.
   std::map<topo::NodeId, NodePlan> plan;
-  for (const auto& [node, hops] : want) {
-    NodePlan p;
-    p.hops = hops;
-    plan.emplace(node, std::move(p));
+  for (const auto& [node, hops] : req.nodes) {
+    plan.emplace(node, NodePlan{igp::lowest_terms(hops)});
   }
 
   Augmentation out;
@@ -131,34 +135,20 @@ CompileResult compile_lies(const topo::Topology& topo,
       }
 
       // Decide mode: tie keeps the real route in the ECMP set, so it only
-      // works when the plan's next hops cover all current ones.
-      Distribution base_w;
-      for (const auto& nh : base.next_hops) base_w[nh.via] += nh.weight;
-      bool tie_ok = !node_plan.strict;
-      if (tie_ok) {
-        for (const auto& [via, w] : base_w) {
-          if (!node_plan.hops.contains(via)) {
-            tie_ok = false;
-            break;
-          }
-        }
-      }
+      // works when the plan's next hops cover all current ones (a route
+      // entry's hops are sorted by via, like the plan's).
+      const bool tie = !node_plan.strict &&
+                       std::ranges::includes(node_plan.hops, base.next_hops, {},
+                                             &igp::WeightedNextHop::via,
+                                             &igp::WeightedNextHop::via);
 
-      Distribution lies_needed;
       topo::Metric target = 0;
-      if (tie_ok) {
+      std::uint32_t k = 1;  // tie mode: plan copies that dominate the real route
+      if (tie) {
         target = base.cost;
-        // Scale the desired distribution until it dominates the real
-        // route's contribution, then emit the difference as lies.
-        std::uint32_t k = 1;
-        for (const auto& [via, w] : base_w) {
-          const std::uint32_t want = node_plan.hops.at(via);
+        for (const auto& [via, w] : base.next_hops) {
+          const std::uint32_t want = weight_of(node_plan.hops, via);
           k = std::max(k, (w + want - 1) / want);  // ceil(w / want)
-        }
-        for (const auto& [via, want] : node_plan.hops) {
-          const std::uint32_t have = base_w.contains(via) ? base_w.at(via) : 0;
-          const std::uint32_t need = k * want - have;
-          if (need > 0) lies_needed[via] = need;
         }
       } else {
         if (base.cost <= 1 + node_plan.extra) {
@@ -170,10 +160,14 @@ CompileResult compile_lies(const topo::Topology& topo,
                             u);
         }
         target = base.cost - 1 - node_plan.extra;
-        lies_needed = node_plan.hops;
       }
 
-      for (const auto& [via, copies] : lies_needed) {
+      // Tie mode scales the plan by k and emits the difference to the real
+      // route as lies; strict mode emits the plan itself.
+      for (const auto& [via, want] : node_plan.hops) {
+        const std::uint32_t copies =
+            tie ? k * want - weight_of(base.next_hops, via) : want;
+        if (copies == 0) continue;
         const auto sub = subnet_route(u, via);
         if (!sub.ok()) return R::failure(sub.kind, sub.why, u);
         if (target < sub.cost) {
@@ -203,7 +197,7 @@ CompileResult compile_lies(const topo::Topology& topo,
     }
 
     const VerifyReport report =
-        verify_normalized(topo, req, want, out.lies, &cache.link_state(), &cache);
+        verify_augmentation(topo, req, out.lies, &cache.link_state(), &cache);
     if (report.ok()) {
       out.naive_lie_count = out.lies.size();
       break;
@@ -223,10 +217,8 @@ CompileResult compile_lies(const topo::Topology& topo,
       const auto plan_it = plan.find(issue.node);
       if (plan_it == plan.end()) {
         if (!baseline[issue.node].reachable()) continue;
-        NodePlan pin;
-        pin.hops = normalize(baseline[issue.node]);
-        pin.strict = true;
-        plan.emplace(issue.node, std::move(pin));
+        plan.emplace(issue.node,
+                     NodePlan{igp::lowest_terms(baseline[issue.node].next_hops), true});
         ++out.pinned_nodes;
         adjusted = true;
         FIB_LOG(kDebug, "augment") << "pinning polluted router "
@@ -251,8 +243,7 @@ CompileResult compile_lies(const topo::Topology& topo,
     for (std::size_t i = out.lies.size(); i-- > 0;) {
       std::vector<Lie> candidate = out.lies;
       candidate.erase(candidate.begin() + static_cast<long>(i));
-      if (verify_normalized(topo, req, want, candidate, &cache.link_state(), &cache)
-              .ok()) {
+      if (verify_augmentation(topo, req, candidate, &cache.link_state(), &cache).ok()) {
         out.lies = std::move(candidate);
       }
     }

@@ -41,10 +41,10 @@ DestRequirement requirement_from_splits(const net::Prefix& prefix,
     for (auto& [via, frac] : kept) fractions.push_back(frac / total);
     const std::vector<std::uint32_t> weights =
         te::approximate_ratios(fractions, max_replicas);
-    std::vector<NextHopReq> hops;
+    std::vector<igp::WeightedNextHop> hops;
     for (std::size_t i = 0; i < kept.size(); ++i) {
       if (weights[i] == 0) continue;
-      hops.push_back(NextHopReq{kept[i].first, weights[i]});
+      hops.push_back(igp::WeightedNextHop{kept[i].first, weights[i]});
     }
     std::sort(hops.begin(), hops.end());
     req.nodes.emplace(node, std::move(hops));
@@ -70,8 +70,8 @@ util::Status validate_requirement(const topo::Topology& topo,
       return util::Status::failure("requirement: node " + topo.node(node).name +
                                    " has an empty next-hop set");
     }
-    for (const NextHopReq& nh : hops) {
-      if (nh.copies == 0) {
+    for (const igp::WeightedNextHop& nh : hops) {
+      if (nh.weight == 0) {
         return util::Status::failure("requirement: zero copies at " +
                                      topo.node(node).name);
       }
@@ -93,7 +93,7 @@ util::Status validate_requirement(const topo::Topology& topo,
     mark[u] = Mark::kGrey;
     const auto it = req.nodes.find(u);
     if (it != req.nodes.end()) {
-      for (const NextHopReq& nh : it->second) {
+      for (const igp::WeightedNextHop& nh : it->second) {
         if (mark[nh.via] == Mark::kGrey) {
           cycle_error = "requirement: cycle through " + topo.node(nh.via).name;
           return false;

@@ -1,6 +1,8 @@
 #include "core/verify.hpp"
 
-#include <numeric>
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <sstream>
 
 #include "core/loads.hpp"
@@ -10,19 +12,12 @@ namespace fibbing::core {
 
 namespace {
 
-Distribution reduce(Distribution dist) {
-  std::uint32_t g = 0;
-  for (const auto& [via, w] : dist) g = std::gcd(g, w);
-  if (g > 1) {
-    for (auto& [via, w] : dist) w /= g;
-  }
-  return dist;
-}
-
-std::string format_distribution(const Distribution& dist, const topo::Topology& topo) {
+/// `hops` in lowest terms, e.g. "{R2:1, R3:2}".
+std::string format_split(std::span<const igp::WeightedNextHop> hops,
+                         const topo::Topology& topo) {
   std::string out = "{";
   bool first = true;
-  for (const auto& [via, w] : dist) {
+  for (const auto& [via, w] : igp::lowest_terms(hops)) {
     if (!first) out += ", ";
     first = false;
     out += topo.node(via).name + ":" + std::to_string(w);
@@ -32,22 +27,19 @@ std::string format_distribution(const Distribution& dist, const topo::Topology& 
 
 }  // namespace
 
-Distribution normalize(const igp::RouteEntry& entry) {
-  Distribution dist;
-  for (const auto& nh : entry.next_hops) dist[nh.via] += nh.weight;
-  return reduce(std::move(dist));
-}
-
-Distribution normalize(const std::vector<NextHopReq>& hops) {
-  Distribution dist;
-  for (const auto& nh : hops) dist[nh.via] += nh.copies;
-  return reduce(std::move(dist));
-}
-
-RequiredDistributions normalize(const DestRequirement& req) {
-  RequiredDistributions want;
-  for (const auto& [node, hops] : req.nodes) want.emplace(node, normalize(hops));
-  return want;
+bool same_split(std::span<const igp::WeightedNextHop> a,
+                std::span<const igp::WeightedNextHop> b) {
+  if (a.size() != b.size()) return false;
+  if (a.empty()) return true;
+  // The first pair fixes the ratio (a zero one fixes none); every pair must
+  // cross-multiply to it.
+  const std::uint64_t a0 = a[0].weight;
+  const std::uint64_t b0 = b[0].weight;
+  if (a0 == 0 || b0 == 0) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].via != b[i].via || a[i].weight * b0 != b[i].weight * a0) return false;
+  }
+  return true;
 }
 
 std::string VerifyReport::to_string(const topo::Topology& topo) const {
@@ -79,28 +71,19 @@ VerifyReport verify_augmentation(const topo::Topology& topo,
                                  const std::vector<Lie>& lies,
                                  const topo::LinkStateMask* link_state,
                                  igp::RouteCache* cache) {
-  return verify_normalized(topo, req, normalize(req), lies, link_state, cache);
-}
-
-VerifyReport verify_normalized(const topo::Topology& topo, const DestRequirement& req,
-                               const RequiredDistributions& want,
-                               const std::vector<Lie>& lies,
-                               const topo::LinkStateMask* link_state,
-                               igp::RouteCache* cache) {
   VerifyReport report;
 
-  // Split lies: those for req.prefix shape the target; all others belong to
-  // the environment and are present in both baseline and augmented views.
-  std::vector<Lie> own;
-  std::vector<Lie> other;
-  for (const Lie& lie : lies) {
-    (lie.prefix == req.prefix ? own : other).push_back(lie);
-  }
+  // Lies for req.prefix shape the target; all others belong to the
+  // environment and are present in both baseline and augmented views.
+  const std::vector<igp::NetworkView::External> externals = to_externals(lies);
+  std::vector<igp::NetworkView::External> environment;
+  std::ranges::copy_if(externals, std::back_inserter(environment),
+                       [&](const auto& ext) { return ext.prefix != req.prefix; });
 
   PlanningCache planning(topo, link_state, cache);
   igp::RouteCache& routes = planning.get();
-  const igp::RouteCache::TablesPtr baseline = routes.tables(to_externals(other));
-  const igp::RouteCache::TablesPtr augmented = routes.tables(to_externals(lies));
+  const igp::RouteCache::TablesPtr baseline = routes.tables(environment);
+  const igp::RouteCache::TablesPtr augmented = routes.tables(externals);
   const igp::RouteColumn& base_col = *routes.column(*baseline, req.prefix);
   const igp::RouteColumn& aug_col = *routes.column(*augmented, req.prefix);
 
@@ -122,31 +105,35 @@ VerifyReport verify_normalized(const topo::Topology& topo, const DestRequirement
     // --- requirement / pollution for req.prefix --------------------------
     const igp::RouteEntry& base = base_col[n];
     const igp::RouteEntry& aug = aug_col[n];
-    const auto want_it = want.find(n);
-    if (want_it != want.end()) {
+    const auto req_it = req.nodes.find(n);
+    if (req_it != req.nodes.end()) {
       if (!aug.reachable()) {
         report.issues.push_back(
             {VerifyIssueKind::kNoRoute, n, "required prefix has no route"});
       } else {
-        const Distribution got = normalize(aug);
-        if (want_it->second != got) {
+        // Route entries list each via once, in order, and so does
+        // requirement_from_splits; other requirements compare in lowest terms.
+        std::span<const igp::WeightedNextHop> want = req_it->second;
+        std::vector<igp::WeightedNextHop> merged;
+        if (std::ranges::adjacent_find(want, std::ranges::greater_equal{},
+                                       &igp::WeightedNextHop::via) != want.end()) {
+          want = merged = igp::lowest_terms(req_it->second);
+        }
+        if (!same_split(want, aug.next_hops)) {
           report.issues.push_back(
               {VerifyIssueKind::kRequirementNotMet, n,
-               "requirement not met: want " + format_distribution(want_it->second, topo) +
-                   ", got " + format_distribution(got, topo)});
+               "requirement not met: want " + format_split(want, topo) + ", got " +
+                   format_split(aug.next_hops, topo)});
         }
       }
-    } else if (!(aug == base)) {
-      // An unreachable entry has no next hops and is not local, so it
-      // normalizes to the empty distribution.
-      const Distribution before = normalize(base);
-      const Distribution after = normalize(aug);
-      if (before != after || base.local != aug.local) {
-        report.issues.push_back(
-            {VerifyIssueKind::kPolluted, n,
-             "polluted: forwarding changed from " + format_distribution(before, topo) +
-                 " to " + format_distribution(after, topo)});
-      }
+    } else if (!(aug == base) &&
+               (base.local != aug.local || !same_split(base.next_hops, aug.next_hops))) {
+      // An unreachable entry has no next hops and is not local: its split is
+      // the empty one.
+      report.issues.push_back({VerifyIssueKind::kPolluted, n,
+                               "polluted: forwarding changed from " +
+                                   format_split(base.next_hops, topo) + " to " +
+                                   format_split(aug.next_hops, topo)});
     }
 
     // --- per-destination isolation ----------------------------------------

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,17 +14,12 @@
 
 namespace fibbing::core {
 
-/// A weighted next-hop distribution in lowest terms: weights divided by
-/// their gcd, so {B:2} == {B:1} (same forwarding behaviour) while
-/// {B:1,R1:2} != {B:1,R1:1}.
-using Distribution = std::map<topo::NodeId, std::uint32_t>;
-
-[[nodiscard]] Distribution normalize(const igp::RouteEntry& entry);
-[[nodiscard]] Distribution normalize(const std::vector<NextHopReq>& hops);
-
-/// Every required router's distribution of a requirement, normalized.
-using RequiredDistributions = std::map<topo::NodeId, Distribution>;
-[[nodiscard]] RequiredDistributions normalize(const DestRequirement& req);
+/// Whether two next-hop sets, each sorted by `via` with one entry per via,
+/// split traffic alike: the same vias with proportional weights, so their
+/// igp::lowest_terms are equal. Weights are positive, as a route entry's
+/// are and validate_requirement demands; a zero first weight compares unequal.
+[[nodiscard]] bool same_split(std::span<const igp::WeightedNextHop> a,
+                              std::span<const igp::WeightedNextHop> b);
 
 /// What went wrong at one verification site. The repair loop branches on
 /// this (loops are fixed by the pins the other kinds request; they carry no
@@ -52,9 +47,10 @@ struct VerifyReport {
 };
 
 /// Check that installing `lies` on `topo` realizes `req` exactly:
-///   1. every required router's distribution for req.prefix matches;
-///   2. every other router's distribution for req.prefix is unchanged
-///      from the lie-free baseline (no pollution);
+///   1. every required router's split for req.prefix matches (same_split;
+///      hops listed unsorted or with a via twice compare in lowest terms);
+///   2. every other router's split for req.prefix is unchanged from the
+///      lie-free baseline (no pollution);
 ///   3. routes for every other prefix are bit-identical (per-destination
 ///      isolation -- the structural Fibbing guarantee);
 ///   4. the achieved forwarding graph for req.prefix is loop-free.
@@ -70,16 +66,6 @@ struct VerifyReport {
     const std::vector<Lie>& lies,
     const topo::LinkStateMask* link_state = nullptr,
     igp::RouteCache* cache = nullptr);
-
-/// verify_augmentation with `want` == normalize(req) built by the caller:
-/// compile_lies verifies one requirement in every repair round and
-/// reduction probe, and normalizes it once.
-[[nodiscard]] VerifyReport verify_normalized(const topo::Topology& topo,
-                                             const DestRequirement& req,
-                                             const RequiredDistributions& want,
-                                             const std::vector<Lie>& lies,
-                                             const topo::LinkStateMask* link_state,
-                                             igp::RouteCache* cache);
 
 /// The route cache one compile_lies or verify_augmentation call plans on:
 /// `shared` when it describes `topo` under `link_state`, otherwise a local

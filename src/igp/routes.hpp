@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,13 @@ struct WeightedNextHop {
 
   friend auto operator<=>(const WeightedNextHop&, const WeightedNextHop&) = default;
 };
+
+/// `hops` sorted by `via`, a via listed twice merged into one entry, and the
+/// weights divided by their gcd: two next-hop sets split traffic alike
+/// exactly when their lowest terms are equal ({B:2} is {B:1}, while
+/// {B:1,R1:2} is not {B:1,R1:1}).
+[[nodiscard]] std::vector<WeightedNextHop> lowest_terms(
+    std::span<const WeightedNextHop> hops);
 
 /// The routing-table entry of one router for one prefix.
 struct RouteEntry {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <queue>
 #include <sstream>
 
@@ -411,6 +412,26 @@ std::vector<RoutingTable> compute_all_routes(const NetworkView& view) {
     tables.push_back(compute_routes(view, n));
   }
   return tables;
+}
+
+std::vector<WeightedNextHop> lowest_terms(std::span<const WeightedNextHop> hops) {
+  std::vector<WeightedNextHop> out(hops.begin(), hops.end());
+  std::ranges::sort(out, {}, &WeightedNextHop::via);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (kept > 0 && out[kept - 1].via == out[i].via) {
+      out[kept - 1].weight += out[i].weight;
+    } else {
+      out[kept++] = out[i];
+    }
+  }
+  out.resize(kept);
+  std::uint32_t g = 0;
+  for (const WeightedNextHop& nh : out) g = std::gcd(g, nh.weight);
+  if (g > 1) {
+    for (WeightedNextHop& nh : out) nh.weight /= g;
+  }
+  return out;
 }
 
 RouteColumn column_of(const std::vector<RoutingTable>& tables,

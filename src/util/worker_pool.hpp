@@ -26,8 +26,8 @@ namespace fibbing::util {
 /// executes the indices in order, inline on the caller -- the
 /// single-threaded configuration really is single-threaded.
 ///
-/// Thread-shared state is annotated (`FIB_GUARDED_BY`) per the maintenance
-/// contract in ROADMAP item 6; Clang's -Wthread-safety proves the
+/// Thread-shared state is annotated (`FIB_GUARDED_BY`) per ROADMAP's
+/// maintenance contract 1; Clang's -Wthread-safety proves the
 /// annotations and the TSan CI job races the pool for real.
 class WorkerPool {
  public:

@@ -18,6 +18,7 @@
 namespace fibbing::core {
 namespace {
 
+using igp::WeightedNextHop;
 using topo::make_paper_topology;
 using topo::NodeId;
 using topo::PaperTopology;
@@ -26,8 +27,8 @@ DestRequirement paper_requirement_p2(const PaperTopology& p) {
   // Fig. 1d for P2: A splits 1/3 via B, 2/3 via R1; B splits evenly R2/R3.
   DestRequirement req;
   req.prefix = p.p2;
-  req.nodes[p.a] = {NextHopReq{p.b, 1}, NextHopReq{p.r1, 2}};
-  req.nodes[p.b] = {NextHopReq{p.r2, 1}, NextHopReq{p.r3, 1}};
+  req.nodes[p.a] = {WeightedNextHop{p.b, 1}, WeightedNextHop{p.r1, 2}};
+  req.nodes[p.b] = {WeightedNextHop{p.r2, 1}, WeightedNextHop{p.r3, 1}};
   return req;
 }
 
@@ -41,8 +42,8 @@ TEST(Requirements, FromSplitsRoundsFractions) {
   const DestRequirement req = requirement_from_splits(p.p2, splits, 8);
   ASSERT_TRUE(req.nodes.contains(p.a));
   EXPECT_EQ(req.nodes.at(p.a),
-            (std::vector<NextHopReq>{{p.b, 1}, {p.r1, 2}}));
-  EXPECT_EQ(req.nodes.at(p.b), (std::vector<NextHopReq>{{p.r2, 1}, {p.r3, 1}}));
+            (std::vector<WeightedNextHop>{{p.b, 1}, {p.r1, 2}}));
+  EXPECT_EQ(req.nodes.at(p.b), (std::vector<WeightedNextHop>{{p.r2, 1}, {p.r3, 1}}));
 }
 
 TEST(Requirements, FromSplitsKeepsAtMostMaxReplicasShares) {
@@ -52,10 +53,10 @@ TEST(Requirements, FromSplitsKeepsAtMostMaxReplicasShares) {
   for (NodeId v = 1; v <= 10; ++v) splits[0].push_back({v, 0.1});
   const DestRequirement req =
       requirement_from_splits(net::Prefix(net::Ipv4(203, 0, 113, 0), 24), splits, 8);
-  const std::vector<NextHopReq>& hops = req.nodes.at(0);
+  const std::vector<WeightedNextHop>& hops = req.nodes.at(0);
   EXPECT_LE(hops.size(), 8u);
   std::uint32_t copies = 0;
-  for (const NextHopReq& hop : hops) copies += hop.copies;
+  for (const WeightedNextHop& hop : hops) copies += hop.weight;
   EXPECT_LE(copies, 8u);
   EXPECT_EQ(hops.front().via, 1u);
   EXPECT_EQ(hops.back().via, 8u);
@@ -65,7 +66,7 @@ TEST(Requirements, ValidateRejectsNonAdjacent) {
   const PaperTopology p = make_paper_topology();
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.a] = {NextHopReq{p.c, 1}};  // A is not adjacent to C
+  req.nodes[p.a] = {WeightedNextHop{p.c, 1}};  // A is not adjacent to C
   EXPECT_FALSE(validate_requirement(p.topo, req).ok());
 }
 
@@ -73,8 +74,8 @@ TEST(Requirements, ValidateRejectsCycle) {
   const PaperTopology p = make_paper_topology();
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.a] = {NextHopReq{p.b, 1}};
-  req.nodes[p.b] = {NextHopReq{p.a, 1}};
+  req.nodes[p.a] = {WeightedNextHop{p.b, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.a, 1}};
   EXPECT_FALSE(validate_requirement(p.topo, req).ok());
 }
 
@@ -82,7 +83,7 @@ TEST(Requirements, ValidateRejectsUnannouncedPrefix) {
   const PaperTopology p = make_paper_topology();
   DestRequirement req;
   req.prefix = p.blue;  // the aggregate is not announced
-  req.nodes[p.b] = {NextHopReq{p.r2, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.r2, 1}};
   EXPECT_FALSE(validate_requirement(p.topo, req).ok());
 }
 
@@ -93,19 +94,30 @@ TEST(Requirements, ValidateAcceptsPaperRequirement) {
 
 // ----------------------------------------------------------------- verifier
 
-TEST(Verify, NormalizeReducesWeights) {
-  igp::RouteEntry entry;
-  entry.next_hops = {{1, 2}, {2, 4}};
-  const Distribution d = normalize(entry);
-  EXPECT_EQ(d.at(1), 1u);
-  EXPECT_EQ(d.at(2), 2u);
+TEST(Verify, LowestTermsReducesWeights) {
+  EXPECT_EQ(igp::lowest_terms(std::vector<WeightedNextHop>{{1, 2}, {2, 4}}),
+            (std::vector<WeightedNextHop>{{1, 1}, {2, 2}}));
+  // Unsorted, with via 2 listed twice: sorted and merged, then reduced.
+  EXPECT_EQ(igp::lowest_terms(std::vector<WeightedNextHop>{{2, 2}, {1, 2}, {2, 4}}),
+            (std::vector<WeightedNextHop>{{1, 1}, {2, 3}}));
+}
+
+TEST(Verify, SameSplitComparesWeightRatios) {
+  const std::vector<WeightedNextHop> even{{1, 1}, {2, 1}};
+  EXPECT_TRUE(same_split(even, std::vector<WeightedNextHop>{{1, 3}, {2, 3}}));
+  EXPECT_FALSE(same_split(even, std::vector<WeightedNextHop>{{1, 1}, {2, 2}}));
+  EXPECT_FALSE(same_split(even, std::vector<WeightedNextHop>{{1, 1}, {3, 1}}));
+  EXPECT_FALSE(same_split(even, std::vector<WeightedNextHop>{{1, 1}}));
+  EXPECT_FALSE(same_split(std::vector<WeightedNextHop>{{1, 0}},
+                          std::vector<WeightedNextHop>{{1, 1}}));
+  EXPECT_TRUE(same_split({}, {}));
 }
 
 TEST(Verify, HandBuiltPaperLiesVerify) {
   const PaperTopology p = make_paper_topology();
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r2, 1}, NextHopReq{p.r3, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.r2, 1}, WeightedNextHop{p.r3, 1}};
   std::vector<Lie> lies;
   Lie fb;
   fb.id = 1;
@@ -123,7 +135,7 @@ TEST(Verify, DetectsUnmetRequirement) {
   const PaperTopology p = make_paper_topology();
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r2, 1}, NextHopReq{p.r3, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.r2, 1}, WeightedNextHop{p.r3, 1}};
   const VerifyReport report = verify_augmentation(p.topo, req, {});  // no lies
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.issues[0].node, p.b);
@@ -133,7 +145,7 @@ TEST(Verify, DetectsPollution) {
   const PaperTopology p = make_paper_topology();
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r2, 1}, NextHopReq{p.r3, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.r2, 1}, WeightedNextHop{p.r3, 1}};
   std::vector<Lie> lies;
   Lie fb;
   fb.id = 1;
@@ -166,7 +178,7 @@ TEST(Verify, DetectsIsolationViolation) {
   // Requirement on P1 but a lie that also reroutes P2 at B.
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r2, 1}, NextHopReq{p.r3, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.r2, 1}, WeightedNextHop{p.r3, 1}};
   std::vector<Lie> lies;
   Lie fb;
   fb.id = 1;
@@ -196,7 +208,7 @@ TEST(Augment, CompilesFbLieForEvenSplitAtB) {
   const PaperTopology p = make_paper_topology();
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r2, 1}, NextHopReq{p.r3, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.r2, 1}, WeightedNextHop{p.r3, 1}};
   const auto result = compile_lies(p.topo, req);
   ASSERT_TRUE(result.ok()) << result.error();
   const Augmentation& aug = result.value();
@@ -207,6 +219,63 @@ TEST(Augment, CompilesFbLieForEvenSplitAtB) {
   EXPECT_EQ(aug.lies[0].ext_metric, 0u);
   EXPECT_EQ(aug.lies[0].target_cost, 4u);
   EXPECT_TRUE(verify_augmentation(p.topo, req, aug.lies).ok());
+}
+
+TEST(Augment, NonCanonicalRequirementCompilesLikeItsLowestTerms) {
+  // B's even split for P1, written unsorted with a common factor, with R2
+  // split across two entries, and unsorted only. Each must compile to the
+  // lies of {R2:1, R3:1}, fB alone (planned as written, {R2:2, R3:2} would
+  // tie with three lies: R2, R3, R3), and verify with its reports.
+  const PaperTopology p = make_paper_topology();
+  DestRequirement even;
+  even.prefix = p.p1;
+  even.nodes[p.b] = {WeightedNextHop{p.r2, 1}, WeightedNextHop{p.r3, 1}};
+  const auto want = compile_lies(p.topo, even);
+  ASSERT_TRUE(want.ok()) << want.error();
+  ASSERT_EQ(want.value().lies.size(), 1u);
+
+  const auto lies_of = [&](const Augmentation& aug) {
+    std::vector<std::string> out;
+    for (const Lie& lie : aug.lies) {
+      out.push_back(std::to_string(lie.id) + " " + to_string(lie, p.topo));
+    }
+    return out;
+  };
+  const auto report_of = [&](const DestRequirement& req, const std::vector<Lie>& lies) {
+    std::vector<std::string> out;
+    for (const VerifyIssue& issue : verify_augmentation(p.topo, req, lies).issues) {
+      out.push_back(std::to_string(static_cast<int>(issue.kind)) + " @" +
+                    std::to_string(issue.node) + " " + issue.what);
+    }
+    return out;
+  };
+  // The reports are compared on no lies, the compiled lies, and those plus
+  // a second copy of fB (B then splits R2:1, R3:2).
+  std::vector<Lie> doubled = want.value().lies;
+  doubled.push_back(doubled.front());
+  doubled.back().id = 2;
+  const std::vector<std::vector<Lie>> lie_sets{{}, want.value().lies, doubled};
+  const std::string unmet =
+      std::to_string(static_cast<int>(VerifyIssueKind::kRequirementNotMet)) + " @" +
+      std::to_string(p.b) + " requirement not met: want {R2:1, R3:1}, got {R2:1, R3:2}";
+  EXPECT_EQ(std::ranges::count(report_of(even, doubled), unmet), 1);
+
+  const std::vector<std::vector<WeightedNextHop>> written{
+      {{p.r3, 2}, {p.r2, 2}},
+      {{p.r2, 1}, {p.r3, 2}, {p.r2, 1}},
+      {{p.r3, 1}, {p.r2, 1}},
+  };
+  for (const std::vector<WeightedNextHop>& hops : written) {
+    DestRequirement req = even;
+    req.nodes[p.b] = hops;
+    const auto got = compile_lies(p.topo, req);
+    ASSERT_TRUE(got.ok()) << got.error();
+    EXPECT_EQ(lies_of(got.value()), lies_of(want.value()));
+    EXPECT_EQ(got.value().naive_lie_count, want.value().naive_lie_count);
+    for (const std::vector<Lie>& lies : lie_sets) {
+      EXPECT_EQ(report_of(req, lies), report_of(even, lies));
+    }
+  }
 }
 
 TEST(Augment, CompilesPaperP2RequirementWithStrictModeAtA) {
@@ -257,7 +326,7 @@ TEST(Augment, FullPaperSceneBothPrefixes) {
   // P1: even split at B. P2: the Fig. 1d requirement.
   DestRequirement req1;
   req1.prefix = p.p1;
-  req1.nodes[p.b] = {NextHopReq{p.r2, 1}, NextHopReq{p.r3, 1}};
+  req1.nodes[p.b] = {WeightedNextHop{p.r2, 1}, WeightedNextHop{p.r3, 1}};
   const auto aug1 = compile_lies(p.topo, req1);
   ASSERT_TRUE(aug1.ok()) << aug1.error();
 
@@ -296,7 +365,7 @@ TEST(Augment, StrictModeExcludesRealPath) {
   // B must abandon its real best (R2) entirely: all traffic via R3.
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r3, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.r3, 1}};
   const auto result = compile_lies(fresh, req);
   ASSERT_TRUE(result.ok()) << result.error();
   EXPECT_TRUE(verify_augmentation(fresh, req, result.value().lies).ok());
@@ -316,7 +385,7 @@ TEST(Augment, StrictExclusionWithoutHeadroomFails) {
   const PaperTopology p = make_paper_topology();
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r3, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.r3, 1}};
   const auto result = compile_lies(p.topo, req);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error().find("granularity"), std::string::npos) << result.error();
@@ -328,7 +397,7 @@ TEST(Augment, FailsAtUnitMetricsWithDiagnostic) {
   const PaperTopology p = make_paper_topology(40e6, /*metric_scale=*/1);
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r3, 1}};  // strict: drop R2
+  req.nodes[p.b] = {WeightedNextHop{p.r3, 1}};  // strict: drop R2
   const auto result = compile_lies(p.topo, req);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error().find("granularity"), std::string::npos) << result.error();
@@ -338,7 +407,7 @@ TEST(Augment, RequirementAtAnnouncerFails) {
   const PaperTopology p = make_paper_topology();
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.c] = {NextHopReq{p.r2, 1}};
+  req.nodes[p.c] = {WeightedNextHop{p.r2, 1}};
   const auto result = compile_lies(p.topo, req);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error_kind(), CompileErrorKind::kBadRequirement);
@@ -353,7 +422,7 @@ TEST(CompileErrorKinds, GranularityAtCoarseMetrics) {
   const PaperTopology p = make_paper_topology();
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r3, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.r3, 1}};
   const auto result = compile_lies(p.topo, req);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error_kind(), CompileErrorKind::kGranularity);
@@ -368,7 +437,7 @@ TEST(CompileErrorKinds, GranularityAtUnitMetrics) {
   const PaperTopology p = make_paper_topology(40e6, /*metric_scale=*/1);
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r3, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.r3, 1}};
   const auto result = compile_lies(p.topo, req);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error_kind(), CompileErrorKind::kGranularity);
@@ -383,7 +452,7 @@ TEST(CompileErrorKinds, UnreachablePrefixAtPartitionedRouter) {
   ASSERT_TRUE(mask.fail(p.topo.link_between(p.a, p.r1)));
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.a] = {NextHopReq{p.b, 1}};
+  req.nodes[p.a] = {WeightedNextHop{p.b, 1}};
   AugmentConfig config;
   config.link_state = &mask;
   const auto result = compile_lies(p.topo, req, config);
@@ -399,7 +468,7 @@ TEST(CompileErrorKinds, UnreachableTransferSubnetOverDownLink) {
   ASSERT_TRUE(mask.fail(p.topo.link_between(p.b, p.r3)));
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r2, 1}, NextHopReq{p.r3, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.r2, 1}, WeightedNextHop{p.r3, 1}};
   AugmentConfig config;
   config.link_state = &mask;
   const auto result = compile_lies(p.topo, req, config);
@@ -422,7 +491,7 @@ TEST(CompileErrorKinds, WrongInterfaceWhenDetourUndercutsTheLie) {
   t.attach_prefix(y, prefix);
   DestRequirement req;
   req.prefix = prefix;
-  req.nodes[x] = {NextHopReq{y, 1}};
+  req.nodes[x] = {WeightedNextHop{y, 1}};
   const auto result = compile_lies(t, req);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error_kind(), CompileErrorKind::kWrongInterface);
@@ -446,7 +515,7 @@ TEST(Augment, ReductionDropsRedundantLies) {
   // tie-mode delta computation) must produce an empty set.
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r2, 1}};
+  req.nodes[p.b] = {WeightedNextHop{p.r2, 1}};
   const auto result = compile_lies(p.topo, req);
   ASSERT_TRUE(result.ok()) << result.error();
   EXPECT_EQ(result.value().lies.size(), 0u);

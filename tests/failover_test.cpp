@@ -328,7 +328,7 @@ TEST(DegradedGolden, LieOverDownLinkDoesNotCompile) {
 
   DestRequirement req;
   req.prefix = p.p1;
-  req.nodes[p.b] = {NextHopReq{p.r2, 1}, NextHopReq{p.r3, 1}};
+  req.nodes[p.b] = {igp::WeightedNextHop{p.r2, 1}, igp::WeightedNextHop{p.r3, 1}};
   AugmentConfig config;
   config.link_state = &mask;
   const auto compiled = compile_lies(p.topo, req, config);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
@@ -610,11 +611,11 @@ TEST_P(AugmentProperty, CompiledLiesVerifyExactly) {
   req.prefix = prefix;
   for (topo::NodeId u = 0; u < t.node_count(); ++u) {
     if (u == dest || !rng.chance(0.4)) continue;
-    std::vector<core::NextHopReq> hops;
+    std::vector<igp::WeightedNextHop> hops;
     for (const topo::LinkId l : t.out_links(u)) {
       const topo::NodeId v = t.link(l).to;
       if (dist_to_dest[v] < dist_to_dest[u] && rng.chance(0.7)) {
-        hops.push_back(core::NextHopReq{
+        hops.push_back(igp::WeightedNextHop{
             v, static_cast<std::uint32_t>(rng.uniform_int(1, 3))});
       }
     }
@@ -1266,9 +1267,32 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RouterViewPatchProperty,
 
 // ----------------------------------- verify report vs per-router reference
 
+/// A next-hop set as the references below see it: weight by via.
+using ReferenceSplit = std::map<topo::NodeId, std::uint32_t>;
+
+/// `hops` with the weights of a repeated via summed.
+ReferenceSplit summed_split(const std::vector<igp::WeightedNextHop>& hops) {
+  ReferenceSplit split;
+  for (const igp::WeightedNextHop& nh : hops) split[nh.via] += nh.weight;
+  return split;
+}
+
+/// `hops` summed per via and divided by the weights' gcd, by map and
+/// without igp::lowest_terms or core::same_split.
+ReferenceSplit reference_lowest_terms(const std::vector<igp::WeightedNextHop>& hops) {
+  ReferenceSplit split = summed_split(hops);
+  std::uint32_t g = 0;
+  for (const auto& [via, w] : split) g = std::gcd(g, w);
+  if (g > 1) {
+    for (auto& [via, w] : split) w /= g;
+  }
+  return split;
+}
+
 /// The verifier's checks as a per-router loop over fresh router-major
-/// compute_all_routes tables: the reference the column-reading verifier must
-/// reproduce issue for issue (kind, node, text and order).
+/// compute_all_routes tables, with weights compared as
+/// reference_lowest_terms maps: the reference the column-reading verifier
+/// must reproduce issue for issue (kind, node, text and order).
 core::VerifyReport reference_verify(const topo::Topology& t,
                                     const core::DestRequirement& req,
                                     const std::vector<core::Lie>& lies,
@@ -1281,7 +1305,7 @@ core::VerifyReport reference_verify(const topo::Topology& t,
       igp::NetworkView::from_topology(t, core::to_externals(other), &mask));
   const auto augmented = igp::compute_all_routes(
       igp::NetworkView::from_topology(t, core::to_externals(lies), &mask));
-  const auto format = [&](const core::Distribution& dist) {
+  const auto format = [&](const ReferenceSplit& dist) {
     std::string out = "{";
     for (const auto& [via, w] : dist) {
       if (out.size() > 1) out += ", ";
@@ -1300,8 +1324,8 @@ core::VerifyReport reference_verify(const topo::Topology& t,
         report.issues.push_back(
             {core::VerifyIssueKind::kNoRoute, n, "required prefix has no route"});
       } else {
-        const core::Distribution want = core::normalize(req_it->second);
-        const core::Distribution got = core::normalize(aug_it->second);
+        const ReferenceSplit want = reference_lowest_terms(req_it->second);
+        const ReferenceSplit got = reference_lowest_terms(aug_it->second.next_hops);
         if (want != got) {
           report.issues.push_back({core::VerifyIssueKind::kRequirementNotMet, n,
                                    "requirement not met: want " + format(want) +
@@ -1309,12 +1333,12 @@ core::VerifyReport reference_verify(const topo::Topology& t,
         }
       }
     } else {
-      const core::Distribution before = base_it == baseline[n].end()
-                                            ? core::Distribution{}
-                                            : core::normalize(base_it->second);
-      const core::Distribution after = aug_it == augmented[n].end()
-                                           ? core::Distribution{}
-                                           : core::normalize(aug_it->second);
+      const ReferenceSplit before =
+          base_it == baseline[n].end() ? ReferenceSplit{}
+                                       : reference_lowest_terms(base_it->second.next_hops);
+      const ReferenceSplit after =
+          aug_it == augmented[n].end() ? ReferenceSplit{}
+                                       : reference_lowest_terms(aug_it->second.next_hops);
       const bool was_local = base_it != baseline[n].end() && base_it->second.local;
       const bool is_local = aug_it != augmented[n].end() && aug_it->second.local;
       if (before != after || was_local != is_local) {
@@ -1473,6 +1497,88 @@ TEST_P(VerifyReportProperty, IssuesMatchPerRouterReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VerifyReportProperty,
+                         ::testing::Range<std::uint64_t>(1, 4));
+
+// ------------------------------ split comparison vs the map-based reference
+
+/// Random hop lists (1-8 vias, weights 1-8, shuffled, some vias listed twice,
+/// some lists scaled by a common factor), each paired with a rewriting of the
+/// same split or of one with a weight or a via changed: igp::lowest_terms
+/// must list the reference's map in via order, and core::same_split must
+/// agree with the reference whether it is handed lowest terms or summed lists
+/// that keep their common factors.
+class SplitCompareProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SplitCompareProperty, AgreesWithMapReference) {
+  util::Rng rng(GetParam() ^ 0x5b17);
+  const auto as_hops = [](const ReferenceSplit& split) {
+    std::vector<igp::WeightedNextHop> hops;
+    for (const auto& [via, w] : split) hops.push_back({via, w});
+    return hops;
+  };
+  // A listing of `split`: maybe scaled, some hops split in two, shuffled.
+  const auto rewrite = [&](const ReferenceSplit& split) {
+    const auto scale =
+        static_cast<std::uint32_t>(rng.chance(0.5) ? rng.uniform_int(2, 3) : 1);
+    std::vector<igp::WeightedNextHop> hops;
+    for (const auto& [via, w] : split) {
+      const std::uint32_t weight = w * scale;
+      if (weight > 1 && rng.chance(0.3)) {
+        const auto part = static_cast<std::uint32_t>(rng.uniform_int(1, weight - 1));
+        hops.push_back({via, part});
+        hops.push_back({via, weight - part});
+      } else {
+        hops.push_back({via, weight});
+      }
+    }
+    rng.shuffle(hops);
+    return hops;
+  };
+
+  int same = 0;
+  int different = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    ReferenceSplit split;
+    const auto vias = rng.uniform_int(1, 8);
+    while (static_cast<std::int64_t>(split.size()) < vias) {
+      split[static_cast<topo::NodeId>(rng.uniform_int(0, 15))] =
+          static_cast<std::uint32_t>(rng.uniform_int(1, 8));
+    }
+    ReferenceSplit other = split;
+    const auto change = rng.uniform_int(0, 2);
+    auto it = std::next(other.begin(), static_cast<long>(rng.pick_index(other.size())));
+    if (change == 1) {
+      it->second = it->second % 8 + 1;  // another weight in 1-8
+    } else if (change == 2) {
+      const auto [via, w] = *it;
+      other.erase(it);
+      other[via + 16] = w;  // a via the split does not use
+    }
+    const std::vector<igp::WeightedNextHop> a = rewrite(split);
+    const std::vector<igp::WeightedNextHop> b = rewrite(other);
+
+    const ReferenceSplit ref_a = reference_lowest_terms(a);
+    const ReferenceSplit ref_b = reference_lowest_terms(b);
+    const std::vector<igp::WeightedNextHop> low_a = igp::lowest_terms(a);
+    const std::vector<igp::WeightedNextHop> low_b = igp::lowest_terms(b);
+    EXPECT_EQ(low_a, as_hops(ref_a)) << "trial " << trial;
+    EXPECT_EQ(low_b, as_hops(ref_b)) << "trial " << trial;
+
+    const bool want = ref_a == ref_b;
+    (want ? same : different) += 1;
+    const std::vector<igp::WeightedNextHop> sum_a = as_hops(summed_split(a));
+    const std::vector<igp::WeightedNextHop> sum_b = as_hops(summed_split(b));
+    EXPECT_EQ(core::same_split(low_a, low_b), want) << "trial " << trial;
+    EXPECT_EQ(core::same_split(sum_a, sum_b), want) << "trial " << trial;
+    EXPECT_EQ(core::same_split(low_a, sum_b), want) << "trial " << trial;
+    EXPECT_EQ(core::same_split(sum_b, sum_a), want) << "trial " << trial;
+  }
+  // Both answers must have been asked for often.
+  EXPECT_GT(same, 100);
+  EXPECT_GT(different, 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SplitCompareProperty,
                          ::testing::Range<std::uint64_t>(1, 4));
 
 // ------------------------- route entries vs the allocating per-candidate kernel

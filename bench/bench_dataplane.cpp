@@ -1,12 +1,16 @@
-// Data-plane layer cost: the max-min rate solver on its own, and the two
-// NetworkSim mutations the Fig. 2 loop drives most -- a video session
-// starting and stopping, and a router's table flip after an SPF run.
+// Data-plane layer cost: the max-min rate solver on its own, and the
+// NetworkSim mutations the Fig. 2 loop and the churn workload drive most --
+// a video session starting and stopping, a router's table flip after an SPF
+// run, and a link failing and coming back.
 //
 // Counters, per iteration: flow_walks, rate_solves and max_min_solves,
 // NetworkSim's own work counters. A session start walks one flow and
-// updates rates once, a stop only updates rates; a table flip walks only
-// the flows whose path visits the router and whose entry there changed, and
-// updates rates only if a path moved. A rate update runs the full max-min
+// updates rates once, a stop only updates rates; a table flip (the changed
+// prefixes an SPF run hands over) walks only the flows whose path visits the
+// router and whose entry there changed, and updates rates only if a path
+// moved; a link failure walks the flows crossing the link and the
+// undelivered ones, a restoration only the undelivered ones, and each
+// updates rates once. A rate update runs the full max-min
 // solve only while some link's offered load does not fit its capacity:
 // BM_SessionChurn's links are roomy (max_min_solves 0), and
 // BM_SessionChurnOversubscribed runs the same churn with a link on the
@@ -17,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dataplane/fib.hpp"
@@ -161,35 +166,78 @@ void BM_SessionChurnOversubscribed(benchmark::State& state) {
   session_churn(state, make_scenario(kChurnRouters, kChurnFlows, busiest / 1.25));
 }
 
-/// Every router of a 120-router graph carrying 120 flows compiles and
-/// installs a new FIB, alternating between the tables from before and after
-/// the failure of the link most flows cross (as after an SPF run; the sim's
-/// own mask stays up).
+/// The link of `sim`'s graph that the most flows cross, counting both
+/// directions, and that count.
+std::pair<topo::LinkId, std::size_t> busiest_link(const dataplane::NetworkSim& sim,
+                                                  const topo::Topology& topo,
+                                                  const std::vector<dataplane::FlowId>& ids) {
+  std::vector<std::size_t> crossing(topo.link_count(), 0);
+  for (const dataplane::FlowId id : ids) {
+    for (const topo::LinkId l : sim.flow_path(id).links) ++crossing[l];
+  }
+  topo::LinkId busiest = 0;
+  for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
+    if (crossing[l] > crossing[busiest]) busiest = l;
+  }
+  return {busiest, crossing[busiest] + crossing[topo.link(busiest).reverse]};
+}
+
+/// Every router of a 120-router graph carrying 120 flows flips its table,
+/// alternating between the tables from before and after the failure of the
+/// link most flows cross, each flip handed the prefixes whose route changed
+/// (as after an SPF run; the sim's own mask stays up).
 void BM_TableFlip(benchmark::State& state) {
   const Scenario s = make_scenario(120, 120);
   util::EventQueue events;
   dataplane::NetworkSim sim(s.topo, events);
   sim.install_tables(s.tables);
-  std::vector<std::size_t> crossing(s.topo.link_count(), 0);
-  for (const dataplane::Flow& flow : s.flows) {
-    for (const topo::LinkId l : sim.flow_path(sim.add_flow(flow)).links) ++crossing[l];
-  }
+  std::vector<dataplane::FlowId> ids;
+  for (const dataplane::Flow& flow : s.flows) ids.push_back(sim.add_flow(flow));
   topo::LinkStateMask mask(s.topo);
-  mask.fail(static_cast<topo::LinkId>(
-      std::max_element(crossing.begin(), crossing.end()) - crossing.begin()));
+  mask.fail(busiest_link(sim, s.topo, ids).first);
   const std::vector<igp::RoutingTable> failed =
       igp::compute_all_routes(igp::NetworkView::from_topology(s.topo, {}, &mask));
   const std::vector<igp::RoutingTable>* phases[2] = {&failed, &s.tables};
+  // changed[p][n]: what router n's SPF hands over when it enters phase p.
+  std::vector<std::vector<net::Prefix>> changed[2];
+  for (int p = 0; p < 2; ++p) {
+    for (topo::NodeId n = 0; n < s.topo.node_count(); ++n) {
+      changed[p].push_back(igp::changed_prefixes((*phases[1 - p])[n], (*phases[p])[n]));
+    }
+  }
 
   const WorkCounters work(sim);
   std::size_t flip = 0;
   for (auto _ : state) {
-    const std::vector<igp::RoutingTable>& tables = *phases[flip++ % 2];
+    const std::size_t p = flip++ % 2;
     for (topo::NodeId n = 0; n < s.topo.node_count(); ++n) {
-      sim.set_fib(n, dataplane::Fib::from_routing_table(s.topo, n, tables[n]));
+      sim.flip_table(n, (*phases[p])[n], changed[p][n]);
     }
   }
   work.report(state);
+}
+
+/// The link of a 120-router graph that the most of 1000 flows cross fails
+/// and comes back (the sim's own mask; no FIB changes). The failure walks
+/// the `crossing` flows, which it blackholes, and the restoration walks
+/// them again as the undelivered ones: flow_walks is twice `crossing` per
+/// iteration, not twice the flow count.
+void BM_LinkEvent(benchmark::State& state) {
+  const Scenario s = make_scenario(120, 1000);
+  util::EventQueue events;
+  dataplane::NetworkSim sim(s.topo, events);
+  sim.install_tables(s.tables);
+  std::vector<dataplane::FlowId> ids;
+  for (const dataplane::Flow& flow : s.flows) ids.push_back(sim.add_flow(flow));
+  const auto [busiest, crossing] = busiest_link(sim, s.topo, ids);
+
+  const WorkCounters work(sim);
+  for (auto _ : state) {
+    sim.fail_link(busiest);
+    sim.restore_link(busiest);
+  }
+  work.report(state);
+  state.counters["crossing"] = static_cast<double>(crossing);
 }
 
 }  // namespace
@@ -198,5 +246,6 @@ BENCHMARK(BM_MaxMinRates)->Arg(100)->Arg(1000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SessionChurn)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SessionChurnOversubscribed)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_TableFlip)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LinkEvent)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <string>
 
-#include "dataplane/fib.hpp"
 #include "util/assert.hpp"
 #include "util/stats.hpp"
 
@@ -39,8 +38,9 @@ FibbingService::FibbingService(const topo::Topology& topo, ServiceConfig config)
       video_(topo, sim_, events_, bus_) {
   domain_.set_tracer(&tracer_);
   // Router control planes program the data plane.
-  domain_.set_on_table_change([this](topo::NodeId node, const igp::RoutingTable& table) {
-    sim_.set_fib(node, dataplane::Fib::from_routing_table(topo_, node, table));
+  domain_.set_on_table_change([this](topo::NodeId node, const igp::RoutingTable& table,
+                                     const std::vector<net::Prefix>& changed) {
+    sim_.flip_table(node, table, changed);
   });
   // Protocol-detected liveness feeds the shared mask: when a router's
   // RouterDeadInterval expires (or a 1-way Hello tears an adjacency down),

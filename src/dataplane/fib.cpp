@@ -10,17 +10,34 @@ Fib Fib::from_routing_table(const topo::Topology& topo, topo::NodeId self,
                             const igp::RoutingTable& routes) {
   Fib fib;
   for (const auto& [prefix, route] : routes) {
-    if (!route.reachable()) continue;
-    FibEntry entry;
-    entry.local = route.local;
-    for (const auto& nh : route.next_hops) {
-      const topo::LinkId out = topo.link_between(self, nh.via);
-      FIB_ASSERT(out != topo::kInvalidLink, "Fib: next hop is not adjacent");
-      entry.next_hops.push_back(FibNextHop{out, nh.via, nh.weight});
-    }
-    fib.set(prefix, std::move(entry));
+    if (route.reachable()) fib.set(prefix, compile_entry(topo, self, route));
   }
   return fib;
+}
+
+FibEntry Fib::compile_entry(const topo::Topology& topo, topo::NodeId self,
+                            const igp::RouteEntry& route) {
+  FibEntry entry;
+  entry.local = route.local;
+  entry.next_hops.reserve(route.next_hops.size());
+  for (const auto& nh : route.next_hops) {
+    const topo::LinkId out = topo.link_between(self, nh.via);
+    FIB_ASSERT(out != topo::kInvalidLink, "Fib: next hop is not adjacent");
+    entry.next_hops.push_back(FibNextHop{out, nh.via, nh.weight});
+  }
+  return entry;
+}
+
+std::optional<FibEntry> Fib::exchange(const net::Prefix& prefix,
+                                      std::optional<FibEntry> entry) {
+  std::optional<FibEntry> held;
+  if (FibEntry* at = trie_.exact(prefix)) held = std::move(*at);
+  if (entry) {
+    trie_.insert(prefix, std::move(*entry));
+  } else {
+    erase(prefix);
+  }
+  return held;
 }
 
 std::string Fib::to_string(const topo::Topology& topo) const {

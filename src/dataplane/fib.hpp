@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,12 +39,28 @@ class Fib {
   Fib() = default;
 
   /// Compile a routing table into forwarding state, resolving next-hop
-  /// router ids to outgoing links of `self`.
+  /// router ids to outgoing links of `self`: compile_entry for each
+  /// reachable route.
   static Fib from_routing_table(const topo::Topology& topo, topo::NodeId self,
                                 const igp::RoutingTable& routes);
+  /// The forwarding entry of one reachable route at `self`.
+  static FibEntry compile_entry(const topo::Topology& topo, topo::NodeId self,
+                                const igp::RouteEntry& route);
 
   void set(const net::Prefix& prefix, FibEntry entry) {
     trie_.insert(prefix, std::move(entry));
+  }
+  /// Remove the entry exactly at `prefix`; true if one existed.
+  bool erase(const net::Prefix& prefix) { return trie_.erase(prefix); }
+  /// Make `entry` the entry at `prefix`, or erase it when nullopt, and return
+  /// the entry the prefix held (nullopt when none).
+  std::optional<FibEntry> exchange(const net::Prefix& prefix,
+                                   std::optional<FibEntry> entry);
+
+  using Match = net::LpmTrie<FibEntry>::Match;
+  /// The longest-prefix match for `dst`, with the matched prefix.
+  [[nodiscard]] std::optional<Match> match(net::Ipv4 dst) const {
+    return trie_.lookup(dst);
   }
   [[nodiscard]] const FibEntry* lookup(net::Ipv4 dst) const {
     const auto m = trie_.lookup(dst);
@@ -53,6 +70,11 @@ class Fib {
     return trie_.exact(prefix);
   }
   [[nodiscard]] std::size_t size() const { return trie_.size(); }
+  /// Visit every (prefix, entry) pair in the trie's DFS order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    trie_.for_each(fn);
+  }
 
   [[nodiscard]] std::string to_string(const topo::Topology& topo) const;
 

@@ -24,8 +24,7 @@ NetworkSim::NetworkSim(const topo::Topology& topo, util::EventQueue& events,
       fits_(topo.link_count(), true),
       link_rates_(topo.link_count(), 0.0),
       link_bytes_(topo.link_count(), 0.0) {
-  // A walk reads the down bit of every link it picks: re-walk everything.
-  link_state_->subscribe([this](topo::LinkId, bool) { rewalk_all_(); });
+  link_state_->subscribe([this](topo::LinkId id, bool down) { on_link_event_(id, down); });
 }
 
 namespace {
@@ -69,14 +68,55 @@ bool link_fits(double offered, std::size_t n, double capacity) {
 
 }  // namespace
 
+void NetworkSim::flip_table(topo::NodeId node, const igp::RoutingTable& table,
+                            std::span<const net::Prefix> changed) {
+  FIB_ASSERT(node < fibs_.size(), "flip_table: node out of range");
+  settle_();
+  if (changed.empty()) return;
+  std::vector<FibPatch> patch;
+  patch.reserve(changed.size());
+  for (const net::Prefix& prefix : changed) {
+    const auto it = table.find(prefix);
+    if (it == table.end() || !it->second.reachable()) {
+      patch.push_back(FibPatch{prefix, std::nullopt});
+    } else {
+      patch.push_back(FibPatch{prefix, Fib::compile_entry(topo_, node, it->second)});
+    }
+  }
+  patch_fib_(node, std::move(patch));
+}
+
 void NetworkSim::set_fib(topo::NodeId node, Fib fib) {
   FIB_ASSERT(node < fibs_.size(), "set_fib: node out of range");
   settle_();
-  const Fib old = std::exchange(fibs_[node], std::move(fib));
+  // Every entry of the new FIB, and an erase for each prefix only the
+  // installed one holds; patch_fib_ drops the entries that stay the same.
+  std::vector<FibPatch> patch;
+  fib.for_each([&](const net::Prefix& prefix, const FibEntry& entry) {
+    patch.push_back(FibPatch{prefix, entry});
+  });
+  fibs_[node].for_each([&](const net::Prefix& prefix, const FibEntry&) {
+    if (fib.exact(prefix) == nullptr) patch.push_back(FibPatch{prefix, std::nullopt});
+  });
+  patch_fib_(node, std::move(patch));
+}
+
+void NetworkSim::patch_fib_(topo::NodeId node, std::vector<FibPatch> patch) {
+  Fib& fib = fibs_[node];
+  std::erase_if(patch, [&](const FibPatch& p) {
+    return same_entry(fib.exact(p.prefix), p.entry ? &*p.entry : nullptr);
+  });
+  if (patch.empty()) return;
+  const auto by_prefix = [](const FibPatch& x, const FibPatch& y) {
+    return x.prefix < y.prefix;
+  };
+  std::sort(patch.begin(), patch.end(), by_prefix);
+
   // At each router it visits, a walk reads only that router's entry for the
   // flow's destination: a path through `node` can move only if that entry
-  // changed. The flows visiting `node` enter there, or are delivered over
-  // one of its in-links, or are undelivered; visit them in id order.
+  // changed, so only if a patched prefix covers the destination. The flows
+  // visiting `node` enter there, or are delivered over one of its in-links,
+  // or are undelivered; visit them in id order.
   std::vector<FlowId> candidates = entering_[node];
   candidates.insert(candidates.end(), undelivered_.begin(), undelivered_.end());
   for (const topo::LinkId out : topo_.out_links(node)) {
@@ -86,20 +126,45 @@ void NetworkSim::set_fib(topo::NodeId node, Fib fib) {
   }
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
-  std::vector<FlowId> moved;
+  // Each such flow's entry before the patch: an unpatched entry stays where
+  // it is; a patched one is read back from its patch after the exchange.
+  struct Reader {
+    FlowId id = 0;
+    const FibEntry* kept = nullptr;
+    std::size_t patched = 0;  // index into patch, or patch.size()
+  };
+  std::vector<Reader> readers;
   for (const FlowId id : candidates) {
-    FlowState& state = flows_.find(id)->second;
+    const FlowState& state = flows_.find(id)->second;
+    const net::Ipv4 dst = state.flow.dst;
     if (!visits(topo_, state.flow, state.path, node) ||
-        same_entry(old.lookup(state.flow.dst), fibs_[node].lookup(state.flow.dst))) {
+        std::none_of(patch.begin(), patch.end(),
+                     [&](const FibPatch& p) { return p.prefix.contains(dst); })) {
       continue;
     }
-    FlowPath path = walk_(state.flow);
-    if (path == state.path) continue;
-    index_(state.flow, state.path, false);
-    state.path = std::move(path);
-    index_(state.flow, state.path, true);
-    moved.push_back(id);
+    Reader reader{id, nullptr, patch.size()};
+    if (const auto match = fib.match(dst)) {
+      const auto at = std::lower_bound(patch.begin(), patch.end(),
+                                       FibPatch{match->prefix, std::nullopt}, by_prefix);
+      if (at != patch.end() && at->prefix == match->prefix) {
+        reader.patched = static_cast<std::size_t>(at - patch.begin());
+      } else {
+        reader.kept = match->value;
+      }
+    }
+    readers.push_back(reader);
   }
+  for (FibPatch& p : patch) p.entry = fib.exchange(p.prefix, std::move(p.entry));
+
+  std::vector<FlowId> changed;
+  for (const Reader& reader : readers) {
+    const FibEntry* before =
+        reader.patched < patch.size() ? &*patch[reader.patched].entry : reader.kept;
+    if (!same_entry(before, fib.lookup(flows_.find(reader.id)->second.flow.dst))) {
+      changed.push_back(reader.id);
+    }
+  }
+  const std::vector<FlowId> moved = rewalk_(changed);
   if (!moved.empty()) update_rates_(moved);
 }
 
@@ -243,6 +308,38 @@ void NetworkSim::index_(const Flow& flow, const FlowPath& path, bool add) {
     }
     touched_.push_back(l);
   }
+}
+
+void NetworkSim::on_link_event_(topo::LinkId id, bool down) {
+  settle_();
+  // A walk reads the down bit of only the links it picks. A delivered walk
+  // picked only up links and is indexed on each, so a failure can move the
+  // flows crossing the link either way and the undelivered ones (a loop or
+  // a blackhole may have traversed it), and a restoration only the
+  // undelivered ones.
+  std::vector<FlowId> candidates = undelivered_;
+  if (down) {
+    for (const topo::LinkId l : {id, topo_.link(id).reverse}) {
+      for (const Crossing& c : crossing_[l]) candidates.push_back(c.id);
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
+  }
+  update_rates_(rewalk_(candidates));
+}
+
+std::vector<FlowId> NetworkSim::rewalk_(const std::vector<FlowId>& ids) {
+  std::vector<FlowId> moved;
+  for (const FlowId id : ids) {
+    FlowState& state = flows_.find(id)->second;
+    FlowPath path = walk_(state.flow);
+    if (path == state.path) continue;
+    index_(state.flow, state.path, false);
+    state.path = std::move(path);
+    index_(state.flow, state.path, true);
+    moved.push_back(id);
+  }
+  return moved;
 }
 
 void NetworkSim::rewalk_all_() {

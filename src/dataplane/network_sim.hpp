@@ -4,6 +4,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,13 +33,21 @@ namespace fibbing::dataplane {
 /// order. Each mutation does only the work that can break it:
 ///  - add_flow walks the new flow and updates rates; remove_flow only
 ///    updates rates;
-///  - set_fib re-walks the flows whose path visits the router and whose
-///    FIB entry there changed, and updates rates only if one of those paths
+///  - a table flip (flip_table with the router's changed prefixes, or
+///    set_fib as the diff of two FIBs) patches the entries that differ in
+///    place, re-walks the flows whose path visits the router and whose FIB
+///    entry there changed, and updates rates only if one of those paths
 ///    moved. It finds them without scanning every flow: a flow visiting the
 ///    router enters there, crosses one of its in-links delivered, or is
-///    undelivered (looping or blackholed);
-///  - install_tables and link fail/restore re-walk every flow and update
-///    rates.
+///    undelivered (looping or blackholed). A flip that changed no prefix
+///    only settles the byte counters;
+///  - a walk reads the down bit of only the links it picks. A link failure
+///    re-walks the delivered flows crossing the link in either direction
+///    and the undelivered ones (a loop or a blackhole may have traversed
+///    it); a restoration re-walks only the undelivered ones, since a
+///    delivered walk picked no down link and a link coming up changes no
+///    pick. Either updates rates once;
+///  - install_tables re-walks every flow and updates rates.
 /// The sim indexes, per link, the delivered flows that cross it. While every
 /// link's offered load fits its capacity (see link_fits in the .cpp),
 /// max-min gives every delivered flow its demand, so a rate update that
@@ -54,7 +64,16 @@ class NetworkSim {
              std::shared_ptr<topo::LinkStateMask> link_state = nullptr);
 
   // -- forwarding state ------------------------------------------------------
-  /// Replace one router's FIB (e.g. after an IGP SPF run).
+  /// A router's routing table changed at exactly the prefixes `changed`
+  /// (igp::changed_prefixes of its previous and new table, as an IGP SPF run
+  /// hands them over): settle the byte counters, then patch those
+  /// prefixes' FIB entries in place, each compiled by Fib::compile_entry
+  /// (erased when `table` has no reachable route), and re-walk the flows
+  /// whose entry at the router changed. An empty list only settles.
+  void flip_table(topo::NodeId node, const igp::RoutingTable& table,
+                  std::span<const net::Prefix> changed);
+  /// Replace one router's FIB: the entries that differ from the installed
+  /// FIB's take flip_table's patch path.
   void set_fib(topo::NodeId node, Fib fib);
   /// Bulk-install FIBs compiled from routing tables (static analyses).
   void install_tables(const std::vector<igp::RoutingTable>& tables);
@@ -63,8 +82,9 @@ class NetworkSim {
   /// Take a bidirectional link down (`id` may be either direction): flows
   /// whose hash bucket crosses it drop until fresh FIBs route around it.
   /// Failing an already-down link is a no-op. (Equivalent to mutating the
-  /// mask directly: the sim re-walks flows through its mask subscription
-  /// either way, as do all other layers sharing the mask.)
+  /// mask directly: the sim re-walks the flows the event can move through
+  /// its mask subscription either way, as do all other layers sharing the
+  /// mask.)
   void fail_link(topo::LinkId id);
   /// Bring a failed link back: flows rehash onto it as FIBs allow.
   /// Restoring a link that is not down is a no-op.
@@ -114,6 +134,20 @@ class NetworkSim {
   /// its path, and mark those links touched, if it is delivered; else in
   /// the undelivered list.
   void index_(const Flow& flow, const FlowPath& path, bool add);
+  /// One prefix's new FIB entry; nullopt erases the prefix's entry.
+  struct FibPatch {
+    net::Prefix prefix;
+    std::optional<FibEntry> entry;
+  };
+  /// Apply `patch` (distinct prefixes) to `node`'s FIB, re-walk the flows
+  /// whose entry there changed and update rates if a path moved.
+  void patch_fib_(topo::NodeId node, std::vector<FibPatch> patch);
+  /// The mask subscription: re-walk the flows a link event can move, then
+  /// update rates once.
+  void on_link_event_(topo::LinkId id, bool down);
+  /// Re-walk the flows `ids` (ascending) and re-index each whose path
+  /// moved; returns those, ascending.
+  std::vector<FlowId> rewalk_(const std::vector<FlowId>& ids);
   /// Re-walk every flow, then update rates.
   void rewalk_all_();
   /// Bring rates up to date after the flows in `moved` (ascending id) joined

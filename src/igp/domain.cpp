@@ -46,14 +46,15 @@ IgpDomain::IgpDomain(const topo::Topology& topo, util::EventQueue& events,
         [this](topo::NodeId self, topo::NodeId peer, bool up) {
           on_adjacency_(self, peer, up);
         });
-    router.set_on_table([this](topo::NodeId self, const RoutingTable&) {
-      // User callbacks must not run on shard workers: deferred to the round
-      // barrier, where the table is still the one this SPF installed (a
-      // router runs at most one SPF per instant).
-      pool_.defer(self, [this, self] {
-        if (on_table_change_) on_table_change_(self, routers_[self]->table());
-      });
-    });
+    router.set_on_table(
+        [this](topo::NodeId self, const RoutingTable&, std::vector<net::Prefix> changed) {
+          // User callbacks must not run on shard workers: deferred to the
+          // round barrier, where the table is still the one this SPF
+          // installed (a router runs at most one SPF per instant).
+          pool_.defer(self, [this, self, changed = std::move(changed)] {
+            if (on_table_change_) on_table_change_(self, routers_[self]->table(), changed);
+          });
+        });
     for (const topo::LinkId lid : topo.out_links(n)) {
       if (!link_state_->is_down(lid)) router.add_neighbor(topo.link(lid).to);
     }

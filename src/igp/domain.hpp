@@ -157,8 +157,10 @@ class IgpDomain {
   [[nodiscard]] std::size_t size() const { return routers_.size(); }
 
   /// Fired whenever any router installs a fresh routing table (dataplane
-  /// resynchronization hook).
-  using TableChangeFn = std::function<void(topo::NodeId, const RoutingTable&)>;
+  /// resynchronization hook), with the prefixes whose entry differs from the
+  /// router's previous table (RouterProcess::TableFn).
+  using TableChangeFn = std::function<void(topo::NodeId, const RoutingTable&,
+                                           const std::vector<net::Prefix>& changed)>;
   void set_on_table_change(TableChangeFn fn) { on_table_change_ = std::move(fn); }
 
   /// Control-plane overhead across all routers (the overhead benches and

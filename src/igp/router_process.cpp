@@ -354,7 +354,9 @@ void RouterProcess::run_spf_now_() {
   const RouterSpf::Run run = spf_.run(lsdb_);
   spf_origins_read_ += run.origins_read;
   if (run.incremental) ++spf_incremental_runs_;
-  table_ = compute_routes(spf_.view(), spf_.result());
+  RoutingTable fresh = compute_routes(spf_.view(), spf_.result());
+  std::vector<net::Prefix> changed = changed_prefixes(table_, fresh);
+  table_ = std::move(fresh);
   FIB_LOG(kDebug, "igp") << "router " << self_ << " spf run #" << spf_runs_ << ", "
                          << table_.size() << " routes"
                          << (run.incremental ? " (incremental)" : "");
@@ -372,7 +374,7 @@ void RouterProcess::run_spf_now_() {
   pending_trace_lies_.clear();
   for (const auto& [trace, lie] : traced) emit_trace_(trace, obs::Stage::kSpf, lie);
   for (const auto& [trace, lie] : traced) emit_trace_(trace, obs::Stage::kTableFlip, lie);
-  if (on_table_) on_table_(self_, table_);
+  if (on_table_) on_table_(self_, table_, std::move(changed));
 }
 
 }  // namespace fibbing::igp

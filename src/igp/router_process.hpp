@@ -43,8 +43,11 @@ struct IgpTiming {
 
 /// One router's SPF state kept between runs: the graph of its LSDB (in-edges
 /// included), patched in place from the keys that changed since the
-/// previous run (NetworkView::patch_from_lsdb), and the previous run's
-/// result.
+/// previous run (NetworkView::patch_from_lsdb, link by link), and the
+/// previous run's result, which the next run repairs instead of recomputing:
+/// update_spf copies its three blocks, rewrites only the first-hop sets the
+/// repair dirtied, and compacts the first-hop arena when dead ids outnumber
+/// live ones.
 class RouterSpf {
  public:
   RouterSpf(topo::NodeId self, std::size_t node_count);
@@ -95,8 +98,11 @@ class RouterProcess final : private proto::DatabaseFacade {
   /// learned from *real* neighbors up the session, so the controller can
   /// spot (and re-flush) resurrected lies.
   using ControllerSendFn = std::function<void(const BufferPtr&)>;
-  /// Fired after each SPF run with the fresh routing table.
-  using TableFn = std::function<void(topo::NodeId self, const RoutingTable&)>;
+  /// Fired after each SPF run with the fresh routing table and the prefixes
+  /// whose entry differs from the previous run's table (changed_prefixes;
+  /// empty when the run changed no route).
+  using TableFn = std::function<void(topo::NodeId self, const RoutingTable& table,
+                                     std::vector<net::Prefix> changed)>;
   /// Adjacency liveness transitions, protocol-detected: `up` is true when
   /// the session with `peer` reached Full, false when RouterDeadInterval
   /// expired or a 1-way Hello tore it down. Administrative teardown

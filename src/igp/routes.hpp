@@ -49,6 +49,11 @@ struct RouteEntry {
 /// iteration order for tests and dumps.
 using RoutingTable = std::map<net::Prefix, RouteEntry>;
 
+/// The prefixes whose entry appeared, vanished or differs (cost included)
+/// between two tables of one router, ascending: one merge walk over both.
+[[nodiscard]] std::vector<net::Prefix> changed_prefixes(const RoutingTable& before,
+                                                        const RoutingTable& after);
+
 /// One prefix's routes at every router, indexed by router id; a router with
 /// no route to the prefix holds RouteEntry{} (unreachable, no next hops).
 using RouteColumn = std::vector<RouteEntry>;

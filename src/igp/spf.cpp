@@ -12,21 +12,69 @@ namespace fibbing::igp {
 
 namespace {
 
-/// Merge sorted id vectors (small ECMP sets; linear merge).
-void merge_sorted(std::vector<topo::NodeId>& into, const std::vector<topo::NodeId>& from) {
-  std::vector<topo::NodeId> merged;
-  merged.reserve(into.size() + from.size());
-  std::set_union(into.begin(), into.end(), from.begin(), from.end(),
-                 std::back_inserter(merged));
-  into = std::move(merged);
-}
-
 /// Past this many directed deltas the change is a bulk transition (boot,
 /// partition heal): a repair would touch most of the graph, so update_spf
 /// runs the full Dijkstra directly.
 constexpr std::size_t kMaxRepairDeltas = 16;
 
+/// Set `v`'s first hops in `spf` from its tight in-edges in `view`: the
+/// union of its tight parents' sets, and `v` itself for a tight edge from
+/// the source. Every tight parent's set must be final. `scratch` is reused
+/// across calls.
+void gather_first_hops(const NetworkView& view, SpfResult& spf, topo::NodeId v,
+                       std::vector<topo::NodeId>& scratch) {
+  scratch.clear();
+  std::size_t parents = 0;
+  if (spf.reaches(v)) {
+    for (const NetworkView::InEdge& e : view.edges_into(v)) {
+      if (!spf.reaches(e.from) || spf.dist[e.from] + e.metric != spf.dist[v]) continue;
+      ++parents;
+      if (e.from == spf.source) {
+        scratch.push_back(v);
+      } else {
+        const std::span<const topo::NodeId> hops = spf.first_hops[e.from];
+        scratch.insert(scratch.end(), hops.begin(), hops.end());
+      }
+    }
+  }
+  if (parents > 1) {
+    std::sort(scratch.begin(), scratch.end());
+    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
+  }
+  spf.first_hops.assign(v, scratch);
+}
+
 }  // namespace
+
+void FirstHops::assign(topo::NodeId v, std::span<const topo::NodeId> hops) {
+  Span& span = spans_[v];
+  dead_ += span.length;
+  span = Span{static_cast<std::uint32_t>(ids_.size()),
+              static_cast<std::uint32_t>(hops.size())};
+  ids_.insert(ids_.end(), hops.begin(), hops.end());
+}
+
+void FirstHops::compact() {
+  if (dead_ == 0) return;
+  std::vector<topo::NodeId> live;
+  live.reserve(ids_.size() - dead_);
+  for (Span& span : spans_) {
+    const auto offset = static_cast<std::uint32_t>(live.size());
+    live.insert(live.end(), ids_.begin() + span.offset,
+                ids_.begin() + span.offset + span.length);
+    span.offset = offset;
+  }
+  ids_ = std::move(live);
+  dead_ = 0;
+}
+
+bool operator==(const FirstHops& a, const FirstHops& b) {
+  if (a.size() != b.size()) return false;
+  for (topo::NodeId v = 0; v < a.size(); ++v) {
+    if (!std::ranges::equal(a[v], b[v])) return false;
+  }
+  return true;
+}
 
 SpfResult run_spf(const NetworkView& view, topo::NodeId source) {
   const std::size_t n = view.node_count();
@@ -34,12 +82,13 @@ SpfResult run_spf(const NetworkView& view, topo::NodeId source) {
   SpfResult result;
   result.source = source;
   result.dist.assign(n, kInfMetric);
-  result.first_hops.assign(n, {});
+  result.first_hops = FirstHops(n);
   result.dist[source] = 0;
 
   using Item = std::pair<topo::Metric, topo::NodeId>;
   std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
   std::vector<bool> settled(n, false);
+  std::vector<topo::NodeId> scratch;
   heap.emplace(0, source);
 
   while (!heap.empty()) {
@@ -47,25 +96,14 @@ SpfResult run_spf(const NetworkView& view, topo::NodeId source) {
     heap.pop();
     if (settled[u] || d > result.dist[u]) continue;
     settled[u] = true;
+    // Positive metrics: every tight parent of u settled before it.
+    if (u != source) gather_first_hops(view, result, u, scratch);
     for (const NetworkView::Edge& edge : view.edges_from(u)) {
-      const topo::NodeId v = edge.to;
       FIB_ASSERT(edge.metric > 0, "run_spf: non-positive metric");
       const topo::Metric nd = result.dist[u] + edge.metric;
-      // First hops propagate along shortest paths; the neighbor itself is
-      // the first hop for edges leaving the source. Positive metrics ensure
-      // v cannot be settled before an equal-cost merge from u arrives.
-      if (nd < result.dist[v]) {
-        result.dist[v] = nd;
-        result.first_hops[v] =
-            (u == source) ? std::vector<topo::NodeId>{v} : result.first_hops[u];
-        heap.emplace(nd, v);
-      } else if (nd == result.dist[v]) {
-        FIB_ASSERT(!settled[v], "run_spf: equal-cost merge on settled node");
-        if (u == source) {
-          merge_sorted(result.first_hops[v], {v});
-        } else {
-          merge_sorted(result.first_hops[v], result.first_hops[u]);
-        }
+      if (nd < result.dist[edge.to]) {
+        result.dist[edge.to] = nd;
+        heap.emplace(nd, edge.to);
       }
     }
   }
@@ -82,7 +120,7 @@ SubnetRoute route_to_subnet(const SpfResult& spf, const NetworkView::Subnet& sub
     // across the transfer network is the other endpoint.
     const std::span<const topo::NodeId> hops =
         endpoint == spf.source ? std::span<const topo::NodeId>(&other, 1)
-                               : std::span<const topo::NodeId>(spf.first_hops[endpoint]);
+                               : spf.first_hops[endpoint];
     if (cost < out.cost) {
       out.cost = cost;
       out.sides[0] = hops;
@@ -382,22 +420,14 @@ SpfUpdate update_spf(const NetworkView& new_view, const SpfResult& old,
   // rebuilt earlier, clean ones untouched -- are final when consumed.
   std::sort(dirty_list.begin(), dirty_list.end(),
             [&](topo::NodeId x, topo::NodeId y) { return res.dist[x] < res.dist[y]; });
+  std::vector<topo::NodeId> scratch;
   for (const topo::NodeId v : dirty_list) {
-    if (v == res.source) continue;
-    std::vector<topo::NodeId> hops;
-    if (reach_new(v)) {
-      for (const NetworkView::InEdge& e : new_view.edges_into(v)) {
-        if (!reach_new(e.from) || res.dist[e.from] + e.metric != res.dist[v]) {
-          continue;
-        }
-        if (e.from == res.source) {
-          merge_sorted(hops, {v});
-        } else {
-          merge_sorted(hops, res.first_hops[e.from]);
-        }
-      }
-    }
-    res.first_hops[v] = std::move(hops);
+    if (v != res.source) gather_first_hops(new_view, res, v, scratch);
+  }
+  // A lineage of repairs appends every rebuilt set: keep the arena within
+  // twice its live size.
+  if (res.first_hops.arena_size() > 2 * res.first_hops.live_size()) {
+    res.first_hops.compact();
   }
 
   out.mode = SpfUpdate::Mode::kIncremental;
@@ -432,6 +462,25 @@ std::vector<WeightedNextHop> lowest_terms(std::span<const WeightedNextHop> hops)
     for (WeightedNextHop& nh : out) nh.weight /= g;
   }
   return out;
+}
+
+std::vector<net::Prefix> changed_prefixes(const RoutingTable& before,
+                                          const RoutingTable& after) {
+  std::vector<net::Prefix> changed;
+  auto b = before.begin();
+  auto a = after.begin();
+  while (b != before.end() || a != after.end()) {
+    if (a == after.end() || (b != before.end() && b->first < a->first)) {
+      changed.push_back((b++)->first);
+    } else if (b == before.end() || a->first < b->first) {
+      changed.push_back((a++)->first);
+    } else {
+      if (!(b->second == a->second)) changed.push_back(a->first);
+      ++b;
+      ++a;
+    }
+  }
+  return changed;
 }
 
 RouteColumn column_of(const std::vector<RoutingTable>& tables,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -9,17 +10,62 @@
 
 namespace fibbing::igp {
 
+/// Every node's ECMP first-hop set from one source, stored flat: each
+/// node's set is a span of one shared id vector (the arena), so the sets
+/// take two heap blocks however many nodes there are. Rewriting a set
+/// appends it to the arena and leaves the old one dead; compact() drops the
+/// dead ids. Two instances are equal when every node's set is.
+class FirstHops {
+ public:
+  FirstHops() = default;
+  /// `node_count` empty sets, with room for about one hop each.
+  explicit FirstHops(std::size_t node_count) : spans_(node_count) {
+    ids_.reserve(node_count);
+  }
+
+  [[nodiscard]] std::size_t size() const { return spans_.size(); }
+  /// Node `v`'s set, ascending. Valid until the next assign or compact.
+  [[nodiscard]] std::span<const topo::NodeId> operator[](topo::NodeId v) const {
+    const Span s = spans_[v];
+    if (s.length == 0) return {};
+    return {ids_.data() + s.offset, s.length};
+  }
+  /// Make `hops` (ascending; not a span of this arena) node `v`'s set.
+  void assign(topo::NodeId v, std::span<const topo::NodeId> hops);
+  /// Ids the arena stores, dead ones included, and the live ones among them
+  /// (the sets' summed sizes).
+  [[nodiscard]] std::size_t arena_size() const { return ids_.size(); }
+  [[nodiscard]] std::size_t live_size() const { return ids_.size() - dead_; }
+  /// Rewrite the arena with the live sets only, in node order.
+  void compact();
+
+  friend bool operator==(const FirstHops& a, const FirstHops& b);
+
+ private:
+  struct Span {
+    std::uint32_t offset = 0;
+    std::uint32_t length = 0;
+  };
+  std::vector<Span> spans_;        // per node
+  std::vector<topo::NodeId> ids_;  // the arena
+  std::size_t dead_ = 0;           // ids no span covers
+};
+
 /// Result of one shortest-path-first run from a single source: distances
-/// and ECMP first-hop sets toward every node.
+/// and ECMP first-hop sets toward every node. A node's first hops are the
+/// union of its tight parents' (each in-edge e with dist[e.from] + e.metric
+/// == dist[v]), and the node itself for a tight edge from the source.
 struct SpfResult {
   topo::NodeId source = topo::kInvalidNode;
-  std::vector<topo::Metric> dist;                 // per node
-  std::vector<std::vector<topo::NodeId>> first_hops;  // per node, sorted
+  std::vector<topo::Metric> dist;  // per node
+  FirstHops first_hops;            // per node
 
   [[nodiscard]] bool reaches(topo::NodeId n) const { return dist[n] < kInfMetric; }
 };
 
-/// Dijkstra with ECMP first-hop propagation over a NetworkView.
+/// Dijkstra over a NetworkView. Each node's first-hop set is gathered once,
+/// when the node settles, from its tight in-edges: its tight parents are
+/// strictly closer, so their sets are final by then.
 [[nodiscard]] SpfResult run_spf(const NetworkView& view, topo::NodeId source);
 
 /// Distance and first hops from `spf.source` toward a transfer subnet, OSPF
@@ -124,7 +170,9 @@ struct SpfUpdate {
 /// style (seeded from the unaffected frontier), then one decrease-propagation
 /// pass seeded from every inserted edge restores exactness -- any path the
 /// removal repair could have missed must cross an inserted edge. First-hop
-/// sets are rebuilt only where they can differ, from new_view's in-edges.
+/// sets are rebuilt only where they can differ, from new_view's in-edges,
+/// by run_spf's rule; the result copies `old`'s three blocks, rewrites only
+/// those sets, and compacts its arena once dead ids outnumber live ones.
 /// When no flipped edge touches a shortest path the old result is certified
 /// unchanged without touching the graph. Two cases run a full Dijkstra
 /// instead (kFull): more than 16 directed deltas (a bulk transition such as

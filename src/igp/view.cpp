@@ -18,6 +18,22 @@ const RouterLsa* router_lsa(const Lsdb& lsdb, topo::NodeId n) {
   return &router;
 }
 
+/// True when `links` lists `link`: the same neighbor, metric, subnet and
+/// local address.
+bool lists(const std::vector<LsaLink>& links, const LsaLink& link) {
+  return std::any_of(links.begin(), links.end(), [&](const LsaLink& l) {
+    return l.neighbor == link.neighbor && l.metric == link.metric &&
+           l.subnet == link.subnet && l.local_addr == link.local_addr;
+  });
+}
+
+bool same_prefixes(const std::vector<LsaPrefix>& a, const std::vector<LsaPrefix>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const LsaPrefix& x, const LsaPrefix& y) {
+                      return x.prefix == y.prefix && x.metric == y.metric;
+                    });
+}
+
 /// Append the changes from `before` to `after`, both `u`'s out-edges: their
 /// multiset difference by (to, metric), ascending (a metric change is a
 /// removal plus an insertion).
@@ -165,15 +181,6 @@ std::size_t NetworkView::patch_from_lsdb(const Lsdb& lsdb,
     std::iota(origins.begin(), origins.end(), topo::NodeId{0});
     subnets_.clear();
     fwd_index_.clear();
-  } else {
-    // Each subnet with an end at a changed origin was paired from one of
-    // that origin's links as they stood at the previous drain.
-    for (const Lsdb::Change& change : changes) {
-      if (change.key.type != LsaType::kRouter || change.before == nullptr) continue;
-      for (const LsaLink& link : std::get<RouterLsa>(change.before->body).links) {
-        drop_subnet_(link.local_addr);
-      }
-    }
   }
 
   const std::size_t first_delta = deltas.size();
@@ -207,17 +214,50 @@ std::size_t NetworkView::patch_from_lsdb(const Lsdb& lsdb,
     in.pop_back();
   }
 
-  pair_subnets_(lsdb, origins);
+  if (presence_flip) {
+    pair_subnets_(lsdb, origins);
+    attachments_.clear();
+    for (const topo::NodeId u : origins) add_attachments_(lsdb, u);
+    return origins.size();
+  }
 
-  std::erase_if(attachments_, [&](const Attachment& att) {
-    return std::binary_search(origins.begin(), origins.end(), att.node);
-  });
-  for (const topo::NodeId u : origins) {
-    if (const RouterLsa* router = router_lsa(lsdb, u)) {
-      for (const LsaPrefix& pfx : router->prefixes) {
-        attachments_.push_back(Attachment{pfx.prefix, u, pfx.metric});
+  // Each origin changed its Router-LSA in place. A subnet is paired from
+  // the links of both its routers, so it changes only where a link left,
+  // arrived or changed (neighbor, metric, subnet or local address): drop
+  // the subnets of every such old link first, then pair every such new
+  // link. A link both of whose ends changed is paired once, by whichever
+  // end comes first.
+  const auto router_of = [](const LsaPtr& lsa) -> const RouterLsa& {
+    return std::get<RouterLsa>(lsa->body);
+  };
+  // Without a presence flip a changed Router-LSA is present before and
+  // after, unless it came and went within the drain.
+  for (const Lsdb::Change& change : changes) {
+    if (change.key.type != LsaType::kRouter || change.before == nullptr) continue;
+    const RouterLsa& now = *router_lsa(lsdb, static_cast<topo::NodeId>(change.key.key));
+    for (const LsaLink& link : router_of(change.before).links) {
+      if (!lists(now.links, link)) drop_subnet_(link.local_addr);
+    }
+  }
+  std::vector<topo::NodeId> reread;
+  for (const Lsdb::Change& change : changes) {
+    if (change.key.type != LsaType::kRouter || change.before == nullptr) continue;
+    const auto u = static_cast<topo::NodeId>(change.key.key);
+    const RouterLsa& before = router_of(change.before);
+    const RouterLsa& now = *router_lsa(lsdb, u);
+    for (const LsaLink& link : now.links) {
+      if (!lists(before.links, link) && !fwd_index_.contains(link.local_addr)) {
+        pair_link_(lsdb, u, link);
       }
     }
+    if (!same_prefixes(before.prefixes, now.prefixes)) reread.push_back(u);
+  }
+  // Only origins whose prefixes changed re-read them.
+  if (!reread.empty()) {
+    std::erase_if(attachments_, [&](const Attachment& att) {
+      return std::binary_search(reread.begin(), reread.end(), att.node);
+    });
+    for (const topo::NodeId u : reread) add_attachments_(lsdb, u);
   }
   return origins.size();
 }
@@ -247,20 +287,33 @@ void NetworkView::pair_subnets_(const Lsdb& lsdb,
       if (v < u && std::binary_search(origins.begin(), origins.end(), v)) {
         continue;  // paired when v was re-read
       }
-      const RouterLsa* peer = router_lsa(lsdb, v);
-      if (peer == nullptr) continue;  // two-way check
-      const auto half =
-          std::find_if(peer->links.begin(), peer->links.end(),
-                       [&](const LsaLink& other) { return other.subnet == link.subnet; });
-      if (half == peer->links.end()) continue;  // half-configured adjacency
-      // from_lsdb's orientation: `a` is the lower origin.
-      const LsaLink& lo = u < v ? link : *half;
-      const LsaLink& hi = u < v ? *half : link;
-      const auto i = static_cast<std::uint32_t>(subnets_.size());
-      subnets_.push_back(Subnet{lo.subnet, std::min(u, v), std::max(u, v), lo.metric,
-                                hi.metric, lo.local_addr, hi.local_addr});
-      fwd_index_.emplace(lo.local_addr, std::pair{i, std::min(u, v)});
-      fwd_index_.emplace(hi.local_addr, std::pair{i, std::max(u, v)});
+      pair_link_(lsdb, u, link);
+    }
+  }
+}
+
+void NetworkView::pair_link_(const Lsdb& lsdb, topo::NodeId u, const LsaLink& link) {
+  const topo::NodeId v = link.neighbor;
+  const RouterLsa* peer = router_lsa(lsdb, v);
+  if (peer == nullptr) return;  // two-way check
+  const auto half =
+      std::find_if(peer->links.begin(), peer->links.end(),
+                   [&](const LsaLink& other) { return other.subnet == link.subnet; });
+  if (half == peer->links.end()) return;  // half-configured adjacency
+  // from_lsdb's orientation: `a` is the lower origin.
+  const LsaLink& lo = u < v ? link : *half;
+  const LsaLink& hi = u < v ? *half : link;
+  const auto i = static_cast<std::uint32_t>(subnets_.size());
+  subnets_.push_back(Subnet{lo.subnet, std::min(u, v), std::max(u, v), lo.metric,
+                            hi.metric, lo.local_addr, hi.local_addr});
+  fwd_index_.emplace(lo.local_addr, std::pair{i, std::min(u, v)});
+  fwd_index_.emplace(hi.local_addr, std::pair{i, std::max(u, v)});
+}
+
+void NetworkView::add_attachments_(const Lsdb& lsdb, topo::NodeId u) {
+  if (const RouterLsa* router = router_lsa(lsdb, u)) {
+    for (const LsaPrefix& pfx : router->prefixes) {
+      attachments_.push_back(Attachment{pfx.prefix, u, pfx.metric});
     }
   }
 }

@@ -88,16 +88,20 @@ class NetworkView {
   /// that drain returned. Afterwards the view equals from_lsdb(lsdb) except
   /// for the order of subnets and attachments.
   ///
-  /// Each changed Router-LSA origin gets its out-edges (with from_lsdb's
-  /// presence-only two-way check), its prefixes and every /30 its old or new
-  /// links name re-read: the subnets its old links (Change::before) paired
-  /// are dropped through the forwarding-address index, and each new link is
-  /// paired with the neighbor's half through Lsdb::find. That agrees with
+  /// Each changed Router-LSA origin gets its out-edges re-read (with
+  /// from_lsdb's presence-only two-way check). Its old links
+  /// (Change::before) are compared with its current ones link by link --
+  /// neighbor, metric, subnet and local address. The subnet of each link
+  /// that left or changed is dropped through the forwarding-address index;
+  /// each link that arrived or changed is paired with the neighbor's half
+  /// through Lsdb::find, unless its address is already indexed because the
+  /// other end's change in the same drain paired it. That agrees with
   /// from_lsdb's pairing by subnet key because a transfer network is named
   /// only by the two routers of its link, with one interface address each.
-  /// A Router-LSA that appeared or vanished can change any edge into its
-  /// router, so then every origin is re-read and every subnet re-paired, in
-  /// one pass. Each changed lie is added, replaced or dropped.
+  /// The origin's prefixes are re-read only when they changed. A Router-LSA
+  /// that appeared or vanished can change any edge into its router, so then
+  /// every origin, subnet and prefix is re-read, in one pass. Each changed
+  /// lie is added, replaced or dropped.
   ///
   /// Appends to `deltas` the directed adjacency changes, exactly as a
   /// per-origin multiset diff of the old and new views lists them: origins
@@ -137,6 +141,11 @@ class NetworkView {
   void drop_subnet_(net::Ipv4 addr);
   /// Pair each link of `origins` (sorted) with its neighbor's half.
   void pair_subnets_(const Lsdb& lsdb, const std::vector<topo::NodeId>& origins);
+  /// Pair `link`, one of `u`'s, with its neighbor's half, if the neighbor's
+  /// Router-LSA is present and lists the subnet.
+  void pair_link_(const Lsdb& lsdb, topo::NodeId u, const LsaLink& link);
+  /// Append the attachments of `u`'s Router-LSA, if present.
+  void add_attachments_(const Lsdb& lsdb, topo::NodeId u);
   /// Add, replace or drop the external of lie `lie_id` to match `lsdb`.
   void patch_external_(const Lsdb& lsdb, std::uint64_t lie_id);
 

@@ -571,6 +571,56 @@ TEST(NetworkSim, FibSwapNoFlowCanFeelDoesNoWork) {
   EXPECT_EQ(fx.sim.blackholed_flows(), 0u);
 }
 
+TEST(NetworkSim, EmptyFlipSettlesLikeAFullSwap) {
+  // Two sims with the same flows: one router per instant gets an empty
+  // change list in one, its whole unchanged FIB in the other. Both settle
+  // the byte counters at every flip, so they count the same bytes.
+  ScopedSim flipped;
+  ScopedSim swapped;
+  for (int k = 1; k <= 40; ++k) {
+    flipped.events.run_until(0.1 * k);
+    swapped.events.run_until(0.1 * k);
+    const auto n = static_cast<NodeId>(k % flipped.p.topo.node_count());
+    const Work w = work_of(flipped.sim, [&] {
+      flipped.sim.flip_table(n, flipped.tables[n], {});
+    });
+    EXPECT_EQ(w.walks, 0u);
+    EXPECT_EQ(w.solves, 0u);
+    const Work full = work_of(swapped.sim, [&] { swapped.sim.set_fib(n, swapped.plain_fib(n)); });
+    EXPECT_EQ(full.walks, 0u);
+  }
+  for (topo::LinkId l = 0; l < flipped.p.topo.link_count(); ++l) {
+    EXPECT_EQ(flipped.sim.link_bytes(l), swapped.sim.link_bytes(l)) << "link " << l;
+  }
+}
+
+TEST(NetworkSim, FlipPatchesOnlyTheChangedPrefixes) {
+  ScopedSim fx;
+  // R2 loses its P1 route: the two B->P1 flows blackhole there, the A->P2
+  // flow through R2 is not walked.
+  igp::RoutingTable r2 = fx.tables[fx.p.r2];
+  r2.erase(fx.p.p1);
+  Work w = work_of(fx.sim, [&] { fx.sim.flip_table(fx.p.r2, r2, std::vector{fx.p.p1}); });
+  EXPECT_EQ(w.walks, 2u);
+  EXPECT_EQ(w.solves, 1u);
+  EXPECT_EQ(fx.sim.fib(fx.p.r2).exact(fx.p.p1), nullptr);
+  EXPECT_NE(fx.sim.fib(fx.p.r2).exact(fx.p.p2), nullptr);
+  EXPECT_EQ(fx.sim.blackholed_flows(), 2u);
+  // P1 comes back at a higher cost: its two flows are delivered again.
+  igp::RoutingTable costlier = fx.tables[fx.p.r2];
+  costlier.at(fx.p.p1).cost += 5;
+  w = work_of(fx.sim, [&] { fx.sim.flip_table(fx.p.r2, costlier, std::vector{fx.p.p1}); });
+  EXPECT_EQ(w.walks, 2u);
+  EXPECT_EQ(fx.sim.blackholed_flows(), 0u);
+  // Only the cost changes: the entry compiles the same, so nothing walks.
+  w = work_of(fx.sim, [&] {
+    fx.sim.flip_table(fx.p.r2, fx.tables[fx.p.r2], std::vector{fx.p.p1});
+  });
+  EXPECT_EQ(w.walks, 0u);
+  EXPECT_EQ(w.solves, 0u);
+  EXPECT_EQ(fx.sim.fib(fx.p.r2).to_string(fx.p.topo), fx.plain_fib(fx.p.r2).to_string(fx.p.topo));
+}
+
 TEST(NetworkSim, FibChangeWalksOnlyFlowsThroughTheRouter) {
   ScopedSim fx;
   Work w = work_of(fx.sim, [&] { fx.sim.set_fib(fx.p.r2, Fib{}); });
@@ -590,13 +640,96 @@ TEST(NetworkSim, FibChangeWalksOnlyFlowsThroughTheRouter) {
   EXPECT_EQ(fx.sim.blackholed_flows(), 0u);
 }
 
-TEST(NetworkSim, LinkFailureWalksEveryFlow) {
-  ScopedSim fx;
-  const Work w = work_of(fx.sim, [&] {
-    fx.sim.fail_link(fx.p.topo.link_between(fx.p.a, fx.p.r1));
-  });
-  EXPECT_EQ(w.walks, fx.flows.size());
+/// ScopedSim with A-R1 carrying traffic both ways, and an undelivered flow:
+/// A sends P2 via R1 (A->R1->R4->C), R1 sends P1 via A (R1->A->B->R2->C),
+/// and a flow to an address no router routes blackholes at R4.
+struct LinkEventSim : ScopedSim {
+  topo::LinkId a_r1 = p.topo.link_between(p.a, p.r1);
+  FlowId a_to_r1 = flows[2];  // A->P2
+  FlowId r1_to_a = 0;
+  FlowId lost = 0;
+
+  LinkEventSim() {
+    Fib a = plain_fib(p.a);
+    a.set(p.p2, FibEntry{false, {FibNextHop{a_r1, p.r1, 1}}});
+    sim.set_fib(p.a, std::move(a));
+    Fib r1 = plain_fib(p.r1);
+    r1.set(p.p1, FibEntry{false, {FibNextHop{p.topo.link(a_r1).reverse, p.a, 1}}});
+    sim.set_fib(p.r1, std::move(r1));
+    r1_to_a = sim.add_flow(make_flow(p.r1, p.p1.host(6), 4006));
+    lost = sim.add_flow(make_flow(p.r4, net::Ipv4(198, 51, 100, 7), 4007));
+  }
+  /// Flows whose path crosses A-R1 either way, plus the undelivered ones.
+  [[nodiscard]] std::size_t crossing_or_undelivered() const {
+    const topo::LinkId r1_a = p.topo.link(a_r1).reverse;
+    std::size_t n = 0;
+    for (const FlowId id : {flows[0], flows[1], flows[2], flows[3], r1_to_a, lost}) {
+      const FlowPath& path = sim.flow_path(id);
+      const bool crosses = std::count(path.links.begin(), path.links.end(), a_r1) +
+                               std::count(path.links.begin(), path.links.end(), r1_a) >
+                           0;
+      if (crosses || !path.delivered()) ++n;
+    }
+    return n;
+  }
+};
+
+TEST(NetworkSim, LinkFailureWalksCrossingAndUndeliveredFlows) {
+  LinkEventSim fx;
+  ASSERT_TRUE(fx.sim.flow_path(fx.a_to_r1).delivered());
+  ASSERT_TRUE(fx.sim.flow_path(fx.r1_to_a).delivered());
+  ASSERT_EQ(fx.sim.flow_path(fx.lost).outcome, FlowPath::Outcome::kBlackhole);
+  const std::size_t expected = fx.crossing_or_undelivered();
+  EXPECT_EQ(expected, 3u);  // A->P2, R1->P1 and the lost flow; not the other 3
+  const Work w = work_of(fx.sim, [&] { fx.sim.fail_link(fx.a_r1); });
+  EXPECT_EQ(w.walks, expected);
   EXPECT_EQ(w.solves, 1u);
+  EXPECT_EQ(fx.sim.flow_path(fx.a_to_r1).outcome, FlowPath::Outcome::kBlackhole);
+  EXPECT_EQ(fx.sim.flow_path(fx.r1_to_a).outcome, FlowPath::Outcome::kBlackhole);
+  EXPECT_EQ(fx.sim.blackholed_flows(), 3u);
+}
+
+TEST(NetworkSim, LinkRestorationWalksOnlyUndeliveredFlows) {
+  LinkEventSim fx;
+  fx.sim.fail_link(fx.a_r1);
+  ASSERT_EQ(fx.sim.blackholed_flows(), 3u);
+  const Work w = work_of(fx.sim, [&] { fx.sim.restore_link(fx.a_r1); });
+  EXPECT_EQ(w.walks, 3u);  // the three undelivered flows, no delivered one
+  EXPECT_EQ(w.solves, 1u);
+  EXPECT_TRUE(fx.sim.flow_path(fx.a_to_r1).delivered());
+  EXPECT_TRUE(fx.sim.flow_path(fx.r1_to_a).delivered());
+  EXPECT_EQ(fx.sim.blackholed_flows(), 1u);
+  // A link no flow crosses: its failure and restoration each walk only the
+  // undelivered flow, and still update rates once.
+  const topo::LinkId r3_c = fx.p.topo.link_between(fx.p.r3, fx.p.c);
+  const Work fail = work_of(fx.sim, [&] { fx.sim.fail_link(r3_c); });
+  const Work restore = work_of(fx.sim, [&] { fx.sim.restore_link(r3_c); });
+  EXPECT_EQ(fail.walks, 1u);
+  EXPECT_EQ(fail.solves, 1u);
+  EXPECT_EQ(restore.walks, 1u);
+  EXPECT_EQ(restore.solves, 1u);
+}
+
+TEST(NetworkSim, LinkFailureRewalksALoopAcrossTheLink) {
+  ScopedSim fx;
+  const topo::LinkId a_r1 = fx.p.topo.link_between(fx.p.a, fx.p.r1);
+  // A sends P1 via R1 and R1 sends it back: A->R1->A loops over A-R1, and a
+  // looping walk is indexed on no link.
+  Fib a = fx.plain_fib(fx.p.a);
+  a.set(fx.p.p1, FibEntry{false, {FibNextHop{a_r1, fx.p.r1, 1}}});
+  fx.sim.set_fib(fx.p.a, std::move(a));
+  Fib r1 = fx.plain_fib(fx.p.r1);
+  r1.set(fx.p.p1, FibEntry{false, {FibNextHop{fx.p.topo.link(a_r1).reverse, fx.p.a, 1}}});
+  fx.sim.set_fib(fx.p.r1, std::move(r1));
+  const FlowId looping = fx.sim.add_flow(make_flow(fx.p.a, fx.p.p1.host(6), 4006));
+  ASSERT_EQ(fx.sim.flow_path(looping).outcome, FlowPath::Outcome::kLoop);
+  ASSERT_EQ(fx.sim.flow_path(looping).links.size(), 2u);
+  const Work w = work_of(fx.sim, [&] { fx.sim.fail_link(a_r1); });
+  EXPECT_EQ(w.walks, 1u);  // only the loop: no delivered flow crosses A-R1
+  EXPECT_EQ(w.solves, 1u);
+  EXPECT_EQ(fx.sim.flow_path(looping).outcome, FlowPath::Outcome::kBlackhole);
+  EXPECT_TRUE(fx.sim.flow_path(looping).links.empty());
+  EXPECT_EQ(fx.sim.looping_flows(), 0u);
 }
 
 // ----------------------- max-min solves only while a link is oversubscribed

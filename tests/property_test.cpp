@@ -68,19 +68,24 @@ TEST_P(SpfProperty, DistancesMatchBellmanFord) {
   }
 }
 
-TEST_P(SpfProperty, FirstHopsSatisfyEcmpDefinition) {
-  util::Rng rng(GetParam() ^ 0xabcdef);
-  const topo::Topology t = topo::make_waxman(16, rng, 0.5, 0.5, 7);
-  const igp::NetworkView view = igp::NetworkView::from_topology(t);
-  const auto source = static_cast<topo::NodeId>(rng.pick_index(t.node_count()));
+/// Checks every first-hop set of run_spf from `source` on `t` with `mask`'s
+/// links down against the definition: neighbor w is a first hop toward v
+/// iff the link source->w is up and metric(source,w) + dist(w,v) ==
+/// dist(source,v). Returns how many targets have more than one first hop.
+std::size_t expect_ecmp_first_hops(const topo::Topology& t,
+                                   const topo::LinkStateMask* mask,
+                                   topo::NodeId source) {
+  const igp::NetworkView view = igp::NetworkView::from_topology(t, {}, mask);
   const igp::SpfResult from_src = igp::run_spf(view, source);
-
-  // Definition: neighbor w is a first hop toward v iff
-  // metric(source,w) + dist(w,v) == dist(source,v).
+  std::size_t multi = 0;
   for (topo::NodeId v = 0; v < t.node_count(); ++v) {
-    if (v == source || !from_src.reaches(v)) continue;
+    if (v == source || !from_src.reaches(v)) {
+      EXPECT_TRUE(from_src.first_hops[v].empty()) << "target " << v;
+      continue;
+    }
     std::vector<topo::NodeId> expected;
     for (const topo::LinkId l : t.out_links(source)) {
+      if (mask != nullptr && mask->is_down(l)) continue;
       const topo::NodeId w = t.link(l).to;
       const igp::SpfResult from_w = igp::run_spf(view, w);
       if (from_w.reaches(v) &&
@@ -89,8 +94,105 @@ TEST_P(SpfProperty, FirstHopsSatisfyEcmpDefinition) {
       }
     }
     std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(from_src.first_hops[v], expected) << "target " << v;
+    expected.erase(std::unique(expected.begin(), expected.end()), expected.end());
+    EXPECT_TRUE(std::ranges::equal(from_src.first_hops[v], expected)) << "target " << v;
+    if (expected.size() > 1) ++multi;
   }
+  return multi;
+}
+
+/// `t` with each link's two directions given independent metrics in
+/// [1, max_metric].
+topo::Topology with_asymmetric_metrics(const topo::Topology& t, util::Rng& rng,
+                                       topo::Metric max_metric) {
+  topo::Topology out;
+  for (topo::NodeId n = 0; n < t.node_count(); ++n) out.add_node(t.node(n).name);
+  for (topo::LinkId l = 0; l < t.link_count(); ++l) {
+    const topo::Link& link = t.link(l);
+    if (link.from > link.to) continue;
+    out.add_link_asymmetric(link.from, link.to,
+                            static_cast<topo::Metric>(rng.uniform_int(1, max_metric)),
+                            static_cast<topo::Metric>(rng.uniform_int(1, max_metric)),
+                            link.capacity_bps);
+  }
+  return out;
+}
+
+TEST_P(SpfProperty, FirstHopsSatisfyEcmpDefinition) {
+  util::Rng rng(GetParam() ^ 0xabcdef);
+  const topo::Topology t = topo::make_waxman(16, rng, 0.5, 0.5, 7);
+  expect_ecmp_first_hops(t, nullptr,
+                         static_cast<topo::NodeId>(rng.pick_index(t.node_count())));
+  // Metric ties (metrics 1-2), asymmetric metrics, each with and without
+  // four failed links.
+  const topo::Topology tied = topo::make_waxman(16, rng, 0.5, 0.5, 2);
+  const topo::Topology asymmetric = with_asymmetric_metrics(tied, rng, 3);
+  std::size_t multi = 0;
+  for (const topo::Topology* g : {&tied, &asymmetric}) {
+    topo::LinkStateMask mask(*g);
+    for (int k = 0; k < 4; ++k) {
+      mask.fail(static_cast<topo::LinkId>(rng.pick_index(g->link_count())));
+    }
+    for (const topo::LinkStateMask* m : {static_cast<const topo::LinkStateMask*>(nullptr),
+                                         static_cast<const topo::LinkStateMask*>(&mask)}) {
+      multi += expect_ecmp_first_hops(
+          *g, m, static_cast<topo::NodeId>(rng.pick_index(g->node_count())));
+    }
+  }
+  EXPECT_GT(multi, 0u);  // the ties make ECMP sets
+}
+
+/// One SpfResult carried through 300 random batches of link flips, each
+/// handed to update_spf as RouterSpf hands a hold-down window's deltas: it
+/// must equal run_spf on every new view, node by node, and its first-hop
+/// arena must stay within twice its live size.
+TEST_P(SpfProperty, RepairLineageMatchesFreshRuns) {
+  util::Rng rng(GetParam() ^ 0x5bf1);
+  const topo::Topology t = topo::make_waxman(30, rng, 0.5, 0.5, 2);
+  const auto source = static_cast<topo::NodeId>(rng.pick_index(t.node_count()));
+  topo::LinkStateMask mask(t);
+  std::vector<bool> bits = mask.bits();
+  igp::SpfResult spf = igp::run_spf(igp::NetworkView::from_topology(t, {}, &mask), source);
+  std::size_t incremental = 0;
+  std::size_t compactions = 0;
+  for (int batch = 0; batch < 300; ++batch) {
+    // 1-3 adjacencies flip; a few batches flip many (update_spf's full path).
+    const int flips = rng.chance(0.05) ? 12 : static_cast<int>(rng.uniform_int(1, 3));
+    for (int k = 0; k < flips; ++k) {
+      const auto l = static_cast<topo::LinkId>(rng.pick_index(t.link_count()));
+      if (mask.is_down(l)) {
+        mask.restore(l);
+      } else if (mask.down_count() < 8 || rng.chance(0.2)) {
+        mask.fail(l);
+      }
+    }
+    std::vector<igp::EdgeDelta> deltas;
+    for (topo::LinkId l = 0; l < t.link_count(); ++l) {
+      if (bits[l] == mask.bits()[l]) continue;
+      deltas.push_back(
+          igp::EdgeDelta{t.link(l).from, t.link(l).to, t.link(l).metric, mask.bits()[l]});
+    }
+    bits = mask.bits();
+    const igp::NetworkView view = igp::NetworkView::from_topology(t, {}, &mask);
+    const std::size_t arena_before = spf.first_hops.arena_size();
+    igp::SpfUpdate update = igp::update_spf(view, spf, deltas);
+    if (update.mode != igp::SpfUpdate::Mode::kUnchanged) spf = std::move(update.result);
+    if (update.mode == igp::SpfUpdate::Mode::kIncremental) {
+      ++incremental;
+      if (spf.first_hops.arena_size() < arena_before) ++compactions;
+    }
+    const igp::SpfResult fresh = igp::run_spf(view, source);
+    for (topo::NodeId v = 0; v < t.node_count(); ++v) {
+      ASSERT_EQ(spf.dist[v], fresh.dist[v]) << "batch " << batch << " node " << v;
+      ASSERT_TRUE(std::ranges::equal(spf.first_hops[v], fresh.first_hops[v]))
+          << "batch " << batch << " node " << v;
+    }
+    ASSERT_TRUE(spf.first_hops == fresh.first_hops) << "batch " << batch;
+    ASSERT_LE(spf.first_hops.arena_size(), 2 * spf.first_hops.live_size())
+        << "batch " << batch;
+  }
+  EXPECT_GT(incremental, 50u);
+  EXPECT_GT(compactions, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpfProperty, ::testing::Range<std::uint64_t>(1, 9));
@@ -248,11 +350,17 @@ struct RateWork {
   std::uint64_t max_min_solves = 0;
 };
 
-/// One seeded run of random add/remove/fail/restore/set_fib steps on a
+/// One seeded run of random add/remove/fail/restore steps, FIB swaps
+/// (set_fib) and table flips (flip_table with the changed prefixes) on a
 /// Waxman graph whose link capacities (50-200 Mb/s) are multiplied by
-/// `capacity_scale`, checked against the reference after every step.
+/// `capacity_scale`, checked against the reference after every step. A /16
+/// announced elsewhere covers the flows' four /24s, so a flow whose /24
+/// route vanishes at a router falls back to the /16 there.
 void check_scoped_updates(std::uint64_t seed, double capacity_scale, RateWork* work) {
   util::Rng rng(seed ^ 0xda7a);
+  // The flips and the /16 draw from their own stream, so the other steps
+  // keep theirs.
+  util::Rng flip_rng(seed ^ 0xf119);
   topo::Topology t = topo::make_waxman(
       static_cast<std::size_t>(rng.uniform_int(30, 60)), rng, 0.5, 0.5, 8,
       50e6 * capacity_scale, 200e6 * capacity_scale);
@@ -264,6 +372,9 @@ void check_scoped_updates(std::uint64_t seed, double capacity_scale, RateWork* w
   }
   const net::Prefix unused(net::Ipv4(198, 51, 100, 0), 24);  // no flow goes here
   t.attach_prefix(static_cast<topo::NodeId>(rng.pick_index(t.node_count())), unused);
+  const net::Prefix aggregate(net::Ipv4(203, 0, 0, 0), 16);  // covers every flow
+  t.attach_prefix(static_cast<topo::NodeId>(flip_rng.pick_index(t.node_count())),
+                  aggregate);
 
   // FIB sources: tables under 3 link masks x {no lies, lies on the flows'
   // prefixes} x {no lies, lies on the unused prefix}. Flipping only the
@@ -304,7 +415,8 @@ void check_scoped_updates(std::uint64_t seed, double capacity_scale, RateWork* w
   util::EventQueue events;
   dataplane::NetworkSim sim(t, events);
   sim.install_tables(sources[0]);
-  std::vector<std::size_t> installed(t.node_count(), 0);
+  std::vector<std::size_t> installed(t.node_count(), 0);  // last source set
+  std::vector<igp::RoutingTable> tables = sources[0];     // what each FIB holds
   std::vector<dataplane::Fib> mirror;
   for (topo::NodeId n = 0; n < t.node_count(); ++n) mirror.push_back(make_fib(n, 0));
   std::map<dataplane::FlowId, dataplane::Flow> flows;
@@ -324,18 +436,49 @@ void check_scoped_updates(std::uint64_t seed, double capacity_scale, RateWork* w
     return std::next(flows.begin(),
                      static_cast<std::ptrdiff_t>(rng.pick_index(flows.size())));
   };
+  const auto set_table = [&](topo::NodeId n, const igp::RoutingTable& table) {
+    sim.set_fib(n, dataplane::Fib::from_routing_table(t, n, table));
+    mirror[n] = dataplane::Fib::from_routing_table(t, n, table);
+    tables[n] = table;
+  };
   const auto set_fib = [&](topo::NodeId n, std::size_t source) {
-    sim.set_fib(n, make_fib(n, source));
-    mirror[n] = make_fib(n, source);
+    set_table(n, sources[source][n]);
     installed[n] = source;
+  };
+  // A router's table flip as an SPF run hands it over: the new table and
+  // the prefixes whose entry changed. Returns that list.
+  const auto flip = [&](topo::NodeId n, const igp::RoutingTable& table) {
+    const std::vector<net::Prefix> changed = igp::changed_prefixes(tables[n], table);
+    sim.flip_table(n, table, changed);
+    mirror[n] = dataplane::Fib::from_routing_table(t, n, table);
+    tables[n] = table;
+    return changed;
+  };
+  // A router on a random flow's path, and that flow's /24.
+  const auto on_some_path = [&] {
+    const auto it = std::next(
+        flows.begin(), static_cast<std::ptrdiff_t>(flip_rng.pick_index(flows.size())));
+    const dataplane::FlowPath& path = sim.flow_path(it->first);
+    const std::size_t hop = flip_rng.pick_index(path.links.size() + 1);
+    const topo::NodeId n = hop == 0 ? it->second.ingress : t.link(path.links[hop - 1]).to;
+    return std::pair{n, *std::find_if(used.begin(), used.end(), [&](const net::Prefix& p) {
+                       return p.contains(it->second.dst);
+                     })};
   };
   int quiet_swaps = 0;   // set_fib that walked no flow
   int still_swaps = 0;   // walked, but no path moved
   int moving_swaps = 0;  // a path moved
-  for (int step = 0; step < 300; ++step) {
+  int empty_flips = 0;
+  int vanishing_flips = 0;  // a changed prefix has no route left
+  int cost_flips = 0;       // only costs changed
+  int nested_flips = 0;     // the /16 and a /24 changed together
+  int moving_flips = 0;     // a flip moved a path
+  for (int step = 0; step < 450; ++step) {
     const std::uint64_t walks = sim.flow_walks();
     const std::uint64_t solves = sim.rate_solves();
-    const auto kind = rng.uniform_int(0, 7);
+    // One step in three is a table flip (kinds 8-11).
+    const auto kind =
+        flip_rng.chance(1.0 / 3) ? flip_rng.uniform_int(8, 11) : rng.uniform_int(0, 7);
     bool swap = false;
     if (kind == 0 || (kind == 1 && flows.size() < 80)) {
       add_flow();
@@ -351,13 +494,70 @@ void check_scoped_updates(std::uint64_t seed, double capacity_scale, RateWork* w
     } else if (kind == 4) {
       // Identical table.
       const auto n = static_cast<topo::NodeId>(rng.pick_index(t.node_count()));
-      set_fib(n, installed[n]);
+      set_table(n, tables[n]);
       swap = true;
     } else if (kind == 5) {
-      // Only the unused prefix's entries change.
+      // Only the unused prefix's entry changes.
       const auto n = static_cast<topo::NodeId>(rng.pick_index(t.node_count()));
-      set_fib(n, installed[n] ^ 1);
+      installed[n] ^= 1;
+      igp::RoutingTable table = tables[n];
+      table.erase(unused);
+      if (const auto it = sources[installed[n]][n].find(unused);
+          it != sources[installed[n]][n].end()) {
+        table.insert(*it);
+      }
+      set_table(n, table);
       swap = true;
+    } else if (kind == 8) {
+      // A flip that changed nothing: no walk and no rate update.
+      const auto n = on_some_path().first;
+      const igp::RoutingTable same = tables[n];
+      EXPECT_TRUE(flip(n, same).empty()) << "step " << step;
+      ++empty_flips;
+      EXPECT_EQ(sim.flow_walks(), walks) << "step " << step;
+      EXPECT_EQ(sim.rate_solves(), solves) << "step " << step;
+    } else if (kind == 9) {
+      // A flow's /24 route vanishes, and half the time the /16's with it.
+      const auto [n, prefix] = on_some_path();
+      igp::RoutingTable table = tables[n];
+      table.erase(prefix);
+      if (flip_rng.chance(0.5)) table.erase(aggregate);
+      const std::vector<net::Prefix> changed = flip(n, table);
+      if (!changed.empty()) ++vanishing_flips;
+    } else if (kind == 10) {
+      // Every route's cost moves, no next hop does: nothing to walk.
+      const auto n = on_some_path().first;
+      igp::RoutingTable table = tables[n];
+      for (auto& [prefix, entry] : table) ++entry.cost;
+      const std::vector<net::Prefix> changed = flip(n, table);
+      EXPECT_EQ(changed.size(), table.size()) << "step " << step;
+      EXPECT_EQ(sim.flow_walks(), walks) << "step " << step;
+      EXPECT_EQ(sim.rate_solves(), solves) << "step " << step;
+      if (!changed.empty()) ++cost_flips;
+    } else if (kind == 11) {
+      // The /16 takes another route of the router, while a flow's /24
+      // vanishes, returns from a source table or changes with it.
+      const auto [n, prefix] = on_some_path();
+      igp::RoutingTable table = tables[n];
+      if (!table.empty()) {
+        const igp::RouteEntry other =
+            std::next(table.begin(),
+                      static_cast<std::ptrdiff_t>(flip_rng.pick_index(table.size())))
+                ->second;
+        table[aggregate] = other;
+      }
+      const igp::RoutingTable& source = sources[flip_rng.pick_index(sources.size())][n];
+      if (const auto it = source.find(prefix);
+          it != source.end() && flip_rng.chance(0.5)) {
+        table[prefix] = it->second;
+      } else {
+        table.erase(prefix);
+      }
+      const std::vector<net::Prefix> changed = flip(n, table);
+      if (std::ranges::binary_search(changed, aggregate) &&
+          std::ranges::binary_search(changed, prefix)) {
+        ++nested_flips;
+      }
     } else {
       // At a router on some flow's path, a table whose route to the flow's
       // prefix differs from the installed one (any table if none does).
@@ -369,19 +569,19 @@ void check_scoped_updates(std::uint64_t seed, double capacity_scale, RateWork* w
       const net::Prefix& prefix =
           *std::find_if(used.begin(), used.end(),
                         [&](const net::Prefix& p) { return p.contains(it->second.dst); });
-      const auto route = [&](std::size_t source) {
-        const igp::RoutingTable& table = sources[source][n];
+      const auto route = [&](const igp::RoutingTable& table) {
         const auto found = table.find(prefix);
         return found == table.end() ? std::nullopt : std::optional(found->second);
       };
       std::vector<std::size_t> differing;
       for (std::size_t k = 0; k < sources.size(); ++k) {
-        if (route(k) != route(installed[n])) differing.push_back(k);
+        if (route(sources[k][n]) != route(tables[n])) differing.push_back(k);
       }
       set_fib(n, differing.empty() ? rng.pick_index(sources.size())
                                    : differing[rng.pick_index(differing.size())]);
       swap = true;
     }
+    if (kind >= 8 && sim.rate_solves() != solves) ++moving_flips;
     if (swap) {
       if (sim.flow_walks() == walks) {
         ++quiet_swaps;
@@ -420,10 +620,16 @@ void check_scoped_updates(std::uint64_t seed, double capacity_scale, RateWork* w
     ASSERT_EQ(sim.looping_flows(), looping) << "step " << step;
     ASSERT_EQ(sim.blackholed_flows(), blackholed) << "step " << step;
   }
-  // Every scope must have carried some swaps.
+  // Every scope must have carried some swaps, and every kind of flip
+  // must have occurred.
   EXPECT_GT(quiet_swaps, 0);
   EXPECT_GT(still_swaps, 0);
   EXPECT_GT(moving_swaps, 0);
+  EXPECT_GT(empty_flips, 0);
+  EXPECT_GT(vanishing_flips, 0);
+  EXPECT_GT(cost_flips, 0);
+  EXPECT_GT(nested_flips, 0);
+  EXPECT_GT(moving_flips, 0);
   *work = RateWork{sim.rate_solves(), sim.max_min_solves()};
 }
 
@@ -786,6 +992,14 @@ void run_churn_scenario(std::uint64_t seed, const core::ServiceConfig& config,
     run.run_until(now);
 
     ASSERT_TRUE(support::lies_respect_link_state(service)) << "step " << step;
+    // Each router's FIB was patched from the changed prefixes its SPF runs
+    // handed over; it must hold exactly the router's table.
+    for (topo::NodeId n = 0; n < t.node_count(); ++n) {
+      ASSERT_EQ(service.sim().fib(n).to_string(t),
+                dataplane::Fib::from_routing_table(t, n, service.domain().table(n))
+                    .to_string(t))
+          << "step " << step << " at " << t.node(n).name;
+    }
     ASSERT_EQ(service.sim().looping_flows(), 0u) << "step " << step;
     ASSERT_EQ(service.sim().blackholed_flows(), 0u) << "step " << step;
     for (const topo::NodeId n : transit) {
@@ -1618,7 +1832,8 @@ igp::RouteEntry reference_route_entry(
     if (att->node == spf.source) {
       cand.local = true;
     } else {
-      cand.first_hops = spf.first_hops[att->node];
+      cand.first_hops.assign(spf.first_hops[att->node].begin(),
+                             spf.first_hops[att->node].end());
     }
     cands.push_back(std::move(cand));
   }
@@ -1642,10 +1857,12 @@ igp::RouteEntry reference_route_entry(
       const auto [endpoint, iface_cost] = sides[side];
       if (!spf.reaches(endpoint)) continue;
       const topo::Metric cost = spf.dist[endpoint] + iface_cost;
-      std::vector<topo::NodeId> hops =
-          endpoint == spf.source
-              ? std::vector<topo::NodeId>{side == 0 ? subnet.b : subnet.a}
-              : spf.first_hops[endpoint];
+      std::vector<topo::NodeId> hops;
+      if (endpoint == spf.source) {
+        hops = {side == 0 ? subnet.b : subnet.a};
+      } else {
+        hops.assign(spf.first_hops[endpoint].begin(), spf.first_hops[endpoint].end());
+      }
       if (cost < best) {
         best = cost;
         tied = {std::move(hops)};

@@ -62,7 +62,7 @@ CompileResult compile_lies(const topo::Topology& topo,
   PlanningCache planning(topo, config.link_state, config.route_cache);
   igp::RouteCache& cache = planning.get();
   const igp::NetworkView& view = cache.view();
-  const igp::RouteCache::TablesPtr baseline_tables = cache.baseline();
+  const igp::RouteCache::TablesPtr baseline_tables = cache.tables({});
   const igp::RouteColumn& baseline = *cache.column(*baseline_tables, req.prefix);
 
   // Distance from u to the transfer subnet of link u<->via, and the check

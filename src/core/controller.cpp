@@ -443,14 +443,8 @@ PlacementOutcome place_prefix(const topo::Topology& topo, const ControllerConfig
   mm.max_stretch = config.max_stretch;
   mm.link_state = &mask;
   mm.granularity_floor = 1.0 / std::max<std::uint32_t>(config.max_replicas, 2);
-  // One search serves the whole attempt: the initial solve seeds its
-  // reverse Dijkstra; the fallback ladder's support DAG and every rung
-  // reuse it (reset_bound() keeps the Dijkstra while the support-pruned
-  // bound is honestly re-searched).
-  te::MinMaxSearch search;
   ++out.solves;
-  const auto solution =
-      te::solve_min_max(topo, dest, demands, background, mm, &search);
+  const auto solution = te::solve_min_max(topo, dest, demands, background, mm);
   if (!solution.ok()) {
     out.solver_error = solution.error();
     return out;
@@ -476,22 +470,17 @@ PlacementOutcome place_prefix(const topo::Topology& topo, const ControllerConfig
   // headroom cannot fix an unreachable subnet or a broken requirement.
   if (!out.compiled->ok() &&
       out.compiled->error_kind() == CompileErrorKind::kGranularity) {
-    search.reset_bound();  // support changes the pruning; the Dijkstra stays
-    mm.support = te::shortest_path_dag(topo, dest, &mask, &search);
+    mm.support = te::shortest_path_dag(topo, dest, &mask);
     double total_demand = 0.0;
     for (const te::Demand& d : demands) total_demand += d.rate_bps;
     const double flow_eps = std::max(total_demand, 1.0) * 1e-7;
     for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
       if (solution.value().link_flow[l] > flow_eps) mm.support[l] = true;
     }
-    // The binary-search bound is identical per rung (only the refinement
-    // headroom differs), so after the first rung each re-solve costs a
-    // single feasibility max-flow plus the refinement.
     for (const double relax : kThetaRelaxSchedule) {
       mm.theta_relax = relax;
       ++out.solves;
-      const auto relaxed =
-          te::solve_min_max(topo, dest, demands, background, mm, &search);
+      const auto relaxed = te::solve_min_max(topo, dest, demands, background, mm);
       if (!relaxed.ok()) break;
       CompileResult retry = attempt(relaxed.value());
       const bool granular =

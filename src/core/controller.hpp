@@ -61,7 +61,8 @@ struct PlacementOutcome {
 /// re-solved with theta relaxed to theta* * (1 + eps), restricted to the
 /// compilable support (the optimum's flow links plus the shortest-path
 /// DAG), for eps = 2, 5, 10 and 25 % in turn; only when the last rung fails
-/// is the prefix unmitigable.
+/// is the prefix unmitigable. Each rung is a full te::solve_min_max call:
+/// the ladder keeps no solver state between rungs.
 [[nodiscard]] PlacementOutcome place_prefix(
     const topo::Topology& topo, const ControllerConfig& config,
     const topo::LinkStateMask& mask, igp::RouteCache& cache,

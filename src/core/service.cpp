@@ -11,6 +11,10 @@ namespace fibbing::core {
 
 namespace {
 
+/// Smoothing weight of the newest SNMP sample in the poller's per-link rate
+/// EWMA (monitor::LinkLoadPoller's ewma_alpha).
+constexpr double kPollEwmaAlpha = 0.7;
+
 /// Shortest round-trip decimal of `v`: integral values print without a
 /// fraction, so counter snapshots read like counters. Deterministic for
 /// identical bit patterns.
@@ -34,7 +38,7 @@ FibbingService::FibbingService(const topo::Topology& topo, ServiceConfig config)
       tracer_(config.tracing),
       domain_(topo, events_, config.igp_timing, link_state_, config.igp_shards),
       sim_(topo, events_, link_state_),
-      poller_(topo, sim_, events_, config.poll_interval_s, config.poll_ewma_alpha),
+      poller_(topo, sim_, events_, config.poll_interval_s, kPollEwmaAlpha),
       video_(topo, sim_, events_, bus_) {
   domain_.set_tracer(&tracer_);
   // Router control planes program the data plane.

@@ -22,7 +22,6 @@ struct ServiceConfig {
   igp::IgpTiming igp_timing{};
   ControllerConfig controller{};
   double poll_interval_s = 1.0;
-  double poll_ewma_alpha = 0.7;
   /// IGP worker-thread shards (clamped to the router count). 1 keeps the
   /// domain fully single-threaded; any value produces bit-identical routing
   /// state (see IgpDomain's determinism contract).

@@ -10,7 +10,6 @@ IgpDomain::IgpDomain(const topo::Topology& topo, util::EventQueue& events,
                      std::size_t shards)
     : topo_(topo),
       events_(events),
-      timing_(timing),
       addrs_(topo),
       pool_(shards, topo.node_count()),
       router_seq_(topo.node_count(), 1),
@@ -22,8 +21,6 @@ IgpDomain::IgpDomain(const topo::Topology& topo, util::EventQueue& events,
       loss_rate_(topo.link_count(), 0.0),
       loss_seq_(topo.link_count(), 0),
       extra_delay_(topo.link_count(), 0.0) {
-  FIB_ASSERT(timing_.flood_delay_s > 0.0,
-             "IgpDomain: flood delay must be positive (channel lookahead)");
   link_state_->subscribe([this](topo::LinkId id, bool down) {
     if (down) {
       on_link_failed_(id);
@@ -204,7 +201,7 @@ proto::ControllerSession& IgpDomain::controller_session(topo::NodeId at) {
           sync_clock_();
           in_flight_.fetch_add(1, std::memory_order_relaxed);
           pool_.schedule(util::ShardPool::kDriverActor, at,
-                         pool_.now() + timing_.flood_delay_s, [this, at, buffer] {
+                         pool_.now() + kFloodDelayS, [this, at, buffer] {
                            in_flight_.fetch_sub(1, std::memory_order_relaxed);
                            if (alive_[at] == 0) return;  // crashed: lost
                            routers_[at]->receive_controller_packet(buffer);
@@ -223,7 +220,7 @@ proto::ControllerSession& IgpDomain::controller_session(topo::NodeId at) {
       // re-issued tombstone) may enter the domain.
       if (alive_[at] == 0) return;  // a crashed router sends nothing
       in_flight_.fetch_add(1, std::memory_order_relaxed);
-      pool_.schedule(at, at, pool_.now() + timing_.flood_delay_s, [this, at, buffer] {
+      pool_.schedule(at, at, pool_.now() + kFloodDelayS, [this, at, buffer] {
         in_flight_.fetch_sub(1, std::memory_order_relaxed);
         pool_.defer(at, [this, at, buffer] {
           controller_sessions_.at(at)->receive(buffer);
@@ -318,7 +315,7 @@ void IgpDomain::deliver_packet_(topo::NodeId from, topo::NodeId to,
   // (time, origin, sequence) place.
   if (alive_[from] == 0 || alive_[to] == 0) return;  // fail-stop endpoints
   const topo::LinkId via = topo_.link_between(from, to);
-  double delay = timing_.flood_delay_s;
+  double delay = kFloodDelayS;
   if (via != topo::kInvalidLink) {
     if (link_state_->is_down(via)) return;
     if (lose_packet_(via)) return;  // deterministic per-direction loss

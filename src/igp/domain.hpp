@@ -19,6 +19,14 @@
 
 namespace fibbing::igp {
 
+/// Per-hop packet delay (propagation plus processing) on every adjacency and
+/// on the controller's session. It is the shard pool's lookahead: every
+/// cross-router effect arrives this much later, so same-instant events on
+/// different routers commute. Well under kSpfDelayS, so a flood reaches its
+/// neighbours inside one SPF hold-down.
+inline constexpr double kFloodDelayS = 0.001;
+static_assert(kFloodDelayS > 0.0, "the shard pool's lookahead must be positive");
+
 /// A running link-state routing domain: one RouterProcess per topology node,
 /// exchanging encoded RFC 2328 packets over the topology's adjacencies.
 /// Adjacency bring-up, database synchronization (DD summaries + LS
@@ -127,8 +135,7 @@ class IgpDomain {
   void set_link_loss(topo::LinkId id, double rate);
 
   /// Add `extra_s` of one-way latency on the directed link `id` on top of
-  /// the domain-wide flood_delay_s (a slow link, for convergence-under-
-  /// churn tests).
+  /// kFloodDelayS (a slow link, for convergence-under-churn tests).
   void set_link_delay(topo::LinkId id, double extra_s);
 
   /// Fired (on the driving thread, at a round barrier) when the protocol
@@ -207,7 +214,6 @@ class IgpDomain {
 
   const topo::Topology& topo_;
   util::EventQueue& events_;
-  IgpTiming timing_;
   proto::AddressMap addrs_;
   /// Declared before routers_/sessions so it outlives everything holding an
   /// actor scheduler reference into it.

@@ -113,11 +113,6 @@ const SpfResult& RouteCache::spf_locked_(topo::NodeId source) {
   return *spf_[source];
 }
 
-RouteCache::TablesPtr RouteCache::baseline() {
-  util::MutexLock lock(mu_);
-  return baseline_locked_();
-}
-
 RouteCache::TablesPtr RouteCache::baseline_locked_() {
   refresh_();
   if (baseline_ == nullptr) {

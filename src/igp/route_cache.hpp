@@ -101,12 +101,10 @@ class RouteCache {
   /// Routes of every router for the current topology state plus
   /// `externals`. Immutable and shared: callers may hold the pointer across
   /// later topology changes (it stays internally consistent; it just no
-  /// longer describes the live state).
+  /// longer describes the live state). `tables({})` is the externals-free
+  /// baseline, built once per topology state.
   [[nodiscard]] TablesPtr tables(const std::vector<NetworkView::External>& externals)
       FIB_EXCLUDES(mu_);
-
-  /// Externals-free tables for the current topology state.
-  [[nodiscard]] TablesPtr baseline() FIB_EXCLUDES(mu_);
 
   /// `prefix`'s column in `tables`; a prefix that no router has a source for
   /// reads as a column of unreachable entries.

@@ -18,7 +18,6 @@ RouterProcess::RouterProcess(topo::NodeId self, std::size_t node_count,
 void RouterProcess::add_neighbor(topo::NodeId peer) {
   FIB_ASSERT(!sessions_.contains(peer), "add_neighbor: session already exists");
   proto::SessionConfig config;
-  config.rxmt_interval_s = timing_.rxmt_interval_s;
   config.hello_interval_s = timing_.hello_interval_s;
   config.dead_interval_s = timing_.dead_interval_s;
   config.flood_batch_window_s = timing_.flood_batch_window_s;
@@ -307,7 +306,7 @@ void RouterProcess::receive_controller_packet(const BufferPtr& buffer) {
 void RouterProcess::schedule_spf_() {
   if (spf_pending_) return;  // hold-down: batch further LSDB changes
   spf_pending_ = true;
-  events_.schedule_in(timing_.spf_delay_s, [this] {
+  events_.schedule_in(kSpfDelayS, [this] {
     spf_pending_ = false;
     run_spf_now_();
   });

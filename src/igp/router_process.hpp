@@ -18,12 +18,16 @@
 
 namespace fibbing::igp {
 
+/// SPF hold-down after an LSDB change: a router batches every change that
+/// lands within it into one SPF run. IgpTiming::flood_batch_window_s stays
+/// well under it, so flood batching never adds a convergence round-trip.
+inline constexpr double kSpfDelayS = 0.05;
+
 /// Protocol timers, loosely modelled on deployed OSPF defaults (scaled down
-/// to the demo's seconds-scale dynamics).
+/// to the demo's seconds-scale dynamics). The per-hop delay
+/// (igp::kFloodDelayS), the SPF hold-down (kSpfDelayS) and RxmtInterval
+/// (proto::kRxmtIntervalS) are constants beside the code that reads them.
 struct IgpTiming {
-  double flood_delay_s = 0.001;  // per-hop packet propagation + processing
-  double spf_delay_s = 0.05;     // SPF hold-down after an LSDB change
-  double rxmt_interval_s = 0.5;  // RFC RxmtInterval: unacked-LSU resend
   /// RFC HelloInterval: periodic keepalive cadence (liveness is on by
   /// default in a domain; set <= 0 to fall back to bring-up-only Hellos).
   double hello_interval_s = 10.0;
@@ -33,11 +37,9 @@ struct IgpTiming {
   /// conventional 4 x HelloInterval.
   double dead_interval_s = 40.0;
   /// RFC 13.5 flood coalescing window: floods landing within it share one
-  /// LS Update packet. Well under spf_delay_s so batching never adds a
-  /// convergence round-trip.
+  /// LS Update packet. Well under kSpfDelayS.
   double flood_batch_window_s = 0.02;
-  /// RFC 13.5 delayed-ack window; must stay well under rxmt_interval_s or
-  /// delayed acks race the sender's retransmissions.
+  /// RFC 13.5 delayed-ack window. Well under proto::kRxmtIntervalS.
   double ack_delay_s = 0.04;
 };
 

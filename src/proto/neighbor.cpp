@@ -12,13 +12,6 @@ namespace {
 
 /// The interface MTU every Database Description packet advertises.
 constexpr std::uint16_t kInterfaceMtu = 1500;
-/// LS Update pagination: batches flush when the next LSA would push the
-/// packet past this many body bytes (an LSA larger by itself still goes
-/// alone, as real OSPF leaves oversized updates to IP fragmentation).
-/// Keeps LSR responses and retransmission bundles bounded -- the encoded
-/// packet length field is 16 bits.
-constexpr std::size_t kMaxUpdateBytes = 1400;
-
 /// The wire Hello carries whole-second intervals; a disabled (<= 0) timer
 /// advertises the RFC defaults so liveness-off sessions interoperate with
 /// each other (both sides advertise the same values either way).
@@ -581,7 +574,7 @@ void NeighborSession::flush_pending_floods_() {
 
 void NeighborSession::schedule_rxmt_() {
   if (rxmt_timer_.valid()) return;
-  rxmt_timer_ = events_.schedule_in(config_.rxmt_interval_s, [this] {
+  rxmt_timer_ = events_.schedule_in(kRxmtIntervalS, [this] {
     rxmt_timer_ = {};
     on_rxmt_timer_();
   });
@@ -599,7 +592,7 @@ void NeighborSession::on_rxmt_timer_() {
 
 void NeighborSession::arm_watchdog_() {
   events_.cancel(watchdog_timer_);
-  watchdog_timer_ = events_.schedule_in(config_.rxmt_interval_s, [this] {
+  watchdog_timer_ = events_.schedule_in(kRxmtIntervalS, [this] {
     watchdog_timer_ = {};
     on_watchdog_();
   });

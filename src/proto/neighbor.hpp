@@ -29,14 +29,28 @@ enum class NeighborState : std::uint8_t {
 
 [[nodiscard]] const char* to_string(NeighborState state);
 
+/// RFC RxmtInterval analogue (scaled to the demo's seconds-scale timers):
+/// unacknowledged LS Updates are resent, and a stalled database exchange
+/// re-issues its last packet, after this long. SessionConfig::ack_delay_s
+/// must stay well under it, or delayed acks race the retransmissions.
+inline constexpr double kRxmtIntervalS = 0.5;
+
+/// LS Update pagination: batches flush when the next LSA would push the
+/// packet past this many body bytes (an LSA larger by itself still goes
+/// alone, as real OSPF leaves oversized updates to IP fragmentation).
+/// Keeps LSR responses and retransmission bundles bounded -- the encoded
+/// packet length field is 16 bits.
+inline constexpr std::size_t kMaxUpdateBytes = 1400;
+
+/// Per-session protocol settings. RxmtInterval is the constant above.
 struct SessionConfig {
-  /// DD summary pagination: headers per Database Description packet
-  /// (96 x 20 bytes + fixed fields fits a 1500-byte interface MTU).
+  /// DD summary pagination: headers per Database Description packet. The
+  /// 20-byte headers plus 32 bytes of OSPF header and DD fields encode to
+  /// 1 472 bytes at 72 headers, the most whose IPv4 packet (20 more bytes)
+  /// fits the 1 500-byte MTU that every DD advertises.
   std::size_t max_dd_headers = 72;
   /// LS Request pagination: entries per request packet.
   std::size_t max_request_entries = 32;
-  /// RFC RxmtInterval analogue (scaled to the demo's seconds-scale timers).
-  double rxmt_interval_s = 0.5;
   /// RFC HelloInterval: periodic Hello cadence. <= 0 disables protocol
   /// liveness entirely (bring-up Hellos only) -- the default here, so a
   /// bare session harness's event queue still drains; IgpTiming turns it
@@ -49,8 +63,8 @@ struct SessionConfig {
   /// RFC 13.5 flood coalescing: floods queued within this window leave as
   /// one LS Update packet. <= 0 sends one LSU per flood immediately.
   double flood_batch_window_s = 0.0;
-  /// RFC 13.5 delayed acknowledgment window; must stay well under the
-  /// peer's RxmtInterval. <= 0 acks every LS Update immediately.
+  /// RFC 13.5 delayed acknowledgment window; must stay well under
+  /// kRxmtIntervalS. <= 0 acks every LS Update immediately.
   double ack_delay_s = 0.0;
 };
 

@@ -1,7 +1,6 @@
 #include "te/minmax.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 
 #include "igp/routes.hpp"
@@ -292,7 +291,8 @@ void refine_flow(const topo::Topology& topo, topo::NodeId dest,
 
 /// shortest_path_dag over an already-computed distance vector (the solver
 /// shares one reverse Dijkstra between stretch pruning, refinement ordering
-/// and DAG membership).
+/// and DAG membership). A link is tight when it is up and its metric plus
+/// the distance of its head equals the distance of its tail.
 std::vector<bool> dag_from_dist(const topo::Topology& topo,
                                 const std::vector<topo::Metric>& dist,
                                 const topo::LinkStateMask* link_state) {
@@ -311,25 +311,16 @@ std::vector<bool> dag_from_dist(const topo::Topology& topo,
 }  // namespace
 
 std::vector<bool> shortest_path_dag(const topo::Topology& topo, topo::NodeId dest,
-                                    const topo::LinkStateMask* link_state,
-                                    MinMaxSearch* search) {
+                                    const topo::LinkStateMask* link_state) {
   FIB_ASSERT(dest < topo.node_count(), "shortest_path_dag: bad destination");
-  if (search == nullptr) {
-    return dag_from_dist(topo, dist_to_node(topo, dest, link_state), link_state);
-  }
-  if (!search->dist_valid_) {
-    search->dist_ = dist_to_node(topo, dest, link_state);
-    search->dist_valid_ = true;
-  }
-  return dag_from_dist(topo, search->dist_, link_state);
+  return dag_from_dist(topo, dist_to_node(topo, dest, link_state), link_state);
 }
 
 util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
                                          topo::NodeId dest,
                                          const std::vector<Demand>& demands,
                                          const std::vector<double>& background_bps,
-                                         const MinMaxConfig& config,
-                                         MinMaxSearch* search) {
+                                         const MinMaxConfig& config) {
   using R = util::Result<MinMaxResult>;
   const topo::LinkStateMask* link_state = config.link_state;
   if (dest >= topo.node_count()) return R::failure("min-max: unknown destination");
@@ -352,109 +343,69 @@ util::Result<MinMaxResult> solve_min_max(const topo::Topology& topo,
     return result;  // nothing to place
   }
 
+  // One reverse Dijkstra serves stretch pruning, refinement ordering and
+  // shortest-path-DAG membership alike.
   std::vector<topo::Metric> dist;
+  if (config.max_stretch > 0.0 || config.refine) {
+    dist = dist_to_node(topo, dest, link_state);
+  }
+
+  // Usable links: up (per the live mask), inside the caller's support
+  // restriction, and -- when a stretch bound is set -- on paths within
+  // max_stretch of the shortest metric toward dest, with the detour
+  // distances themselves computed on the degraded topology.
   std::vector<bool> allowed;
-  double hi = 1.0;
-  ThetaOracle oracle(topo, demands);
-  if (search != nullptr && search->solved_) {
-    // Ladder-rung reuse: the pruning and the binary search depend only on
-    // inputs the contract fixes, so pick up the solved bound directly. The
-    // total-demand tripwire catches accidental reuse across instances.
-    if (std::abs(search->total_ - total) >
-        1e-9 * std::max({search->total_, total, 1.0})) {
-      return R::failure("min-max: MinMaxSearch reused with different demands");
+  const bool masked = link_state != nullptr && link_state->any_down();
+  if (config.max_stretch > 0.0 || masked || !config.support.empty()) {
+    allowed.assign(topo.link_count(), true);
+    if (masked) {
+      for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
+        if (link_state->is_down(l)) allowed[l] = false;
+      }
     }
-    dist = search->dist_;
-    allowed = search->allowed_;
-    hi = search->hi_;
-    if (dist.empty() && (config.max_stretch > 0.0 || config.refine)) {
-      // The populating call ran without refinement; this rung wants it.
-      dist = dist_to_node(topo, dest, link_state);
-      search->dist_ = dist;
-      search->dist_valid_ = true;
+    if (!config.support.empty()) {
+      for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
+        if (!config.support[l]) allowed[l] = false;
+      }
     }
-  } else {
-    // One reverse Dijkstra serves stretch pruning, refinement ordering and
-    // shortest-path-DAG membership alike -- reused across reset_bound()
-    // re-solves and shortest_path_dag when a search carries it already.
-    if (config.max_stretch > 0.0 || config.refine) {
-      if (search != nullptr && search->dist_valid_) {
-        dist = search->dist_;
-      } else {
-        dist = dist_to_node(topo, dest, link_state);
-        if (search != nullptr) {
-          search->dist_ = dist;
-          search->dist_valid_ = true;
+    if (config.max_stretch > 0.0) {
+      for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
+        if (!allowed[l]) continue;
+        const topo::Link& link = topo.link(l);
+        if (dist[link.from] >= igp::kInfMetric || dist[link.to] >= igp::kInfMetric) {
+          allowed[l] = false;
+          continue;
         }
-      }
-    }
-
-    // Usable links: up (per the live mask), inside the caller's support
-    // restriction, and -- when a stretch bound is set -- on paths within
-    // max_stretch of the shortest metric toward dest, with the detour
-    // distances themselves computed on the degraded topology.
-    const bool masked = link_state != nullptr && link_state->any_down();
-    if (config.max_stretch > 0.0 || masked || !config.support.empty()) {
-      allowed.assign(topo.link_count(), true);
-      if (masked) {
-        for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
-          if (link_state->is_down(l)) allowed[l] = false;
-        }
-      }
-      if (!config.support.empty()) {
-        for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
-          if (!config.support[l]) allowed[l] = false;
-        }
-      }
-      if (config.max_stretch > 0.0) {
-        for (topo::LinkId l = 0; l < topo.link_count(); ++l) {
-          if (!allowed[l]) continue;
-          const topo::Link& link = topo.link(l);
-          if (dist[link.from] >= igp::kInfMetric ||
-              dist[link.to] >= igp::kInfMetric) {
-            allowed[l] = false;
-            continue;
-          }
-          allowed[l] = link.metric + dist[link.to] <=
-                       config.max_stretch * static_cast<double>(dist[link.from]) +
-                           1e-9;
-        }
-      }
-    }
-
-    // Find a feasible upper bound by doubling, then binary search.
-    while (!solve_at_theta(oracle, topo, dest, background_bps, hi, allowed)
-                .feasible(total)) {
-      hi *= 2.0;
-      if (hi > kThetaCeiling) {
-        return R::failure(
-            "min-max: destination unreachable from some ingress (check stretch "
-            "bound)");
-      }
-    }
-    double lo = 0.0;
-    while (hi - lo > kPrecision * std::max(hi, 1.0)) {
-      const double mid = 0.5 * (lo + hi);
-      if (solve_at_theta(oracle, topo, dest, background_bps, mid, allowed)
-              .feasible(total)) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-    if (search != nullptr) {
-      search->solved_ = true;
-      search->hi_ = hi;
-      search->total_ = total;
-      search->allowed_ = allowed;
-      if (!dist.empty()) {
-        // Never clobber a cached Dijkstra with the empty vector of a solve
-        // that needed no distances (no stretch bound, refinement off).
-        search->dist_ = dist;
-        search->dist_valid_ = true;
+        allowed[l] = link.metric + dist[link.to] <=
+                     config.max_stretch * static_cast<double>(dist[link.from]) + 1e-9;
       }
     }
   }
+
+  // Find a feasible upper bound by doubling, then binary search.
+  ThetaOracle oracle(topo, demands);
+  double hi = 1.0;
+  while (!solve_at_theta(oracle, topo, dest, background_bps, hi, allowed)
+              .feasible(total)) {
+    hi *= 2.0;
+    if (hi > kThetaCeiling) {
+      return R::failure(
+          "min-max: destination unreachable from some ingress (check stretch "
+          "bound)");
+    }
+  }
+  double lo = 0.0;
+  while (hi - lo > kPrecision * std::max(hi, 1.0)) {
+    const double mid = 0.5 * (lo + hi);
+    if (solve_at_theta(oracle, topo, dest, background_bps, mid, allowed)
+            .feasible(total)) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  // The last probe may have been an infeasible mid; the refinement and the
+  // splits read the oracle's flow, so it must hold the flow at hi.
   solve_at_theta(oracle, topo, dest, background_bps, hi, allowed);
   if (!oracle.feasible(total)) {
     // The oracle is deterministic, so hi re-solves the way the search saw
@@ -559,20 +510,16 @@ std::vector<double> shortest_path_loads(const topo::Topology& topo, topo::NodeId
   std::sort(order.begin(), order.end(),
             [&](topo::NodeId a, topo::NodeId b) { return dist[a] > dist[b]; });
 
+  const std::vector<bool> dag = dag_from_dist(topo, dist, link_state);
   std::vector<double> load(topo.link_count(), 0.0);
   for (const topo::NodeId u : order) {
     if (u == dest || node_in[u] <= 0.0 || dist[u] >= igp::kInfMetric) continue;
-    std::vector<topo::LinkId> dag_links;
+    std::size_t successors = 0;
+    for (const topo::LinkId l : topo.out_links(u)) successors += dag[l] ? 1 : 0;
+    FIB_ASSERT(successors > 0, "shortest_path_loads: broken SPF DAG");
+    const double share = node_in[u] / static_cast<double>(successors);
     for (const topo::LinkId l : topo.out_links(u)) {
-      if (link_state != nullptr && link_state->is_down(l)) continue;
-      const topo::Link& link = topo.link(l);
-      if (dist[link.to] < igp::kInfMetric && link.metric + dist[link.to] == dist[u]) {
-        dag_links.push_back(l);
-      }
-    }
-    FIB_ASSERT(!dag_links.empty(), "shortest_path_loads: broken SPF DAG");
-    const double share = node_in[u] / static_cast<double>(dag_links.size());
-    for (const topo::LinkId l : dag_links) {
+      if (!dag[l]) continue;
       load[l] += share;
       node_in[topo.link(l).to] += share;
     }

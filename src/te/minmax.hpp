@@ -23,7 +23,9 @@ using SplitMap = std::map<topo::NodeId, std::vector<std::pair<topo::NodeId, doub
 
 /// Solver knobs beyond the plain optimization inputs. The defaults
 /// reproduce the classic solve plus the degeneracy-breaking refinement at
-/// the exact optimum (theta_relax = 0 never trades optimality away).
+/// the exact optimum (theta_relax = 0 never trades optimality away). The
+/// solver keeps no state between calls, so any knob may differ from one
+/// call to the next (the fallback ladder varies support and theta_relax).
 struct MinMaxConfig {
   /// Detour bound, 0 = unlimited (see solve_min_max()).
   double max_stretch = 0.0;
@@ -57,8 +59,6 @@ struct MinMaxConfig {
   /// compilable support (previous flow links + the shortest-path DAG).
   std::vector<bool> support;
 };
-
-class MinMaxSearch;
 
 /// Output of the exact min-max link-utilization solver.
 struct MinMaxResult {
@@ -111,77 +111,23 @@ struct MinMaxResult {
 /// distances, so the optimum is solved on the degraded topology that
 /// actually exists -- no returned split ever crosses a down link.
 ///
-/// `search` (optional) reuses a MinMaxSearch: when it is already solved the
-/// binary search is skipped and its bound re-used; when it is fresh (or
-/// null) the full solve runs and (if non-null) populates it.
+/// Every call is a full solve: one reverse Dijkstra (when stretch pruning or
+/// the refinement needs distances), the doubling and binary search, and a
+/// final re-solve at the feasible bound that the refinement and the splits
+/// read. The controller's fallback ladder calls it once per rung.
 [[nodiscard]] util::Result<MinMaxResult> solve_min_max(
     const topo::Topology& topo, topo::NodeId dest,
     const std::vector<Demand>& demands,
-    const std::vector<double>& background_bps = {}, const MinMaxConfig& config = {},
-    MinMaxSearch* search = nullptr);
-
-/// Cached binary-search state of one min-max instance: the pruned usable
-/// link set, the shared reverse Dijkstra and the solved feasibility bound.
-/// The controller's theta fallback ladder re-solves the *same* instance at
-/// escalating theta_relax values; the search result is identical per rung,
-/// so passing one MinMaxSearch across the rungs reduces each re-solve to a
-/// single feasibility max-flow plus the refinement instead of repeating
-/// the doubling + binary search (~log(1/precision) max-flows).
-///
-/// Contract: a search is only meaningful for fixed (topo, dest, demands,
-/// background, stretch, link-state, support); of the config knobs, only
-/// theta_relax / refine / granularity_floor may vary between calls that
-/// share an instance. Total demand is checked (a cheap tripwire for
-/// accidental reuse across instances); the rest is on the caller.
-class MinMaxSearch {
- public:
-  /// A prior call has populated this search (reusing it skips the search).
-  [[nodiscard]] bool solved() const { return solved_; }
-
-  /// Forget the solved bound and link pruning but keep the cached reverse
-  /// Dijkstra. The distance vector depends only on (topo, dest, link-state)
-  /// -- none of the per-solve knobs -- so after reset_bound() the same
-  /// instance can re-solve with a different support restriction (the
-  /// controller's fallback ladder does exactly this: the initial solve
-  /// seeds the Dijkstra, the support DAG and every rung reuse it) while
-  /// the bound is honestly recomputed.
-  void reset_bound() {
-    solved_ = false;
-    hi_ = 0.0;
-    total_ = 0.0;
-    allowed_.clear();
-  }
-
- private:
-  friend util::Result<MinMaxResult> solve_min_max(
-      const topo::Topology& topo, topo::NodeId dest,
-      const std::vector<Demand>& demands, const std::vector<double>& background_bps,
-      const MinMaxConfig& config, MinMaxSearch* search);
-  friend std::vector<bool> shortest_path_dag(const topo::Topology& topo,
-                                             topo::NodeId dest,
-                                             const topo::LinkStateMask* link_state,
-                                             MinMaxSearch* search);
-
-  bool solved_ = false;
-  double hi_ = 0.0;            ///< feasible theta upper bound of the search
-  double total_ = 0.0;         ///< total demand (reuse tripwire)
-  std::vector<bool> allowed_;  ///< mask/support/stretch-pruned usable links
-  /// Reverse Dijkstra toward dest, valid when dist_valid_ (survives
-  /// reset_bound(): it depends only on topo/dest/link-state).
-  std::vector<topo::Metric> dist_;
-  bool dist_valid_ = false;
-};
+    const std::vector<double>& background_bps = {}, const MinMaxConfig& config = {});
 
 /// Per-directed-link membership in the shortest-path DAG toward `dest`
 /// (ECMP siblings included), over the links `link_state` leaves up. The
 /// refinement treats these as the tie-compilable links; the controller adds
-/// them to the fallback ladder's support restriction. A non-null `search`
-/// shares its cached reverse Dijkstra: when it already holds the distance
-/// vector for this (topo, dest, link-state) the Dijkstra is skipped;
-/// otherwise it runs once and is stored for the solves that follow.
+/// them to the fallback ladder's support restriction. Runs its own reverse
+/// Dijkstra.
 [[nodiscard]] std::vector<bool> shortest_path_dag(
     const topo::Topology& topo, topo::NodeId dest,
-    const topo::LinkStateMask* link_state = nullptr, MinMaxSearch* search = nullptr);
+    const topo::LinkStateMask* link_state = nullptr);
 
 /// Maximum link utilization if the same demands follow plain IGP shortest
 /// paths with even ECMP splitting (the no-Fibbing baseline of Fig. 1b).

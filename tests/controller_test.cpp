@@ -188,11 +188,27 @@ TEST(Controller, DegenerateOptimumCompilesViaFallbackLadder) {
   const double bound = relaxed.value().theta_opt * (1.0 + mm.theta_relax);
   EXPECT_GT(relaxed.value().theta, relaxed.value().theta_opt);
   EXPECT_LE(relaxed.value().theta, bound);
+  // No workload reaches the ladder, so its exact output is pinned here: a
+  // change to the solver or to the ladder that moves any of these values
+  // changes what the controller installs.
+  EXPECT_EQ(relaxed.value().theta_opt, 0.7750244140625);
+  EXPECT_EQ(relaxed.value().theta, 0.87187499999999996);
+
+  // The 7:1 split at B in tie mode: seven lies toward R3 beside B's real
+  // next hop R2.
+  const std::vector<Lie>& lies = out.compiled->value().lies;
+  ASSERT_EQ(lies.size(), 7u);
+  for (std::size_t i = 0; i < lies.size(); ++i) {
+    EXPECT_EQ(lies[i].id, i + 1);
+    EXPECT_EQ(lies[i].attach, p.b);
+    EXPECT_EQ(lies[i].via, p.r3);
+    EXPECT_EQ(lies[i].ext_metric, 0u);
+    EXPECT_EQ(lies[i].forwarding_address, net::Ipv4(10, 0, 0, 14));
+  }
 
   // The lies realize exactly that rung's requirement (no pollution, no
   // isolation breach, no loop), and the traffic they steer keeps every link
   // within the ladder's bound.
-  const std::vector<Lie>& lies = out.compiled->value().lies;
   const DestRequirement req =
       requirement_from_splits(p.p1, relaxed.value().splits, config.max_replicas);
   const VerifyReport report = verify_augmentation(p.topo, req, lies, &mask, &cache);

@@ -502,11 +502,13 @@ struct SessionPair {
   int drop_next_toward_b = 0;
   bool drop_all_toward_b = false;
   bool drop_all_toward_a = false;  ///< simulates b dying silently
+  std::vector<BufferPtr> sent;     ///< every buffer either side sent, dropped too
 
   explicit SessionPair(SessionConfig config = {},
                        std::optional<SessionConfig> config_b = std::nullopt) {
     a = std::make_unique<NeighborSession>(
         2, 1, db_a, events, config, [this](const BufferPtr& buffer) {
+          sent.push_back(buffer);
           if (drop_all_toward_b) return;
           if (drop_next_toward_b > 0) {
             --drop_next_toward_b;
@@ -521,6 +523,7 @@ struct SessionPair {
     b = std::make_unique<NeighborSession>(
         1, 2, db_b, events, config_b.value_or(config),
         [this](const BufferPtr& buffer) {
+          sent.push_back(buffer);
           if (drop_all_toward_a) return;
           events.schedule_in(0.001, [this, buffer] {
             const Decoded<Packet> decoded = decode_packet(*buffer);
@@ -610,6 +613,55 @@ TEST(NeighborFsm, DdSummaryPaginatesUnderSmallPageSize) {
   EXPECT_EQ(pair.b->counters().ls_requests_sent, 11u);
   EXPECT_GE(pair.b->counters().lsrs_sent, 4u);  // ceil(11/3) request batches
   EXPECT_GE(pair.a->counters().dds_sent, 6u);   // ceil(11/2) summary pages
+}
+
+TEST(NeighborFsm, DefaultPagesFitTheAdvertisedMtu) {
+  // Both sides hold more LSAs than one DD page carries, of 44 to 212 bytes,
+  // so the exchange sends full DD pages, full LS Requests and LS Updates
+  // that batch several LSAs. Each of those packets, in an IPv4 datagram,
+  // must fit the interface MTU its DDs advertise.
+  constexpr std::size_t kIpv4HeaderBytes = 20;
+  SessionPair pair;
+  for (std::uint32_t i = 0; i < 150; ++i) {
+    pair.db_a.seed(sample_router(400 + i, 1 + i % 8));
+  }
+  for (std::uint32_t i = 0; i < 90; ++i) {
+    pair.db_b.seed(sample_router(600 + i, 1 + i % 8));
+  }
+  for (const auto& [id, lsa] : pair.db_a.store) {
+    EXPECT_LE(lsa.header.length, kMaxUpdateBytes);
+  }
+  pair.bring_up();
+  ASSERT_TRUE(pair.a->synchronized());
+  ASSERT_TRUE(pair.b->synchronized());
+  ASSERT_EQ(pair.db_a.store.size(), 240u);
+  ASSERT_EQ(pair.db_b.store.size(), 240u);
+
+  const SessionConfig defaults;
+  std::size_t mtu = 0;
+  std::size_t max_dd_headers = 0;
+  std::size_t max_request_entries = 0;
+  std::size_t max_update_lsas = 0;
+  for (const BufferPtr& buffer : pair.sent) {
+    const Decoded<Packet> decoded = decode_packet(*buffer);
+    ASSERT_TRUE(decoded.ok());
+    const auto& body = decoded.value().body;
+    if (const auto* dd = std::get_if<DatabaseDescriptionBody>(&body)) {
+      mtu = dd->interface_mtu;
+      max_dd_headers = std::max(max_dd_headers, dd->headers.size());
+    } else if (const auto* lsr = std::get_if<LsRequestBody>(&body)) {
+      max_request_entries = std::max(max_request_entries, lsr->entries.size());
+    } else if (const auto* lsu = std::get_if<LsUpdateBody>(&body)) {
+      max_update_lsas = std::max(max_update_lsas, lsu->lsas.size());
+    } else {
+      continue;
+    }
+    EXPECT_LE(buffer->size() + kIpv4HeaderBytes, 1500u);
+  }
+  EXPECT_EQ(mtu, 1500u);
+  EXPECT_EQ(max_dd_headers, defaults.max_dd_headers);
+  EXPECT_EQ(max_request_entries, defaults.max_request_entries);
+  EXPECT_GT(max_update_lsas, 1u);
 }
 
 TEST(NeighborFsm, FloodedInstanceLeavesTheRequestList) {

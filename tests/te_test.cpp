@@ -265,45 +265,6 @@ TEST(MinMax, TiePreservingRefinementUnderThetaRelax) {
   EXPECT_NEAR(r2_frac, 1.0 / 8.0, 1e-6);
 }
 
-/// Ladder-rung search reuse: re-solving one instance at escalating
-/// theta_relax through a shared MinMaxSearch must match independent solves
-/// bit-for-bit (the reuse skips the doubling + binary search, never the
-/// refinement), and reusing the search for different demands must fail the
-/// tripwire instead of silently solving the wrong instance.
-TEST(MinMax, SearchReuseAcrossLadderRungsMatchesIndependentSolves) {
-  const PaperTopology p = make_paper_topology();
-  std::vector<double> background(p.topo.link_count(), 0.0);
-  background[p.topo.link_between(p.a, p.b)] = 31e6;
-  background[p.topo.link_between(p.b, p.r2)] = 31e6;
-  background[p.topo.link_between(p.r2, p.c)] = 31e6;
-  const std::vector<Demand> demands{{p.b, 31e6}};
-
-  MinMaxConfig config;
-  config.max_stretch = 1.5;
-  config.granularity_floor = 1.0 / 8.0;
-
-  MinMaxSearch search;
-  EXPECT_FALSE(search.solved());
-  for (const double relax : {0.0, 0.02, 0.10, 0.25}) {
-    config.theta_relax = relax;
-    const auto with_search =
-        solve_min_max(p.topo, p.c, demands, background, config, &search);
-    const auto independent = solve_min_max(p.topo, p.c, demands, background, config);
-    ASSERT_TRUE(with_search.ok()) << with_search.error();
-    ASSERT_TRUE(independent.ok()) << independent.error();
-    EXPECT_TRUE(search.solved());
-    EXPECT_DOUBLE_EQ(with_search.value().theta, independent.value().theta)
-        << "relax " << relax;
-    EXPECT_DOUBLE_EQ(with_search.value().theta_opt, independent.value().theta_opt);
-    EXPECT_EQ(with_search.value().splits, independent.value().splits)
-        << "relax " << relax;
-    EXPECT_EQ(with_search.value().link_flow, independent.value().link_flow);
-  }
-
-  const std::vector<Demand> other{{p.b, 10e6}};
-  EXPECT_FALSE(solve_min_max(p.topo, p.c, other, background, config, &search).ok());
-}
-
 TEST(MinMax, SliverRemovalRefinement) {
   // Two parallel paths where the exact optimum puts an inexpressible ~9.5%
   // sliver on the long path; with relaxation headroom the refinement folds
